@@ -12,9 +12,6 @@ from . import __version__, experiments
 from .errors import (ConfigError, LinearSolveFailedError, NewtonDivergedError,
                      StiffnessFailureError)
 
-_SUBCOMMANDS = ("simulate", "converge-n", "lipschitz", "separation",
-                "sign-condition", "stationary", "decay")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -22,7 +19,7 @@ def build_parser():
         description="phase-field bulk/surface experiment runner")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in experiments.EXPERIMENT_KINDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--outdir", default="out", help="output directory")

@@ -19,7 +19,7 @@ from .errors import (InadmissibleTestFunctionError, InsufficientDataError,
                      StaleStateError)
 
 __all__ = [
-    "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
+    "forcing_arrays", "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
     "dissipation_check", "DissipationReport",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
     "trace_mismatch", "TraceMismatchReport",
@@ -27,6 +27,14 @@ __all__ = [
     "decay_experiment", "DecayReport",
     "records_to_csv",
 ]
+
+
+def forcing_arrays(ops, cfg):
+    """cfg.h1 and cfg.h2 (scalars or shaped arrays) as flat bulk and trace
+    arrays."""
+    h1 = np.broadcast_to(np.asarray(cfg.h1, dtype=float), ops.bulk_shape)
+    h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float), ops.trace_shape)
+    return h1.ravel(), h2.ravel()
 
 
 # --------------------------------------------------------------------------
@@ -53,8 +61,7 @@ def energy(ops, cfg, fld) -> EnergyBreakdown:
     reg = cfg.regularized
     u = fld.bulk.ravel()
     psi = fld.trace.ravel()
-    h1 = np.broadcast_to(np.asarray(cfg.h1, dtype=float), ops.bulk_shape).ravel()
-    h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float), ops.trace_shape).ravel()
+    h1, h2 = forcing_arrays(ops, cfg)
     bulk_grad = 0.5 * float(u @ (ops.K @ u))
     bnd_grad = 0.5 * float(psi @ (ops.K_gamma @ psi))
     bulk_pot = float(ops.weights @ (reg.F(u) - 0.5 * cfg.lam * u * u))
@@ -234,8 +241,7 @@ def vi_residual(traj, window, test_functions, L=None) -> VIReport:
         L = compute_vi_constant(ops, cfg.lam)
     mass = ops.mean(states[0].field.bulk)
     reg = cfg.regularized
-    h1 = np.broadcast_to(np.asarray(cfg.h1, dtype=float), ops.bulk_shape).ravel()
-    h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float), ops.trace_shape).ravel()
+    h1, h2 = forcing_arrays(ops, cfg)
 
     residuals, scales = [], []
     for tf in test_functions:
@@ -334,7 +340,7 @@ def trace_mismatch(ops, cfg, state) -> TraceMismatchReport:
         raise StaleStateError("state has not been stepped")
     internal = ops.normal_derivative(state.field.bulk)
     psi = state.field.trace.ravel()
-    h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float), ops.trace_shape).ravel()
+    _, h2 = forcing_arrays(ops, cfg)
     lap_gamma = -(ops.K_gamma @ psi) / ops.boundary_weights
     external = (h2 - state.dpsi_dt.ravel() + lap_gamma
                 - np.ravel(cfg.g.g(psi))).reshape(ops.trace_shape)

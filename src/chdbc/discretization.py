@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .errors import NonZeroMeanError, SingularSystemError, UnsupportedDomainError
 
@@ -128,6 +127,10 @@ def _trapezoid_weights(n, h):
 class _OperatorsBase:
     """Shared quadrature, H^-1 and Phi^w machinery; geometry in subclasses."""
 
+    def __init__(self):
+        # Called last by the subclasses, once K and the weights are set.
+        self._poisson_lu = _bordered_lu(self.K, self.weights)
+
     # --- quadrature -----------------------------------------------------
     def mean(self, v):
         return float(self.weights @ np.ravel(v)) / self.area
@@ -170,6 +173,11 @@ class _OperatorsBase:
         w -= (self.weights @ w) / self.area
         return w.reshape(np.shape(r))
 
+    def _poisson_solve(self, flat_r):
+        rhs = np.concatenate([self.weights * flat_r, [0.0]])
+        sol = self._poisson_lu.solve(rhs)
+        return sol[:-1]
+
     def h_minus1_norm(self, r):
         """|| r ||_{H^-1}: (A r, r)^(1/2) on zero-mean r."""
         w = self.inverse_laplacian(r)
@@ -201,12 +209,7 @@ class IntervalOperators(_OperatorsBase):
         self.K = _interval_stiffness(n, h)
         # Laplace-Beltrami on a two-point boundary vanishes.
         self.K_gamma = sp.csr_array((2, 2))
-        self._poisson_lu = _bordered_lu(self.K, self.weights)
-
-    def _poisson_solve(self, flat_r):
-        rhs = np.concatenate([self.weights * flat_r, [0.0]])
-        sol = self._poisson_lu.solve(rhs)
-        return sol[:-1]
+        super().__init__()
 
     def normal_derivative(self, bulk):
         """Outward one-sided second-order differences at the two endpoints."""
@@ -243,28 +246,7 @@ class StripOperators(_OperatorsBase):
         self.K_gamma = sp.block_diag(
             [_periodic_stiffness(nx, dx), _periodic_stiffness(nx, dx)], format="csr"
         )
-        # Fourier path: -Lap diagonalizes in x, leaving tridiagonal solves in y.
-        k = np.arange(nx)
-        self._lam_x = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / nx)) / dx ** 2
-        self._Ay_banded = _neumann_second_derivative_banded(ny, hy)
-        self._wy = wy
-
-    def _poisson_solve(self, flat_r):
-        nx, ny = self.bulk_shape
-        r = flat_r.reshape(nx, ny)
-        rhat = np.fft.fft(r, axis=0)
-        what = np.empty_like(rhat)
-        ab = self._Ay_banded
-        for k in range(nx):
-            lam = self._lam_x[k]
-            if k == 0:
-                what[0] = _zero_mode_solve(ab, self._wy, rhat[0])
-                continue
-            a = ab.copy()
-            a[1] += lam
-            what[k] = solve_banded((1, 1), a, rhat[k])
-        w = np.fft.ifft(what, axis=0).real
-        return w.ravel()
+        super().__init__()
 
     def normal_derivative(self, bulk):
         u = np.asarray(bulk).reshape(self.bulk_shape)
@@ -288,43 +270,7 @@ class StripOperators(_OperatorsBase):
         return float(np.sqrt(val))
 
 
-def _neumann_second_derivative_banded(ny, hy):
-    """Banded (-d^2/dy^2) with ghost-eliminated Neumann rows, M^-1 K form."""
-    wy = _trapezoid_weights(ny, hy)
-    Ky = _interval_stiffness(ny, hy).toarray()
-    A = Ky / wy[:, None]
-    ab = np.zeros((3, ny))
-    ab[0, 1:] = np.diag(A, 1)
-    ab[1] = np.diag(A)
-    ab[2, :-1] = np.diag(A, -1)
-    return ab
-
-
-def _zero_mode_solve(ab, wy, rhs):
-    """Bordered solve of the singular Neumann y-problem at the zero x-mode."""
-    ny = len(wy)
-    A = np.zeros((ny + 1, ny + 1), dtype=complex)
-    A[:ny, :ny] = _banded_to_dense(ab)
-    A[:ny, ny] = 1.0
-    A[ny, :ny] = wy
-    b = np.concatenate([rhs, [0.0]])
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularSystemError("zero-mode solve failed") from exc
-    return sol[:ny]
-
-
-def _banded_to_dense(ab):
-    n = ab.shape[1]
-    A = np.diag(ab[1])
-    A += np.diag(ab[0, 1:], 1)
-    A += np.diag(ab[2, :-1], -1)
-    return A
-
-
 def _bordered_lu(K, weights):
-    n = K.shape[0]
     m = sp.csr_array(weights.reshape(1, -1))
     A = sp.block_array([[K, m.T], [m, None]], format="csc")
     try:

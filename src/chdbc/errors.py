@@ -51,5 +51,6 @@ class StiffnessFailureError(ChdbcError):
     """Adaptive ODE integration step size collapsed."""
 
 
-class ConfigError(ChdbcError):
-    """Invalid or unknown experiment configuration."""
+class ConfigError(ChdbcError, ValueError):
+    """Invalid or unknown experiment configuration, or a run parameter off
+    its grid (a ValueError too, as any rejected argument value)."""

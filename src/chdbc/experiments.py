@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import math
 import os
 
 import numpy as np
@@ -30,9 +31,6 @@ __all__ = [
     "run_simulate", "run_converge_n", "run_lipschitz", "run_separation",
     "run_sign_condition", "run_stationary", "run_decay", "run_experiment",
 ]
-
-EXPERIMENT_KINDS = ("simulate", "converge-n", "lipschitz", "separation",
-                    "sign-condition", "stationary", "decay")
 
 # Every known key with its default (as a string, the parsed form).
 DEFAULTS = {
@@ -127,14 +125,22 @@ def write_manifest(cfg, outdir):
     return path
 
 
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), with its rejection of a value as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_operators(cfg):
     kind = cfg["domain.kind"]
     if kind == "interval":
-        dom = Interval(_i(cfg, "domain.n"), _f(cfg, "domain.a"),
-                       _f(cfg, "domain.b"))
+        dom = _build(Interval, _i(cfg, "domain.n"), _f(cfg, "domain.a"),
+                     _f(cfg, "domain.b"))
     elif kind == "strip":
-        dom = PeriodicStrip(_f(cfg, "domain.Lx"), _i(cfg, "domain.nx"),
-                            _i(cfg, "domain.ny"))
+        dom = _build(PeriodicStrip, _f(cfg, "domain.Lx"), _i(cfg, "domain.nx"),
+                     _i(cfg, "domain.ny"))
     else:
         raise ConfigError(f"domain.kind must be interval or strip, got {kind!r}")
     return make_operators(dom)
@@ -150,11 +156,12 @@ def _boundary_g(cfg):
 
 
 def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
-    pot = potential_from_config(
-        cfg["potential.kind"],
+    pot = _build(
+        potential_from_config, cfg["potential.kind"],
         kappa0=_f(cfg, "potential.kappa0"), kappa1=_f(cfg, "potential.kappa1"),
         kappa=_f(cfg, "potential.kappa"), p=_f(cfg, "potential.p"))
-    return SolverConfig(
+    return _build(
+        SolverConfig,
         potential=pot,
         N=int(N if N is not None else _i(cfg, "solver.N")),
         lam=_f(cfg, "solver.lam"),
@@ -181,7 +188,7 @@ def _snapshot_cadence(cfg, scfg, T):
 def initial_field(ops, seed, amplitude, mean) -> Field:
     """Deterministic spinodal-like data: a few random low modes, normalized,
     then mean-corrected so that |u0| <= |mean| + amplitude < 1."""
-    if abs(mean) + amplitude >= 1.0:
+    if not abs(mean) + amplitude < 1.0:  # NaN fails too
         raise ConfigError("require |experiment.mean| + experiment.amplitude < 1")
     rng = np.random.default_rng(seed)
     dom = ops.domain
@@ -214,7 +221,9 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
 # Drivers
 # --------------------------------------------------------------------------
 
-def run_simulate(cfg, outdir):
+def run_simulate(cfg, outdir, workers=1):
+    """One trajectory; a single run has nothing to fan out, so workers is
+    unused."""
     ops = build_operators(cfg)
     scfg = build_solver_config(cfg)
     f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
@@ -242,12 +251,11 @@ def _converge_worker(args):
     scfg = build_solver_config(cfg, N=N)
     f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
                        _f(cfg, "experiment.mean"))
-    traj = simulate(ops, scfg, f0, max(times), cadence=scfg.dt)
-    out = {}
-    for t in times:
-        k = int(np.argmin(np.abs(traj.times - t)))
-        out[t] = traj.states[k].field
-    return N, out
+    # Snapshot only on the coarsest grid that holds every requested time.
+    steps = [round(t / scfg.dt) for t in times]
+    stride = math.gcd(*steps)
+    traj = simulate(ops, scfg, f0, max(times), cadence=stride * scfg.dt)
+    return N, {t: traj.states[k // stride].field for t, k in zip(times, steps)}
 
 
 def _pool_map(fn, jobs, workers):
@@ -350,7 +358,8 @@ def run_lipschitz(cfg, outdir, workers=1):
     }
 
 
-def _margin_run(cfg, N, h2=None):
+def _margin_worker(args):
+    cfg, N, h2 = args
     ops = build_operators(cfg)
     scfg = build_solver_config(cfg, N=N, h2=h2)
     f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
@@ -364,10 +373,9 @@ def _margin_run(cfg, N, h2=None):
 
 def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Boundary margins and trace gaps across the regularization sweep."""
-    rows = []
-    for N in Ns:
-        sep, gap = _margin_run(cfg, N)
-        rows.append((N, sep.final_bulk_margin, sep.final_boundary_margin, gap))
+    runs = _pool_map(_margin_worker, [(cfg, N, None) for N in Ns], workers)
+    rows = [(N, sep.final_bulk_margin, sep.final_boundary_margin, gap)
+            for N, (sep, gap) in zip(Ns, runs)]
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "separation.csv"), "w", newline="") as fh:
         wtr = csv.writer(fh)
@@ -387,12 +395,13 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     h2_bad = _f(cfg, "experiment.h2_violating")
     eps = 0.05
     branches = {"satisfying": h2_ok, "violating": h2_bad}
-    rows = []
-    for label, h2 in branches.items():
-        ok = check_sign_condition(g, h2, eps)
-        for N in Ns:
-            sep, gap = _margin_run(cfg, N, h2=h2)
-            rows.append((label, h2, ok, N, sep.final_boundary_margin, gap))
+    holds = {label: check_sign_condition(g, h2, eps)
+             for label, h2 in branches.items()}
+    jobs = [(label, h2, N) for label, h2 in branches.items() for N in Ns]
+    runs = _pool_map(_margin_worker, [(cfg, N, h2) for _, h2, N in jobs],
+                     workers)
+    rows = [(label, h2, holds[label], N, sep.final_boundary_margin, gap)
+            for (label, h2, N), (sep, gap) in zip(jobs, runs)]
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "sign_condition.csv"), "w", newline="") as fh:
         wtr = csv.writer(fh)
@@ -404,6 +413,8 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 
 
 def run_stationary(cfg, outdir, workers=1):
+    """One boundary-value solve and an optional slope sweep, run in this
+    process; workers is unused."""
     pot = build_solver_config(cfg).potential
     K = _f(cfg, "experiment.K")
     sol = stationary.solve_bvp(stationary.StationaryProblem(pot, K))
@@ -442,6 +453,8 @@ def run_stationary(cfg, outdir, workers=1):
 
 
 def run_decay(cfg, outdir, workers=1):
+    """The ensemble runs inside diagnostics.decay_experiment, in this process;
+    workers is unused."""
     ops = build_operators(cfg)
     scfg = build_solver_config(cfg)
     seed = _i(cfg, "seed")
@@ -465,6 +478,7 @@ def run_decay(cfg, outdir, workers=1):
             "final_diameter": float(rep.phi_w_diameters[-1])}
 
 
+# The one table of drivers: experiment kinds and CLI subcommands alike.
 _RUNNERS = {
     "simulate": run_simulate,
     "converge-n": run_converge_n,
@@ -474,14 +488,11 @@ _RUNNERS = {
     "stationary": run_stationary,
     "decay": run_decay,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg, outdir, workers=1):
     """Dispatch on experiment.kind; writes the manifest first so that a
     crashed run still documents what was attempted."""
     write_manifest(cfg, outdir)
-    kind = cfg["experiment.kind"]
-    runner = _RUNNERS[kind]
-    if kind == "simulate":
-        return runner(cfg, outdir)
-    return runner(cfg, outdir, workers=workers)
+    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, workers=workers)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ChdbcError, DomainError
 
 __all__ = [
     "LogarithmicPotential",
@@ -319,7 +319,8 @@ def check_separation_condition(spec) -> SeparationConditionReport:
         p = 2.5
         u = 1.0 - 10.0 ** (-np.arange(1, 13, dtype=float))
         ratio = spec.f(u) * (1.0 - u * u) ** (p - 1.0) / u
-        assert np.all(np.diff(ratio) < 0.0) and ratio[-1] < 1e-6
+        if not (np.all(np.diff(ratio) < 0.0) and ratio[-1] < 1e-6):
+            raise ChdbcError("sampled f(u)(1-u^2)^(p-1)/u does not decay to 0")
         return SeparationConditionReport(
             p=None, kappa1=None, kappa2=None, M=None, satisfied=False,
             note="f(u)/u grows only logarithmically near +-1",

@@ -22,6 +22,7 @@ round-off rather than to the Newton tolerance.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics
 from .discretization import Field
-from .errors import LinearSolveFailedError, NewtonDivergedError
+from .errors import ConfigError, LinearSolveFailedError, NewtonDivergedError
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
@@ -52,7 +53,7 @@ class SolverConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.N < 2:
             raise ValueError("N must be >= 2")
@@ -84,8 +85,6 @@ class State:
 class StepReport:
     newton_iters: int
     residual: float
-    energy_before: float
-    energy_after: float
 
 
 class Stepper:
@@ -104,10 +103,7 @@ class Stepper:
         self.Mg = sp.diags_array(ops.boundary_weights).tocsr()
         C = self.Mg / cfg.dt + ops.K_gamma + self.Mg
         self.BtCB = (self.B.T @ C @ self.B).tocsr()
-        self.h1 = np.broadcast_to(np.asarray(cfg.h1, dtype=float),
-                                  ops.bulk_shape).ravel().copy()
-        self.h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float),
-                                  ops.trace_shape).ravel().copy()
+        self.h1, self.h2 = diagnostics.forcing_arrays(ops, cfg)
         self._warn_shift()
 
     def _warn_shift(self):
@@ -133,7 +129,6 @@ class Stepper:
         ops, cfg = self.ops, self.cfg
         u_old = state.field.bulk.ravel().copy()
         psi_old = state.field.trace.ravel().copy()
-        e_before = diagnostics.energy(ops, cfg, state.field).total
 
         u = u_old.copy()
         mu = state.mu.ravel().copy() if state.mu is not None else np.zeros_like(u)
@@ -142,8 +137,10 @@ class Stepper:
             + np.linalg.norm(self.h2)
         rnorm = np.linalg.norm(np.concatenate([r1, r2]))
         iters = 0
-        while rnorm > cfg.newton_tol * scale:
-            if iters >= cfg.newton_max_iter:
+        # A non-finite residual (NaN data, infinite forcing) is a failure,
+        # never a converged step.
+        while not (np.isfinite(rnorm) and rnorm <= cfg.newton_tol * scale):
+            if iters >= cfg.newton_max_iter or not np.isfinite(rnorm):
                 raise NewtonDivergedError(
                     f"Newton stalled at residual {rnorm:.3e}",
                     residual=rnorm, iterations=iters, time=state.t)
@@ -182,8 +179,7 @@ class Stepper:
             prev_bulk=state.field.bulk.copy(),
             prev_trace=state.field.trace.copy(),
         )
-        e_after = diagnostics.energy(ops, cfg, new.field).total
-        return new, StepReport(iters, float(rnorm / scale), e_before, e_after)
+        return new, StepReport(iters, float(rnorm / scale))
 
 
 @dataclass
@@ -203,19 +199,27 @@ class Trajectory:
         return self.states[-1]
 
 
+def _grid_steps(name, value, dt):
+    """The number of dt steps in value, which must be a positive multiple of dt."""
+    k = round(value / dt) if math.isfinite(value / dt) else 0
+    if k < 1 or abs(k * dt - value) > 1e-9 * value:
+        raise ConfigError(f"{name}={value!r} is not a positive multiple of "
+                          f"dt={dt!r}")
+    return k
+
+
 def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Trajectory:
     """Advance from the initial field to time T, snapshotting at the cadence.
 
-    The initial trace may disagree with the bulk boundary values; the first
+    T and the cadence must be multiples of dt; snapshot times are k*dt.  The
+    initial trace may disagree with the bulk boundary values; the first
     implicit step resolves the mismatch.  Deterministic for fixed inputs.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    n_steps = _grid_steps("T", T, cfg.dt)
     cadence = cfg.dt if cadence is None else cadence
-    if cadence > T + 1e-12 * T:
-        raise ValueError("cadence must not exceed T")
-    stride = max(1, round(cadence / cfg.dt))
-    n_steps = round(T / cfg.dt)
+    stride = _grid_steps("cadence", cadence, cfg.dt)
+    if stride > n_steps:
+        raise ConfigError("cadence must not exceed T")
     stepper = Stepper(ops, cfg)
     state = State(t=0.0, field=initial.copy())
     states = [state.copy()]
@@ -226,6 +230,7 @@ def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Traject
         except NewtonDivergedError as exc:
             exc.time = state.t
             raise
+        state.t = k * cfg.dt
         if k % stride == 0 or k == n_steps:
             states.append(state.copy())
             records.append(diagnostics.record(ops, cfg, state, report))
@@ -254,8 +259,7 @@ def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> MuMeanRepor
     psi_new = state.field.trace.ravel()
     u_expl = state.prev_bulk.ravel()
     psi_expl = state.prev_trace.ravel()
-    h1 = np.broadcast_to(np.asarray(cfg.h1, dtype=float), ops.bulk_shape).ravel()
-    h2 = np.broadcast_to(np.asarray(cfg.h2, dtype=float), ops.trace_shape).ravel()
+    h1, h2 = diagnostics.forcing_arrays(ops, cfg)
     bulk_part = ops.mean(reg.f(u_new) - cfg.lam * u_expl + h1)
     bnd_part = ops.boundary_mean(
         state.dpsi_dt.ravel() + psi_new + np.ravel(cfg.g.g0(psi_expl)) - h2)

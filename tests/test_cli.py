@@ -4,6 +4,7 @@ import pytest
 from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.errors import ConfigError
+from chdbc.solver import simulate
 
 
 class TestConfigParsing:
@@ -58,6 +59,25 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--outdir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("potential.kind", "foo"), ("solver.dt", "-1"), ("solver.dt", "nan"),
+        ("solver.N", "1"), ("domain.n", "3"), ("potential.kappa1", "-1"),
+        ("experiment.T", "0.0105"), ("experiment.cadence", "0.0025"),
+        ("experiment.amplitude", "nan")])
+    def test_bad_value_is_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{key} = {value}\n")
+        rc = main(["simulate", "--config", str(cfg),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_nonfinite_forcing_is_3(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 16\nexperiment.T = 0.01\nforcing.h2 = inf\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 3
 
     def test_stationary_ok_is_0(self, tmp_path, capsys):
         rc = main(["stationary", "--potential", "logarithmic", "--K", "0.5",
@@ -116,6 +136,29 @@ class TestSweepDrivers:
         lines = (tmp_path / "converge_n.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6
 
+    def test_converge_n_fields_match_every_step_run(self):
+        # the gcd snapshot stride changes what is stored, not the stepping
+        cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
+                                 "experiment.amplitude": "0.3"})
+        times = (0.04, 0.1, 0.16)
+        _, fields = ex._converge_worker((cfg, 8, times))
+        ops = ex.build_operators(cfg)
+        scfg = ex.build_solver_config(cfg, N=8)
+        f0 = ex.initial_field(ops, 0, 0.3, 0.0)
+        traj = simulate(ops, scfg, f0, 0.16, cadence=1e-2)
+        for t in times:
+            k = round(t / 1e-2)
+            assert np.array_equal(fields[t].bulk, traj.states[k].field.bulk)
+
+    def test_margin_sweeps_honour_workers(self, tmp_path):
+        cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
+                                 "experiment.T": "0.05",
+                                 "experiment.amplitude": "0.3"})
+        for run in (ex.run_separation, ex.run_sign_condition):
+            serial = run(cfg, tmp_path / "a", Ns=(8, 16))
+            pooled = run(cfg, tmp_path / "b", workers=2, Ns=(8, 16))
+            assert pooled["rows"] == serial["rows"]
+
     def test_lipschitz_zero_eps_skipped(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
                                  "experiment.T": "0.05",
@@ -149,6 +192,8 @@ class TestInitialField:
         ops = ex.build_operators(cfg)
         with pytest.raises(ConfigError):
             ex.initial_field(ops, 0, 0.9, 0.3)
+        with pytest.raises(ConfigError):
+            ex.initial_field(ops, 0, float("nan"), 0.0)
 
     def test_seed_changes_data(self):
         cfg = ex.resolve_config({})

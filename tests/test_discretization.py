@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
                                   field_from_csv, field_to_csv, make_operators)
@@ -88,7 +90,7 @@ class TestInverseLaplacian:
         assert val == pytest.approx(4.0 / np.pi ** 2, abs=2e-4)
 
     def test_strip_matches_dense(self):
-        # cross-check the FFT/banded path against a direct sparse solve
+        # the bordered solve satisfies the unbordered Neumann system K w = M r
         import scipy.sparse.linalg as spla
         ops = make_operators(PeriodicStrip(1.5, 8, 9))
         rng = np.random.default_rng(2)
@@ -97,6 +99,23 @@ class TestInverseLaplacian:
         w = ops.inverse_laplacian(r)
         resid = ops.K @ w.ravel() - ops.weights * r.ravel()
         assert np.max(np.abs(resid)) < 1e-10
+
+
+# One operator set per domain, built once: the property test draws from them.
+_POISSON_OPS = [make_operators(d) for d in (
+    Interval(9), Interval(129, -4.0, 4.0), PeriodicStrip(2.0, 4, 5),
+    PeriodicStrip(1.5, 12, 13), PeriodicStrip(2.0, 40, 41))]
+
+
+@given(st.sampled_from(_POISSON_OPS), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-6, 1e6))
+@settings(max_examples=60, deadline=None)
+def test_inverse_laplacian_property(ops, seed, scale):
+    r = scale * np.random.default_rng(seed).standard_normal(ops.bulk_shape)
+    r -= ops.mean(r)
+    w = ops.inverse_laplacian(r)
+    assert np.linalg.norm(-ops.laplacian(w) - r) <= 1e-10 * np.linalg.norm(r)
+    assert abs(ops.mean(w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestPhiW:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chdbc.errors import DomainError
+from chdbc.errors import ChdbcError, DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, RegularizedPotential,
                               SmoothDoubleWell, check_separation_condition,
@@ -162,6 +162,15 @@ class TestSeparationCondition:
     def test_smooth(self):
         rep = check_separation_condition(SmoothDoubleWell())
         assert not rep.satisfied
+
+    def test_logarithmic_sample_check_raises(self):
+        # an explicit check, kept under python -O, unlike an assert
+        class Steep(LogarithmicPotential):
+            def f(self, u):
+                return 1.0 / (1.0 - u * u) ** 2
+
+        with pytest.raises(ChdbcError):
+            check_separation_condition(Steep())
 
 
 def test_potential_from_config():

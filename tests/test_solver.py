@@ -3,7 +3,7 @@ import pytest
 
 from chdbc.diagnostics import energy
 from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
-from chdbc.errors import StaleStateError
+from chdbc.errors import ConfigError, NewtonDivergedError, StaleStateError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential)
 from chdbc.solver import (SolverConfig, State, chemical_potential_mean,
@@ -82,6 +82,26 @@ class TestSimulateContract:
             simulate(iops, cfg, smooth_data(iops), T=1e-3, cadence=1.0)
         with pytest.raises(ValueError):
             simulate(iops, cfg, smooth_data(iops), T=-1.0)
+
+    @pytest.mark.parametrize("T, cadence", [(0.0105, None), (0.01, 0.0025),
+                                            (float("nan"), None)])
+    def test_off_grid_times_rejected(self, iops, T, cadence):
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
+        with pytest.raises(ConfigError):
+            simulate(iops, cfg, smooth_data(iops), T=T, cadence=cadence)
+
+    def test_times_on_grid(self, iops):
+        # k*dt exactly, where summing dt would drift in the last digits
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
+        traj = simulate(iops, cfg, smooth_data(iops), T=0.1, cadence=0.01)
+        assert list(traj.times) == [k * 10 * 1e-3 for k in range(11)]
+
+    def test_nonfinite_data_diverges(self, iops):
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
+        f0 = smooth_data(iops)
+        f0.bulk[3] = np.nan
+        with pytest.raises(NewtonDivergedError):
+            simulate(iops, cfg, f0, T=2e-3)
 
     def test_deterministic(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.0,
