@@ -417,7 +417,20 @@ def run_stationary(cfg, outdir, workers=1):
     process; workers is unused."""
     pot = build_solver_config(cfg).potential
     K = _f(cfg, "experiment.K")
-    sol = stationary.solve_bvp(stationary.StationaryProblem(pot, K))
+    problem = _build(stationary.StationaryProblem, pot, K)
+    sweep = cfg["experiment.sweep"]
+    if sweep:
+        try:
+            lo, hi, steps = sweep.split(":")
+            lo, hi, steps = float(lo), float(hi), int(steps)
+        except ValueError as exc:
+            raise ConfigError(
+                f"experiment.sweep must be s_min:s_max:steps, got {sweep!r}"
+            ) from exc
+        if not (0.0 <= lo < math.inf and 0.0 <= hi < math.inf and steps >= 1):
+            raise ConfigError("experiment.sweep needs finite slopes >= 0 and "
+                              f"steps >= 1, got {sweep!r}")
+    sol = stationary.solve_bvp(problem)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "stationary_profile.csv"), "w",
               newline="") as fh:
@@ -431,15 +444,7 @@ def run_stationary(cfg, outdir, workers=1):
     if crit is not None:
         summary["s_star"] = crit.s_star
         summary["K_plus"] = crit.K_plus
-    sweep = cfg["experiment.sweep"]
     if sweep:
-        try:
-            lo, hi, steps = sweep.split(":")
-            lo, hi, steps = float(lo), float(hi), int(steps)
-        except ValueError as exc:
-            raise ConfigError(
-                f"experiment.sweep must be s_min:s_max:steps, got {sweep!r}"
-            ) from exc
         with open(os.path.join(outdir, "stationary_sweep.csv"), "w",
                   newline="") as fh:
             wtr = csv.writer(fh)

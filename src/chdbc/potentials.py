@@ -134,18 +134,13 @@ class PowerSingularPotential:
     def F(self, u):
         u = np.asarray(u, dtype=float)
         _check_closed_interval(u)
-        s = 1.0 - u * u
-        if self.p == 2.0:
-            with np.errstate(divide="ignore"):
-                return np.where(s > 0.0, -0.5 * self.kappa * np.log(s), np.inf)
-        c = self.kappa / (2.0 * (self.p - 2.0))
         with np.errstate(divide="ignore"):
-            val = c * (s ** (2.0 - self.p) - 1.0)
-        if self.p > 2.0:
-            val = np.where(s > 0.0, val, np.inf)
-        else:
-            val = np.where(s > 0.0, val, -c)
-        return val
+            log_s = np.log1p(-u * u)  # -inf at |u| = 1
+        if self.p == 2.0:
+            return -0.5 * self.kappa * log_s
+        # (s^(2-p) - 1) / (p - 2) through expm1, which keeps the digits that
+        # the plain difference loses as p -> 2
+        return self.kappa * np.expm1((2.0 - self.p) * log_s) / (2.0 * (self.p - 2.0))
 
     def F_at_one(self):
         if self.p >= 2.0:

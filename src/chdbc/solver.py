@@ -57,6 +57,14 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if not math.isfinite(self.lam):
+            raise ValueError("lam must be finite")
+        if not np.all(np.isfinite(self.h1)):
+            raise ValueError("h1 must be finite")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be finite and positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be >= 1")
 
     @property
     def regularized(self):

@@ -4,7 +4,11 @@ Odd solutions are built by shooting from y(0) = 0, y'(0) = s.  The first
 integral (1/2) y'^2 - F(y) = (1/2) s^2 turns the singular approach of
 |y| -> 1 into a regular quadrature x(y) = int dv / sqrt(s^2 + 2 F(v)), which
 is used both as an independent oracle for the shooting integrator and to
-continue profiles into the stiff tail.
+continue profiles into the stiff tail.  The quadrature is a composite
+16-point Gauss-Legendre rule on 128 equal panels on each side of a split at
+v = 0.999; above the split the substitution v = 1 - w^2 removes the endpoint
+behaviour of the integrand; a quadrature costs one or two array evaluations
+of F.
 
 When F(1) is finite there is a critical outward slope: s_star is the initial
 slope whose profile saturates exactly at the endpoint, and
@@ -15,12 +19,13 @@ condition is met only in the variational sense, with defect K - K_plus.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
+# quad is no longer called; perfbench/tracing.py patches it by name
+from scipy.integrate import quad, solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 from .errors import StiffnessFailureError
@@ -33,15 +38,20 @@ __all__ = [
 
 _Y_SWITCH = 1.0 - 1e-6  # hand over from the ODE to the quadrature here
 _Y_EVENT = 1.0 - 1e-12
+_V_SPLIT = 0.999  # v = 1 - w^2 above this level
+_PANELS = 128
 
 
-def _quad(fn, a, b):
-    # adaptive quadrature at near-roundoff tolerance; the residual roundoff
-    # warning is expected at these settings and the result is cross-checked
-    # against the shooting integrator elsewhere
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+@functools.cache
+def _unit_rule():
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
+    [0, 1] with _PANELS equal panels (built on first use, not at import)."""
+    t, w = np.polynomial.legendre.leggauss(16)
+    left = np.arange(_PANELS)[:, None] / _PANELS
+    nodes = (left + 0.5 * (t + 1.0) / _PANELS).ravel()
+    weights = np.tile(0.5 * w / _PANELS, _PANELS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,8 @@ class StationaryProblem:
     K: float
 
     def __post_init__(self):
-        if self.K < 0.0:
-            raise ValueError("outward slope K must be >= 0")
+        if not 0.0 <= self.K < math.inf:  # NaN fails too
+            raise ValueError("outward slope K must be finite and >= 0")
 
 
 @dataclass
@@ -95,33 +105,22 @@ def _switch_level(potential, s):
 def _tail_quadrature(potential, s, y_from, y_to=1.0):
     """x-distance spent between y_from and y_to, via the first integral.
 
-    Near v = 1 the substitution v = 1 - w^2 removes the endpoint slowdown.
+    Below _V_SPLIT the rule runs in v; above it in w, with v = 1 - w^2.
     """
-    e = 0.5 * s * s
-
-    def integrand(v):
-        return 1.0 / math.sqrt(2.0 * e + 2.0 * float(potential.F(v)))
-
-    split = min(max(y_from, 0.999), y_to)
+    nodes, weights = _unit_rule()
+    split = min(max(y_from, _V_SPLIT), y_to)
+    w_lo, w_hi = math.sqrt(1.0 - y_to), math.sqrt(1.0 - split)
     val = 0.0
-    if split > y_from:
-        val += _quad(integrand, y_from, split)
-    if y_to > split:
-        # v = 1 - w^2 only helps when the upper limit is the singular endpoint
-        if y_to == 1.0:
-            w_max = math.sqrt(1.0 - split)
-
-            def sub_integrand(w):
-                v = 1.0 - w * w
-                F = float(potential.F(v)) if v < 1.0 else float(potential.F_at_one())
-                if not math.isfinite(F):
-                    return 0.0
-                return 2.0 * w / math.sqrt(2.0 * e + 2.0 * F)
-
-            val += _quad(sub_integrand, 0.0, w_max)
-        else:
-            val += _quad(integrand, split, y_to)
-    return val
+    with np.errstate(over="ignore"):  # a node where F overflows weighs nothing
+        if split > y_from:
+            v = y_from + (split - y_from) * nodes
+            val += (split - y_from) * weights @ (
+                1.0 / np.sqrt(s * s + 2.0 * potential.F(v)))
+        if w_hi > w_lo:
+            w = w_lo + (w_hi - w_lo) * nodes
+            val += (w_hi - w_lo) * weights @ (
+                2.0 * w / np.sqrt(s * s + 2.0 * potential.F(1.0 - w * w)))
+    return float(val)
 
 
 def time_of_flight(potential, s):
@@ -170,21 +169,17 @@ def shoot(potential, s, rtol=1e-11, atol=1e-13, n_profile=2001) -> ShootingResul
         x_hit = None
         saturated = False
 
-    def y_at(xq):
-        if xq <= x_switch:
-            return float(sol.sol(xq)[0])
-        if x_hit is not None and xq >= x_hit:
-            return 1.0
-        # invert the quadrature map on the stiff tail
-        lo, hi = y_switch, 1.0 - 1e-15
-        return brentq(
-            lambda v: x_switch + _tail_quadrature(potential, s, y_switch, v) - xq,
-            lo, hi, xtol=1e-14)
-
-    y_half = np.array([y_at(xq) for xq in half])
+    ode = half <= x_switch
+    y_half = np.ones_like(half)
+    y_half[ode] = sol.sol(half[ode])[0]
+    for i in np.flatnonzero(~ode):
+        if not saturated or half[i] < x_hit:
+            # invert the quadrature map on the stiff tail
+            y_half[i] = brentq(
+                lambda v: x_switch + _tail_quadrature(potential, s, y_switch, v)
+                - half[i], y_switch, 1.0 - 1e-15, xtol=1e-14)
     with np.errstate(over="ignore"):
-        Fv = np.array([float(potential.F(min(v, 1.0))) for v in y_half])
-        yp_half = np.sqrt(2.0 * e + 2.0 * Fv)
+        yp_half = np.sqrt(2.0 * e + 2.0 * potential.F(np.minimum(y_half, 1.0)))
     x = np.concatenate([-half[::-1], half[1:]])
     y = np.concatenate([-y_half[::-1], y_half[1:]])
     yp = np.concatenate([yp_half[::-1], yp_half[1:]])
@@ -198,7 +193,7 @@ def first_integral_drift(potential, result: ShootingResult):
     """max |(1/2) y'^2 - F(y) - (1/2) s^2| along the raw ODE samples."""
     if result.ode_x.size == 0:
         return 0.0
-    F = np.array([float(potential.F(v)) for v in np.clip(result.ode_y, -1.0, 1.0)])
+    F = potential.F(np.clip(result.ode_y, -1.0, 1.0))
     drift = 0.5 * result.ode_yp ** 2 - F - 0.5 * result.s ** 2
     return float(np.max(np.abs(drift)))
 
@@ -289,6 +284,6 @@ def variational_equilibrium_check(potential, x, y, interior_margin=1e-3):
     yi = y[1:-1]
     mask = (np.abs(yi) <= 1.0 - interior_margin) \
         & (np.abs(y[2:]) < 1.0) & (np.abs(y[:-2]) < 1.0)
-    r = ypp[mask] - np.array([float(potential.f(v)) for v in yi[mask]])
+    r = ypp[mask] - potential.f(yi[mask])
     r = r - np.mean(r)
     return float(np.sqrt(h * np.sum(r * r)))

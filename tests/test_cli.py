@@ -64,7 +64,9 @@ class TestExitCodes:
         ("potential.kind", "foo"), ("solver.dt", "-1"), ("solver.dt", "nan"),
         ("solver.N", "1"), ("domain.n", "3"), ("potential.kappa1", "-1"),
         ("experiment.T", "0.0105"), ("experiment.cadence", "0.0025"),
-        ("experiment.amplitude", "nan")])
+        ("experiment.amplitude", "nan"), ("solver.newton_tol", "nan"),
+        ("solver.newton_tol", "0"), ("solver.lam", "nan"), ("forcing.h1", "inf"),
+        ("solver.newton_max_iter", "0")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{key} = {value}\n")
@@ -87,6 +89,16 @@ class TestExitCodes:
         assert "classification: Classical" in out
         assert (tmp_path / "o" / "stationary_profile.csv").exists()
         assert (tmp_path / "o" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("args", [
+        "--K=-1", "--K=nan", "--K=inf", "--K=1 --sweep=-1:2:3",
+        "--K=1 --sweep=0.2:nan:3", "--K=1 --sweep=0.2:inf:3",
+        "--K=1 --sweep=0.2:2:0"])
+    def test_stationary_bad_value_is_2(self, tmp_path, capsys, args):
+        rc = main(["stationary", "--potential", "logarithmic", *args.split(),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_stationary_variational(self, tmp_path, capsys):
         rc = main(["stationary", "--potential", "logarithmic", "--K", "4.0",

@@ -70,6 +70,13 @@ class TestPowerSingular:
         fd2 = (pot.df(u + h) - pot.df(u - h)) / (2.0 * h)
         assert pot.d2f(u) == pytest.approx(float(fd2), rel=1e-6)
 
+    @pytest.mark.parametrize("p", [2.0 - 1e-12, 2.0 + 1e-12])
+    def test_antiderivative_continuous_in_p_at_2(self, p):
+        # (s^(2-p) - 1) / (p - 2) -> -log s as p -> 2, s = 1 - u^2
+        u = np.array([1e-6, 0.1, 0.5, 0.9, 0.999])
+        near = PowerSingularPotential(kappa=1.0, p=p).F(u)
+        assert near == pytest.approx(-0.5 * np.log1p(-u * u), rel=1e-9)
+
     def test_weak_singularity_finite_endpoint(self):
         pot = PowerSingularPotential(kappa=1.0, p=1.5)
         assert math.isfinite(pot.F_at_one())

@@ -1,9 +1,14 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from chdbc import stationary as st
 from chdbc.potentials import (LogarithmicPotential, PowerSingularPotential,
@@ -52,6 +57,16 @@ class TestShoot:
         assert res.exit == "saturated"
         assert 0.0 < res.x_hit < 1.0
         assert res.y[-1] == 1.0
+
+    def test_near_critical_interior_shot_ends_below_one(self):
+        # the ODE hands over to the tail before x = 1, but y reaches 1 past it
+        s = st.critical_flux(LOG).s_star * (1.0 - 1e-7)
+        res = st.shoot(LOG, s)
+        Y, slope = st._boundary_state(LOG, s)
+        assert res.exit == "interior"
+        assert res.ode_x[-1] < 1.0
+        assert res.y[-1] == pytest.approx(Y, abs=1e-12)
+        assert res.yp[-1] == pytest.approx(slope, rel=1e-9)
 
     def test_event_location_matches_quadrature(self):
         for s in (1.0, 2.0):
@@ -155,3 +170,65 @@ class TestVariationalEquilibrium:
         # finite differences degrade in the steep tail but the interior
         # identity still holds to truncation error
         assert r < 0.05
+
+
+def _quad_oracle(pot, s, y_from, y_to):
+    """The first integral by adaptive quad: in v below 0.999 and in w,
+    v = 1 - w^2, above it."""
+    def tight(fn, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(fn, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+    split = min(max(y_from, 0.999), y_to)
+    val = 0.0
+    if split > y_from:
+        val += tight(lambda v: 1.0 / math.sqrt(s * s + 2.0 * float(pot.F(v))),
+                     y_from, split)
+    if y_to > split:
+        val += tight(lambda w: 2.0 * w / math.sqrt(
+            s * s + 2.0 * float(pot.F(1.0 - w * w))),
+            math.sqrt(1.0 - y_to), math.sqrt(1.0 - split))
+    return val
+
+
+_potentials = hs.one_of(
+    hs.builds(lambda k1, r: LogarithmicPotential(kappa0=r * k1, kappa1=k1),
+              hs.floats(0.2, 5.0), hs.floats(0.0, 0.95)),
+    hs.builds(lambda k, p: PowerSingularPotential(kappa=k, p=p),
+              hs.floats(0.2, 5.0),
+              hs.one_of(hs.floats(1.2, 1.9), hs.floats(2.0, 4.0))),
+    hs.just(SmoothDoubleWell()))
+# log-uniform on [0.05, 10], so that interior shots (s below ~1) are common
+_slopes = hs.floats(0.0, 1.0).map(lambda u: 0.05 * 200.0 ** u)
+# levels in [0, 1], many of them within 1e-3 of the endpoint
+_levels = hs.one_of(hs.floats(0.0, 1.0),
+                    hs.floats(0.0, 12.0).map(lambda k: 1.0 - 10.0 ** -k))
+
+
+class TestGaussQuadratureAgainstQuad:
+    @settings(max_examples=40, deadline=None)
+    @given(_potentials, _slopes)
+    def test_time_of_flight(self, pot, s):
+        assert st.time_of_flight(pot, s) == pytest.approx(
+            _quad_oracle(pot, s, 0.0, 1.0), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_potentials, _slopes, _levels, _levels)
+    def test_tail_quadrature(self, pot, s, a, b):
+        assume(a != b)
+        y_from, y_to = min(a, b), max(a, b)
+        ref = _quad_oracle(pot, s, y_from, y_to)
+        assert st._tail_quadrature(pot, s, y_from, y_to) == pytest.approx(
+            ref, rel=0.0, abs=1e-12 + 1e-10 * abs(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_potentials, _slopes)
+    def test_boundary_state(self, pot, s):
+        assume(_quad_oracle(pot, s, 0.0, 1.0) > 1.0 + 1e-9)  # interior shot
+        Y = brentq(lambda v: _quad_oracle(pot, s, 0.0, v) - 1.0,
+                   1e-15, 1.0 - 1e-15, xtol=1e-15)
+        slope = math.sqrt(s * s + 2.0 * float(pot.F(Y)))
+        got_Y, got_slope = st._boundary_state(pot, s)
+        assert got_Y == pytest.approx(Y, abs=1e-12)
+        assert got_slope == pytest.approx(slope, abs=1e-12)
