@@ -118,6 +118,11 @@ def _periodic_stiffness(n, h):
     return (K / h).tocsr()
 
 
+def _neumann_eigenvalues(n, h):
+    """Spectrum of the trapezoid-weighted Neumann stencil: cosine modes."""
+    return (2.0 / h * np.sin(np.pi * np.arange(n) / (2 * (n - 1)))) ** 2
+
+
 def _trapezoid_weights(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
@@ -219,6 +224,10 @@ class IntervalOperators(_OperatorsBase):
         right = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
         return np.array([left, right])
 
+    def laplacian_eigenvalues(self):
+        """Generalized eigenvalues of (K, diag(weights)), zero mode first."""
+        return _neumann_eigenvalues(self.domain.n, self.domain.h)
+
     def tangential_gradient_seminorm(self, bulk):
         raise UnsupportedDomainError("no tangential directions on the interval")
 
@@ -254,6 +263,13 @@ class StripOperators(_OperatorsBase):
         bottom = (3.0 * u[:, 0] - 4.0 * u[:, 1] + u[:, 2]) / (2.0 * hy)
         top = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hy)
         return np.stack([bottom, top])
+
+    def laplacian_eigenvalues(self):
+        """Generalized eigenvalues of (K, diag(weights)), zero mode first: the
+        outer sum of the periodic (Fourier) x and the Neumann y spectra."""
+        dom = self.domain
+        kx = (2.0 / dom.dx * np.sin(np.pi * np.arange(dom.nx) / dom.nx)) ** 2
+        return np.add.outer(kx, _neumann_eigenvalues(dom.ny, dom.hy)).ravel()
 
     def tangential_gradient_seminorm(self, bulk):
         """L^2 norm of (d_xx u, d_y d_x u): second derivatives with at least

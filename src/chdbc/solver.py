@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +31,8 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics
 from .discretization import Field
-from .errors import ConfigError, LinearSolveFailedError, NewtonDivergedError
+from .errors import (ConfigError, LinearSolveFailedError, NewtonDivergedError,
+                     StaleStateError)
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
@@ -77,14 +78,12 @@ class State:
     field: Field
     mu: np.ndarray | None = None
     # Backward-step context for mean-potential bookkeeping and diagnostics.
-    dpsi_dt: np.ndarray | None = None
     prev_bulk: np.ndarray | None = None
     prev_trace: np.ndarray | None = None
 
     def copy(self):
         return State(self.t, self.field.copy(),
                      None if self.mu is None else self.mu.copy(),
-                     None if self.dpsi_dt is None else self.dpsi_dt.copy(),
                      None if self.prev_bulk is None else self.prev_bulk.copy(),
                      None if self.prev_trace is None else self.prev_trace.copy())
 
@@ -183,7 +182,6 @@ class Stepper:
             t=state.t + cfg.dt,
             field=Field(bulk, trace.copy()),
             mu=mu.reshape(ops.bulk_shape),
-            dpsi_dt=((trace - state.field.trace) / cfg.dt),
             prev_bulk=state.field.bulk.copy(),
             prev_trace=state.field.trace.copy(),
         )
@@ -257,9 +255,7 @@ def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> MuMeanRepor
     identity (surface time derivative + boundary nonlinearity - boundary
     forcing + bulk nonlinearity + bulk forcing), mirroring the splitting.
     """
-    from .errors import StaleStateError
-
-    if state.mu is None:
+    if state.mu is None or state.prev_trace is None:
         raise StaleStateError("no step taken yet; mu is unavailable")
     direct = ops.inner(state.mu, np.ones(ops.n_bulk)) / ops.area
     reg = cfg.regularized
@@ -267,10 +263,11 @@ def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> MuMeanRepor
     psi_new = state.field.trace.ravel()
     u_expl = state.prev_bulk.ravel()
     psi_expl = state.prev_trace.ravel()
+    dpsi_dt = (state.field.trace - state.prev_trace).ravel() / cfg.dt
     h1, h2 = diagnostics.forcing_arrays(ops, cfg)
     bulk_part = ops.mean(reg.f(u_new) - cfg.lam * u_expl + h1)
     bnd_part = ops.boundary_mean(
-        state.dpsi_dt.ravel() + psi_new + np.ravel(cfg.g.g0(psi_expl)) - h2)
+        dpsi_dt + psi_new + np.ravel(cfg.g.g0(psi_expl)) - h2)
     formula = bulk_part + bnd_part
     return MuMeanReport(direct, formula,
                         abs(direct - formula) / (1.0 + abs(direct)))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdbc import diagnostics as dg
 from chdbc.discretization import Interval, PeriodicStrip, make_operators
 from chdbc.errors import (InadmissibleTestFunctionError,
                           InsufficientDataError)
-from chdbc.potentials import LogarithmicPotential
+from chdbc.experiments import initial_field
+from chdbc.potentials import BoundaryNonlinearity, LogarithmicPotential
 from chdbc.solver import SolverConfig, Trajectory, simulate
 
 
@@ -103,12 +106,130 @@ class TestVI:
             assert np.max(np.abs(f.bulk)) < 1.0
             assert iops.mean(f.bulk) == pytest.approx(-0.2, abs=1e-10)
 
+    @pytest.mark.parametrize("mass", [0.98, -0.975, 0.973, np.nan])
+    def test_no_room_for_bumps(self, iops, mass):
+        # at |mass| >= 1 - delta_w the bump amplitude is not positive; the
+        # loop used to spin forever
+        with pytest.raises(InadmissibleTestFunctionError):
+            dg.generate_test_functions(iops, mass, count=5)
+
+    def test_constant_only_near_the_bound(self, iops):
+        tfs = dg.generate_test_functions(iops, 0.98, count=1)
+        assert len(tfs) == 1 and np.all(tfs[0].bulk == 0.98)
+
     def test_strip_test_functions(self):
         ops = make_operators(PeriodicStrip(2.0, 12, 13))
         tfs = dg.generate_test_functions(ops, 0.1, count=12, seed=6)
         assert len(tfs) == 12
         for f in tfs:
             assert np.max(np.abs(f.bulk)) < 1.0
+
+
+def _dense_vi_constant(ops, lam):
+    """The VI constant from a dense symmetric eigenproblem: with S =
+    W^-1/2 K W^-1/2 and Q an orthonormal basis of the complement of the
+    constant mode sqrt(w), the largest eigenvalue of
+    Q^T S ((lam + 1/2) I - S / 2) Q, plus the 10% margin.  Returns L and the
+    operator norm, which bounds the eigensolver's round-off."""
+    s = 1.0 / np.sqrt(ops.weights)
+    S = s[:, None] * ops.K.toarray() * s[None, :]
+    T = S @ ((lam + 0.5) * np.eye(ops.n_bulk) - 0.5 * S)
+    Q = np.linalg.qr(np.column_stack([np.sqrt(ops.weights),
+                                      np.eye(ops.n_bulk)[:, :-1]]))[0][:, 1:]
+    T = Q.T @ T @ Q
+    lam_max = np.linalg.eigvalsh(0.5 * (T + T.T))[-1]
+    return 1.1 * max(lam_max, 0.0) + 1e-12, np.linalg.norm(T, 2)
+
+
+_VI_OPS = [make_operators(d) for d in (
+    Interval(5), Interval(48), Interval(97, -3.0, 2.0), PeriodicStrip(2.0, 4, 5),
+    PeriodicStrip(3.0, 12, 13), PeriodicStrip(0.7, 8, 17))]
+
+
+class TestVIConstant:
+    @given(st.sampled_from(_VI_OPS), st.floats(0.0, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_symmetric_reference(self, ops, lam):
+        L = dg.compute_vi_constant(ops, lam)
+        L_ref, norm = _dense_vi_constant(ops, lam)
+        # 1e-10 relative; near L = 0 the floor is the reference's own
+        # eigensolver round-off, a few eps times the operator norm
+        assert abs(L - L_ref) <= 1e-10 * L_ref + 1e-14 * norm
+
+    def test_large_interval(self):
+        # more nodes than a dense eigensolve handles comfortably
+        for lam in (0.0, 1.5, 50.0):
+            L = dg.compute_vi_constant(make_operators(Interval(1025)), lam)
+            assert np.isfinite(L) and L > 0.0
+
+    def test_vi_residual_default_constant_on_large_interval(self):
+        ops = make_operators(Interval(1025))
+        traj = run(ops, T=2e-3)
+        rep = dg.vi_residual(traj, (0.0, 2e-3),
+                             [[st.field for st in traj.states]])
+        assert rep.residuals == [0.0]
+        assert rep.L == dg.compute_vi_constant(ops, traj.cfg.lam)
+
+
+def _vi_reference(traj, window, test_functions, L):
+    """vi_residual written term by term, with three inverse Laplacians per
+    test function and window step: A du, A v_bar and A d_bar."""
+    ops, cfg = traj.ops, traj.cfg
+    s, t = window
+    states = [st for st in traj.states if s - 1e-12 <= st.t <= t + 1e-12]
+    reg = cfg.regularized
+    h1, h2 = dg.forcing_arrays(ops, cfg)
+
+    def b_form(a_bulk, a_trace, b_bulk, b_trace):
+        val = float(a_bulk @ (ops.K @ b_bulk)) - cfg.lam * ops.inner(a_bulk, b_bulk)
+        a_bar = a_bulk - ops.mean(a_bulk)
+        b_bar = b_bulk - ops.mean(b_bulk)
+        val += L * ops.inner(ops.inverse_laplacian(a_bar), b_bar)
+        return val + float(a_trace @ (ops.K_gamma @ b_trace))
+
+    out = []
+    for tf in test_functions:
+        vs = tf if isinstance(tf, list) else [tf] * len(states)
+        total = 0.0
+        for k in range(len(states) - 1):
+            s0, s1 = states[k], states[k + 1]
+            v = vs[k + 1]
+            u, psi = s1.field.bulk.ravel(), s1.field.trace.ravel()
+            vb, vt = v.bulk.ravel(), v.trace.ravel()
+            du = (s1.field.bulk - s0.field.bulk).ravel()
+            dpsi = (s1.field.trace - s0.field.trace).ravel()
+            diff, diff_t = u - vb, psi - vt
+            Adu = ops.inverse_laplacian(du - ops.mean(du))
+            total += ops.inner(Adu, diff) + ops.boundary_inner(dpsi, diff_t)
+            lhs = b_form(vb, vt, diff, diff_t) + ops.inner(reg.f(vb), diff)
+            Ad = ops.inverse_laplacian(diff - ops.mean(diff))
+            rhs = (L * ops.inner(u, Ad)
+                   - ops.boundary_inner(np.ravel(cfg.g.g(psi)), diff_t)
+                   - ops.inner(h1, diff) + ops.boundary_inner(h2, diff_t))
+            total += (s1.t - s0.t) * (lhs - rhs)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("domain", [Interval(48), PeriodicStrip(2.0, 8, 9)])
+def test_vi_residual_matches_three_solve_reference(domain):
+    ops = make_operators(domain)
+    cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.5,
+                       dt=1e-3, h1=0.1, h2=0.2,
+                       g=BoundaryNonlinearity.tanh_tilt(0.3))
+    f0 = initial_field(ops, seed=4, amplitude=0.4, mean=0.1)
+    traj = simulate(ops, cfg, f0, T=0.02, cadence=2e-3)
+    tfs = dg.generate_test_functions(ops, ops.mean(f0.bulk), count=8, seed=7,
+                                     anchor=f0)
+    window = (0.004, 0.02)
+    moving = [st.field for st in traj.states
+              if 0.004 - 1e-12 <= st.t <= 0.02 + 1e-12]
+    tfs.append(moving[::-1])
+    for L in (dg.compute_vi_constant(ops, cfg.lam), 7.0):
+        rep = dg.vi_residual(traj, window, tfs, L=L)
+        ref = _vi_reference(traj, window, tfs, L)
+        for r, r_ref, sc in zip(rep.residuals, ref, rep.scales):
+            assert abs(r - r_ref) <= 1e-12 * sc
 
 
 class TestTraceMismatch:

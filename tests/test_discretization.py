@@ -118,6 +118,27 @@ def test_inverse_laplacian_property(ops, seed, scale):
     assert abs(ops.mean(w)) <= 1e-14 * np.max(np.abs(w))
 
 
+_DOMAINS = st.one_of(
+    st.builds(lambda n, a, length: Interval(n, a, a + length),
+              st.integers(5, 160), st.floats(-5.0, 5.0), st.floats(0.1, 10.0)),
+    st.builds(PeriodicStrip, st.floats(0.2, 10.0), st.integers(4, 16),
+              st.integers(5, 17)))
+
+
+@given(_DOMAINS)
+@settings(max_examples=60, deadline=None)
+def test_laplacian_eigenvalues_match_dense(domain):
+    """The closed-form spectrum equals the dense eigenvalues of the
+    symmetrized pencil W^-1/2 K W^-1/2, zero mode first."""
+    ops = make_operators(domain)
+    s = 1.0 / np.sqrt(ops.weights)
+    dense = np.linalg.eigvalsh(s[:, None] * ops.K.toarray() * s[None, :])
+    kappa = ops.laplacian_eigenvalues()
+    assert kappa.shape == (ops.n_bulk,)
+    assert kappa[0] == 0.0 and np.all(kappa[1:] > 0.0)
+    assert np.max(np.abs(np.sort(kappa) - dense)) <= 1e-12 * dense[-1]
+
+
 class TestPhiW:
     def test_eigenfunction_example(self):
         # [DERIVED] bulk H^-1 part 4/pi^2, trace L^2 part 1^2 + (-1)^2 = 2
