@@ -83,6 +83,7 @@ class DiagnosticsRecord:
     newton_iters: int
     newton_residual: float
     mu_mean: float
+    newton_factorizations: int
 
 
 def record(ops, cfg, state, report) -> DiagnosticsRecord:
@@ -102,6 +103,7 @@ def record(ops, cfg, state, report) -> DiagnosticsRecord:
         newton_iters=report.newton_iters,
         newton_residual=report.residual,
         mu_mean=float(mu_mean),
+        newton_factorizations=report.factorizations,
     )
 
 
@@ -109,7 +111,7 @@ def records_to_csv(records, path):
     cols = ["t", "mass", "total_energy", "bulk_gradient", "boundary_gradient",
             "bulk_potential", "boundary_potential", "forcing", "min_u", "max_u",
             "bulk_margin", "boundary_margin", "f_l1", "newton_iters",
-            "newton_residual", "mu_mean"]
+            "newton_residual", "mu_mean", "newton_factorizations"]
     with open(path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(cols)
@@ -119,7 +121,8 @@ def records_to_csv(records, path):
                 r.t, r.mass, e.total, e.bulk_gradient, e.boundary_gradient,
                 e.bulk_potential, e.boundary_potential, e.forcing, r.min_u,
                 r.max_u, r.bulk_margin, r.boundary_margin, r.f_l1,
-                r.newton_iters, r.newton_residual, r.mu_mean]])
+                r.newton_iters, r.newton_residual, r.mu_mean,
+                r.newton_factorizations]])
 
 
 # --------------------------------------------------------------------------

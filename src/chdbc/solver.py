@@ -3,9 +3,8 @@ regularized bulk/surface system in mixed (u, mu) form.
 
 Splitting: the monotone regularized nonlinearity and every linear elliptic
 term are implicit; the concave linear shift -lambda*u and the bounded
-boundary perturbation g0 are explicit.  Newton solves the coupled
-(u, mu) system with the trace unknowns eliminated into the bulk boundary
-nodes, so the trace coupling psi = u|_Gamma is exact for t > 0.
+boundary perturbation g0 are explicit.  The trace unknowns are eliminated
+into the bulk boundary nodes, so psi = u|_Gamma is exact for t > 0.
 
 Discrete equations per step (M, K bulk mass/stiffness, B trace selection,
 M_G, K_G their boundary counterparts, C = M_G/dt + K_G + M_G):
@@ -14,9 +13,13 @@ M_G, K_G their boundary counterparts, C = M_G/dt + K_G + M_G):
     M mu+ = K u+ + M (f_N(u+) - lam*u + h1)
             + B^T [ M_G (B u+ - psi)/dt + (K_G + M_G) B u+ + M_G (g0(psi) - h2) ]
 
-After Newton converges, u+ is recomputed from the first (linear) equation,
-which enforces the conservative flux form, and hence mass conservation, to
-round-off rather than to the Newton tolerance.
+Newton eliminates mu through the diagonal M: with A = K + B^T C B and
+D = diag(f_N'(u)), S du = -r1 + dt K M^-1 r2 for the Schur complement
+S = S0 + dt K D, S0 = M + dt K M^-1 A, and dmu = M^-1 (-r2 + (A + M D) du).
+One LU of S is kept across iterations and steps (chord Newton) and remade at
+the current iterate after an iteration that shrinks the residual norm by less
+than _CONTRACTION.  u+ is finally recomputed from the first (linear) equation,
+so mass is conserved to round-off rather than to the Newton tolerance.
 """
 
 from __future__ import annotations
@@ -92,58 +95,60 @@ class State:
 class StepReport:
     newton_iters: int
     residual: float
+    factorizations: int  # LUs of S made during the step
+
+
+_CONTRACTION = 0.1  # refactor once |r_new| > _CONTRACTION |r|
 
 
 class Stepper:
-    """Prebuilt matrices and Newton machinery for one (ops, cfg) pair."""
+    """Prebuilt matrices and the kept LU of S for one (ops, cfg) pair."""
 
     def __init__(self, ops, cfg: SolverConfig):
         self.ops = ops
         self.cfg = cfg
         self.reg = cfg.regularized
-        n = ops.n_bulk
-        ng = len(ops.boundary_weights)
-        self.M = sp.diags_array(ops.weights).tocsr()
+        w = ops.weights
         self.K = ops.K
-        self.B = sp.csr_array(
-            (np.ones(ng), (np.arange(ng), ops.boundary_indices)), shape=(ng, n))
-        self.Mg = sp.diags_array(ops.boundary_weights).tocsr()
-        C = self.Mg / cfg.dt + ops.K_gamma + self.Mg
-        self.BtCB = (self.B.T @ C @ self.B).tocsr()
+        ng = len(ops.boundary_weights)
+        B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
+                         shape=(ng, ops.n_bulk))
+        Mg = sp.diags_array(ops.boundary_weights)
+        self.A = (self.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
+        self.BtMg = (B.T @ Mg).tocsr()
+        self.dtKMinv = (cfg.dt * self.K @ sp.diags_array(1.0 / w)).tocsr()
+        self.S0 = (sp.diags_array(w) + self.dtKMinv @ self.A).tocsc()
+        self.lu = self.lu_df = None  # LU of S and the f_N'(u) it was made at
         self.h1, self.h2 = diagnostics.forcing_arrays(ops, cfg)
-        self._warn_shift()
-
-    def _warn_shift(self):
         # Surface the regime where the explicit shift dominates the implicit
         # slope; the splitting is only provably monotone below it.
         fmin = float(np.min(self.reg.df(np.linspace(-2.0, 2.0, 401))))
-        if self.cfg.lam >= fmin:
+        if cfg.lam >= fmin:
             log.warning("lambda=%g exceeds min f_N'=%g: shifted nonlinearity "
                         "is nonmonotone somewhere (N may be too small)",
-                        self.cfg.lam, fmin)
+                        cfg.lam, fmin)
 
-    def _residual(self, u_new, mu_new, u_old, psi_old):
-        cfg = self.cfg
-        r1 = self.M @ (u_new - u_old) + cfg.dt * (self.K @ mu_new)
-        rhs2 = (self.M @ (-cfg.lam * u_old + self.h1)
-                + self.B.T @ (self.Mg @ (-psi_old / cfg.dt
-                                         + np.ravel(cfg.g.g0(psi_old)) - self.h2)))
-        r2 = (self.M @ mu_new - self.K @ u_new - self.M @ self.reg.f(u_new)
-              - self.BtCB @ u_new - rhs2)
+    def _residual(self, u_new, mu_new, u_old, rhs2):
+        w = self.ops.weights
+        r1 = w * (u_new - u_old) + self.cfg.dt * (self.K @ mu_new)
+        r2 = w * (mu_new - self.reg.f(u_new)) - self.A @ u_new - rhs2
         return r1, r2
 
     def step(self, state: State):
         ops, cfg = self.ops, self.cfg
-        u_old = state.field.bulk.ravel().copy()
-        psi_old = state.field.trace.ravel().copy()
+        w = ops.weights
+        u_old = state.field.bulk.ravel()
+        psi_old = state.field.trace.ravel()
+        rhs2 = w * (self.h1 - cfg.lam * u_old) + self.BtMg @ (
+            np.ravel(cfg.g.g0(psi_old)) - self.h2 - psi_old / cfg.dt)
 
-        u = u_old.copy()
+        u = u_old
         mu = state.mu.ravel().copy() if state.mu is not None else np.zeros_like(u)
-        r1, r2 = self._residual(u, mu, u_old, psi_old)
-        scale = 1.0 + np.linalg.norm(self.M @ u_old) + np.linalg.norm(self.h1) \
+        r1, r2 = self._residual(u, mu, u_old, rhs2)
+        scale = 1.0 + np.linalg.norm(w * u_old) + np.linalg.norm(self.h1) \
             + np.linalg.norm(self.h2)
         rnorm = np.linalg.norm(np.concatenate([r1, r2]))
-        iters = 0
+        iters = factorizations = 0
         # A non-finite residual (NaN data, infinite forcing) is a failure,
         # never a converged step.
         while not (np.isfinite(rnorm) and rnorm <= cfg.newton_tol * scale):
@@ -151,41 +156,35 @@ class Stepper:
                 raise NewtonDivergedError(
                     f"Newton stalled at residual {rnorm:.3e}",
                     residual=rnorm, iterations=iters, time=state.t)
-            fp = self.reg.df(u)
-            J = sp.block_array(
-                [[self.M, cfg.dt * self.K],
-                 [-(self.K + self.BtCB + self.M @ sp.diags_array(fp)), self.M]],
-                format="csc")
-            try:
-                delta = spla.splu(J).solve(np.concatenate([-r1, -r2]))
-            except RuntimeError as exc:
-                raise LinearSolveFailedError(str(exc)) from exc
-            n = len(u)
-            # Line-search damping: halve until the residual norm decreases.
-            alpha = 1.0
-            for _ in range(9):
-                u_try = u + alpha * delta[:n]
-                mu_try = mu + alpha * delta[n:]
-                r1_t, r2_t = self._residual(u_try, mu_try, u_old, psi_old)
-                rnorm_t = np.linalg.norm(np.concatenate([r1_t, r2_t]))
-                if rnorm_t < rnorm or alpha <= 1.0 / 256.0:
-                    break
-                alpha *= 0.5
-            u, mu, r1, r2, rnorm = u_try, mu_try, r1_t, r2_t, rnorm_t
+            if self.lu is None:  # refactor at the current iterate
+                self.lu_df = self.reg.df(u)
+                S = self.S0 + cfg.dt * (self.K @ sp.diags_array(self.lu_df))
+                try:
+                    self.lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as exc:
+                    raise LinearSolveFailedError(str(exc)) from exc
+                factorizations += 1
+            du = self.lu.solve(-r1 + self.dtKMinv @ r2)
+            u = u + du
+            mu = mu + (self.A @ du - r2) / w + self.lu_df * du
+            r1, r2 = self._residual(u, mu, u_old, rhs2)
+            rnorm_new = np.linalg.norm(np.concatenate([r1, r2]))
+            if not rnorm_new <= _CONTRACTION * rnorm:
+                self.lu = None
+            rnorm = rnorm_new
             iters += 1
 
         # Enforce the conservative flux form exactly.
-        u = u_old - cfg.dt * ((self.K @ mu) / ops.weights)
+        u = u_old - cfg.dt * ((self.K @ mu) / w)
         bulk = u.reshape(ops.bulk_shape)
-        trace = ops.trace_of(bulk)
         new = State(
             t=state.t + cfg.dt,
-            field=Field(bulk, trace.copy()),
+            field=Field(bulk, ops.trace_of(bulk)),
             mu=mu.reshape(ops.bulk_shape),
             prev_bulk=state.field.bulk.copy(),
             prev_trace=state.field.trace.copy(),
         )
-        return new, StepReport(iters, float(rnorm / scale))
+        return new, StepReport(iters, float(rnorm / scale), factorizations)
 
 
 @dataclass
@@ -231,11 +230,7 @@ def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Traject
     states = [state.copy()]
     records = []
     for k in range(1, n_steps + 1):
-        try:
-            state, report = stepper.step(state)
-        except NewtonDivergedError as exc:
-            exc.time = state.t
-            raise
+        state, report = stepper.step(state)  # raises with the step's start time
         state.t = k * cfg.dt
         if k % stride == 0 or k == n_steps:
             states.append(state.copy())

@@ -1,0 +1,194 @@
+"""The chord Newton step (Schur complement of mu, kept LU) against a
+saddle-point Newton reference, its refactor rule and its failure paths."""
+
+import csv
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chdbc import experiments as ex
+from chdbc import solver
+from chdbc.cli import main
+from chdbc.diagnostics import forcing_arrays
+from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
+from chdbc.errors import NewtonDivergedError
+from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
+                              PowerSingularPotential, RegularizedPotential,
+                              SmoothDoubleWell)
+from chdbc.solver import SolverConfig, State, Stepper
+
+
+def saddle_newton_step(ops, cfg, state):
+    """Full Newton on the 2n x 2n saddle system [[M, dt K], [-(A + M D), M]],
+    assembled and factored at every iterate, run until the residual stops
+    shrinking; then the flux-form recomputation of u+."""
+    reg = cfg.regularized
+    n, w = ops.n_bulk, ops.weights
+    ng = len(ops.boundary_weights)
+    M = sp.diags_array(w)
+    B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
+                     shape=(ng, n))
+    Mg = sp.diags_array(ops.boundary_weights)
+    BtCB = B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B
+    h1, h2 = forcing_arrays(ops, cfg)
+    u_old = state.field.bulk.ravel()
+    psi_old = state.field.trace.ravel()
+    rhs2 = (M @ (h1 - cfg.lam * u_old) + B.T @ (
+        Mg @ (np.ravel(cfg.g.g0(psi_old)) - h2 - psi_old / cfg.dt)))
+
+    def residual(u, mu):
+        return np.concatenate([
+            M @ (u - u_old) + cfg.dt * (ops.K @ mu),
+            M @ mu - ops.K @ u - M @ reg.f(u) - BtCB @ u - rhs2])
+
+    u = u_old.copy()
+    mu = np.zeros(n) if state.mu is None else state.mu.ravel().copy()
+    r = residual(u, mu)
+    for _ in range(50):
+        J = sp.block_array(
+            [[M, cfg.dt * ops.K],
+             [-(ops.K + BtCB + M @ sp.diags_array(reg.df(u))), M]],
+            format="csc")
+        d = spla.splu(J).solve(-r)
+        r_new = residual(u + d[:n], mu + d[n:])
+        if not np.linalg.norm(r_new) < 0.5 * np.linalg.norm(r):
+            break  # round-off reached
+        u, mu, r = u + d[:n], mu + d[n:], r_new
+    return u_old - cfg.dt * (ops.K @ mu) / w, mu
+
+
+_STEP_OPS = [make_operators(d) for d in (
+    Interval(9), Interval(33, -2.0, 3.0), Interval(129, -4.0, 4.0),
+    PeriodicStrip(2.0, 4, 5), PeriodicStrip(1.5, 8, 9),
+    PeriodicStrip(2.0, 16, 17))]
+_POTENTIALS = st.one_of(
+    st.builds(LogarithmicPotential, st.floats(0.0, 0.5), st.floats(0.6, 2.0)),
+    st.builds(PowerSingularPotential, st.floats(0.5, 2.0), st.floats(1.2, 4.0)),
+    st.just(SmoothDoubleWell()))
+
+
+def _forcing(draw, rng, shape):
+    if draw(st.booleans()):
+        return draw(st.floats(-0.5, 0.5))
+    return 0.5 * rng.uniform(-1.0, 1.0, shape)
+
+
+@st.composite
+def step_cases(draw):
+    ops = draw(st.sampled_from(_STEP_OPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    potential = draw(_POTENTIALS)
+    N = draw(st.sampled_from([4, 8, 16, 32]))
+    reg = RegularizedPotential(potential, N)
+    fmin = float(np.min(reg.df(np.linspace(-1.0, 1.0, 201))))
+    lam = draw(st.floats(0.0, 0.99)) * fmin if draw(st.booleans()) \
+        else fmin + draw(st.floats(0.01, 4.0))
+    cfg = SolverConfig(
+        potential=potential, N=N, lam=lam, dt=10.0 ** draw(st.floats(-4, -1)),
+        g=draw(st.sampled_from([BoundaryNonlinearity.linear(),
+                                BoundaryNonlinearity.tanh_tilt(0.3)])),
+        h1=_forcing(draw, rng, ops.bulk_shape),
+        h2=_forcing(draw, rng, ops.trace_shape))
+    mean = draw(st.floats(-0.5, 0.5))
+    f0 = ex.initial_field(ops, draw(st.integers(0, 2 ** 32 - 1)),
+                          draw(st.floats(0.0, 0.99)) * (0.99 - abs(mean)), mean)
+    mu = rng.standard_normal(ops.bulk_shape) if draw(st.booleans()) else None
+    # the initial trace may disagree with the bulk; the step resolves it
+    trace = f0.trace + draw(st.floats(-0.2, 0.2))
+    return ops, cfg, State(0.0, Field(f0.bulk, trace), mu=mu)
+
+
+class TestChordStepAgainstSaddleNewton:
+    @given(step_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_one_step(self, case):
+        ops, cfg, state = case
+        new, report = Stepper(ops, cfg).step(state)
+        u_ref, mu_ref = saddle_newton_step(ops, cfg, state)
+        h1, h2 = forcing_arrays(ops, cfg)
+        scale = 1.0 + np.linalg.norm(ops.weights * state.field.bulk.ravel()) \
+            + np.linalg.norm(h1) + np.linalg.norm(h2)
+        assert report.factorizations >= 1
+        assert np.max(np.abs(new.field.bulk.ravel() - u_ref)) <= 1e-9 * scale
+        # mu in the units of the residual: M (mu - mu_ref)
+        assert np.max(np.abs(ops.weights * (new.mu.ravel() - mu_ref))) \
+            <= 1e-9 * scale
+        drift = abs(ops.mean(new.field.bulk) - ops.mean(state.field.bulk))
+        assert drift <= 1e-12 * scale
+        assert np.array_equal(new.field.trace, ops.trace_of(new.field.bulk))
+
+
+def _criterion_4():
+    cfg = ex.resolve_config({
+        "solver.lam": "6.0", "solver.dt": "1e-2", "domain.n": "129",
+        "domain.a": "-4.0", "domain.b": "4.0", "experiment.amplitude": "0.85",
+        "experiment.mean": "0.05"}, seed=0)
+    ops = ex.build_operators(cfg)
+    return ops, ex.build_solver_config(cfg, N=16), \
+        State(0.0, ex.initial_field(ops, 0, 0.85, 0.05))
+
+
+class TestRefactorRule:
+    def test_refactors_and_matches_newton(self, monkeypatch):
+        ops, cfg, state = _criterion_4()
+        stepper = Stepper(ops, cfg)
+        chord, factorizations = state, 0
+        for _ in range(100):
+            chord, report = stepper.step(chord)
+            factorizations += report.factorizations
+        assert 1 < factorizations < 100
+
+        # Every iterate stale: Newton with a fresh LU at every iteration.
+        monkeypatch.setattr(solver, "_CONTRACTION", 0.0)
+        stepper = Stepper(ops, cfg)
+        newton = state
+        for _ in range(100):
+            stepper.lu = None
+            newton, report = stepper.step(newton)
+            assert report.factorizations == report.newton_iters
+        assert np.max(np.abs(chord.field.bulk - newton.field.bulk)) <= 1e-9
+        assert np.max(np.abs(chord.mu - newton.mu)) <= 1e-9
+
+
+class TestNoLineSearch:
+    def test_max_iter_one_raises(self):
+        ops, cfg, state = _criterion_4()
+        _, report = Stepper(ops, cfg).step(state)
+        assert report.newton_iters > 1
+        one = SolverConfig(potential=cfg.potential, N=cfg.N, lam=cfg.lam,
+                           dt=cfg.dt, newton_max_iter=1)
+        with pytest.raises(NewtonDivergedError) as info:
+            solver.simulate(ops, one, state.field, T=0.01)
+        assert info.value.iterations == 1
+        assert info.value.time == 0.0
+
+    def test_cli_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 129\ndomain.a = -4.0\ndomain.b = 4.0\n"
+                       "solver.lam = 6.0\nsolver.dt = 1e-2\nsolver.N = 16\n"
+                       "experiment.amplitude = 0.85\nexperiment.mean = 0.05\n"
+                       "experiment.T = 0.1\nsolver.newton_max_iter = 1\n")
+        rc = main(["simulate", "--config", str(cfg), "--seed", "0",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        assert "solver failure" in capsys.readouterr().err
+
+
+def test_factorizations_column(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain.kind = strip\ndomain.nx = 16\ndomain.ny = 17\n"
+                   "solver.N = 16\nsolver.lam = 1.5\nsolver.dt = 1e-3\n"
+                   "experiment.T = 0.02\nexperiment.cadence = 1e-3\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--outdir", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "diagnostics.csv") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    assert header[-2:] == ["mu_mean", "newton_factorizations"]
+    assert len(rows) == 20
+    assert 1 <= sum(int(r[-1]) for r in rows) < 20
