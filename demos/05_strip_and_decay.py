@@ -49,7 +49,9 @@ def decay_run():
     )
     fields = [initial_field(ops, seed=k, amplitude=0.35, mean=0.1)
               for k in range(4)]
-    rep = decay_experiment(ops, cfg, fields, T=1.0, cadence=0.1)
+    runs = [simulate(ops, cfg, f0, T=1.0, cadence=0.1).states
+            for f0 in fields]
+    rep = decay_experiment(ops, cfg, runs)
     print("\nensemble of 4 trajectories with equal mass:")
     print(f"{'t':>6} {'diameter':>12}")
     for t, d in zip(rep.times, rep.phi_w_diameters):

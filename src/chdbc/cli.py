@@ -13,6 +13,13 @@ from .errors import (ConfigError, LinearSolveFailedError, NewtonDivergedError,
                      StiffnessFailureError)
 
 
+def _at_least_one(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chdbc",
@@ -24,7 +31,8 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--outdir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_at_least_one, default=1,
+                       help="processes for the independent runs of a sweep")
         if name == "stationary":
             p.add_argument("--potential",
                            choices=("logarithmic", "power", "smooth"))

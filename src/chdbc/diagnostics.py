@@ -2,6 +2,10 @@
 variational-inequality residuals, boundary-trace mismatch, separation
 margins, and ensemble decay.
 
+Ensemble decay is post-processing: it takes the members' snapshot States
+from runs already made, serially or in a process pool, so this module never
+runs the solver.
+
 Time derivatives are backward differences of stored snapshots and time
 integrals use rules aligned with the snapshot cadence; no extra state is
 kept in the solver.  The variational-inequality constant L comes from the
@@ -10,11 +14,12 @@ closed-form Neumann spectrum of the discretization, not an eigensolver.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from .discretization import write_rows
 from .errors import (InadmissibleTestFunctionError, InsufficientDataError,
                      StaleStateError)
 
@@ -80,10 +85,10 @@ class DiagnosticsRecord:
     bulk_margin: float
     boundary_margin: float
     f_l1: float
-    newton_iters: int
-    newton_residual: float
+    newton_iters: int  # total over the steps since the previous snapshot
+    newton_residual: float  # of the step that lands on this snapshot
     mu_mean: float
-    newton_factorizations: int
+    newton_factorizations: int  # total over the same steps
 
 
 def record(ops, cfg, state, report) -> DiagnosticsRecord:
@@ -112,17 +117,13 @@ def records_to_csv(records, path):
             "bulk_potential", "boundary_potential", "forcing", "min_u", "max_u",
             "bulk_margin", "boundary_margin", "f_l1", "newton_iters",
             "newton_residual", "mu_mean", "newton_factorizations"]
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(cols)
-        for r in records:
-            e = r.energy
-            wtr.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in [
-                r.t, r.mass, e.total, e.bulk_gradient, e.boundary_gradient,
-                e.bulk_potential, e.boundary_potential, e.forcing, r.min_u,
-                r.max_u, r.bulk_margin, r.boundary_margin, r.f_l1,
-                r.newton_iters, r.newton_residual, r.mu_mean,
-                r.newton_factorizations]])
+    write_rows(path, cols, [
+        [r.t, r.mass, r.energy.total, r.energy.bulk_gradient,
+         r.energy.boundary_gradient, r.energy.bulk_potential,
+         r.energy.boundary_potential, r.energy.forcing, r.min_u, r.max_u,
+         r.bulk_margin, r.boundary_margin, r.f_l1, r.newton_iters,
+         r.newton_residual, r.mu_mean, r.newton_factorizations]
+        for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -378,27 +379,23 @@ class DecayReport:
     decay_rate: float  # fitted exponential rate on the transient
 
 
-def decay_experiment(ops, cfg, initial_fields, T, cadence) -> DecayReport:
-    """Run an ensemble sharing the same mass and report diameter decay."""
-    from . import solver  # runtime import; solver depends on this module
-
-    trajs = [solver.simulate(ops, cfg, f0, T, cadence) for f0 in initial_fields]
-    times = trajs[0].times
+def decay_experiment(ops, cfg, runs) -> DecayReport:
+    """Diameter decay of an ensemble sharing the same mass; runs holds each
+    member's snapshot States, taken at the same times."""
+    times = np.array([s.t for s in runs[0]])
     n_snap = len(times)
     phi_d = np.zeros(n_snap)
     h1_d = np.zeros(n_snap)
     e_spread = np.zeros(n_snap)
     for k in range(n_snap):
-        energies = [energy(ops, cfg, tr.states[k].field).total for tr in trajs]
-        e_spread[k] = max(energies) - min(energies) if len(trajs) > 1 else 0.0
-        for i in range(len(trajs)):
-            for j in range(i + 1, len(trajs)):
-                fi = trajs[i].states[k].field
-                fj = trajs[j].states[k].field
-                phi_d[k] = max(phi_d[k], ops.phi_w_distance(fi, fj))
-                d = (fi.bulk - fj.bulk).ravel()
-                h1 = np.sqrt(float(d @ (ops.K @ d)) + ops.inner(d, d))
-                h1_d[k] = max(h1_d[k], h1)
+        fields = [run[k].field for run in runs]
+        energies = [energy(ops, cfg, f).total for f in fields]
+        e_spread[k] = max(energies) - min(energies)
+        for fi, fj in combinations(fields, 2):
+            phi_d[k] = max(phi_d[k], ops.phi_w_distance(fi, fj))
+            d = (fi.bulk - fj.bulk).ravel()
+            h1 = np.sqrt(float(d @ (ops.K @ d)) + ops.inner(d, d))
+            h1_d[k] = max(h1_d[k], h1)
     mask = (phi_d > 1e-14) & (times > 0)
     if mask.sum() >= 2:
         coef = np.polyfit(times[mask], np.log(phi_d[mask]), 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +32,7 @@ __all__ = [
     "make_operators",
     "IntervalOperators",
     "StripOperators",
+    "write_rows",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -303,27 +305,31 @@ def make_operators(domain):
     raise TypeError(f"unknown domain: {domain!r}")
 
 
+def write_rows(path, header, rows):
+    """One CSV table: floats as .17g, which reads back to the same double;
+    every other value in csv's default form."""
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        wtr.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                      for row in rows)
+
+
 def field_to_csv(ops, field: Field, path):
     """One row per node (x[,y], u); the trace follows as flagged rows."""
     dom = ops.domain
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        if dom.kind == "interval":
-            wtr.writerow(["x", "u", "kind"])
-            for xi, ui in zip(dom.x, field.bulk):
-                wtr.writerow([f"{xi:.17g}", f"{ui:.17g}", "bulk"])
-            for xi, pi in zip([dom.a, dom.b], field.trace):
-                wtr.writerow([f"{xi:.17g}", f"{pi:.17g}", "trace"])
-        else:
-            wtr.writerow(["x", "y", "u", "kind"])
-            for ix, xi in enumerate(dom.x):
-                for iy, yi in enumerate(dom.y):
-                    wtr.writerow([f"{xi:.17g}", f"{yi:.17g}",
-                                  f"{field.bulk[ix, iy]:.17g}", "bulk"])
-            for side, yi in enumerate([-1.0, 1.0]):
-                for ix, xi in enumerate(dom.x):
-                    wtr.writerow([f"{xi:.17g}", f"{yi:.17g}",
-                                  f"{field.trace[side, ix]:.17g}", "trace"])
+    if dom.kind == "interval":
+        write_rows(path, ["x", "u", "kind"], [
+            *zip(dom.x.tolist(), field.bulk.tolist(), repeat("bulk")),
+            *zip([dom.a, dom.b], field.trace.tolist(), repeat("trace"))])
+    else:
+        X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
+        write_rows(path, ["x", "y", "u", "kind"], [
+            *zip(X.ravel().tolist(), Y.ravel().tolist(),
+                 field.bulk.ravel().tolist(), repeat("bulk")),
+            *zip(np.tile(dom.x, 2).tolist(),
+                 np.repeat([-1.0, 1.0], dom.nx).tolist(),
+                 field.trace.ravel().tolist(), repeat("trace"))])
 
 
 def field_from_csv(ops, path):

@@ -11,7 +11,6 @@ and the parent process alone writes files.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import math
 import os
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, stationary
 from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
-                             make_operators)
+                             make_operators, write_rows)
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, check_sign_condition,
                          check_separation_condition, potential_from_config)
@@ -175,8 +174,7 @@ def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
 
 
 def _cadence(cfg):
-    raw = cfg["experiment.cadence"]
-    return float(raw) if raw else None
+    return _f(cfg, "experiment.cadence") if cfg["experiment.cadence"] else None
 
 
 def _snapshot_cadence(cfg, scfg, T):
@@ -245,44 +243,60 @@ def run_simulate(cfg, outdir, workers=1):
     }
 
 
-def _converge_worker(args):
-    cfg, N, times = args
+def _run(args):
+    """One sweep run, rebuilt from the plain config dict so that it can run
+    in a pool process: (cfg, N, h2, seed, eps, T, cadence) -> the snapshot
+    States.  N and h2 of None take the config's values; eps > 0 adds eps
+    times a fixed mean-neutral mode to the initial data.  States go back, not
+    the Trajectory, which does not pickle: its operators hold a SuperLU and a
+    tanh g holds lambdas."""
+    cfg, N, h2, seed, eps, T, cadence = args
     ops = build_operators(cfg)
-    scfg = build_solver_config(cfg, N=N)
-    f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
+    scfg = build_solver_config(cfg, N=N, h2=h2)
+    f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
                        _f(cfg, "experiment.mean"))
-    # Snapshot only on the coarsest grid that holds every requested time.
-    steps = [round(t / scfg.dt) for t in times]
-    stride = math.gcd(*steps)
-    traj = simulate(ops, scfg, f0, max(times), cadence=stride * scfg.dt)
-    return N, {t: traj.states[k // stride].field for t, k in zip(times, steps)}
+    if eps:
+        dom = ops.domain
+        if dom.kind == "interval":
+            dv = np.cos(2.0 * np.pi * (dom.x - dom.a) / (dom.b - dom.a))
+        else:
+            dv = np.cos(2.0 * np.pi * dom.x[:, None] / dom.Lx) * np.cos(
+                np.pi * (dom.y[None, :] + 1.0) / 2.0)
+        dv = dv - ops.mean(dv)
+        dv /= np.max(np.abs(dv))
+        f0 = ops.field_from_bulk(f0.bulk + eps * dv)
+    return simulate(ops, scfg, f0, T, cadence).states
 
 
-def _pool_map(fn, jobs, workers):
+def _pool_map(jobs, workers):
+    """_run over the jobs, in order, in at most `workers` processes."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [fn(j) for j in jobs]
+        return [_run(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs))
+        return list(ex.map(_run, jobs))
 
 
 def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     """Cauchy table || u_N - u_2N ||_phi_w at a few times over doubling N."""
     n_levels = _i(cfg, "experiment.n_levels")
+    if n_levels < 1:
+        raise ConfigError(f"experiment.n_levels must be >= 1, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
     ops = build_operators(cfg)
-    results = dict(_pool_map(_converge_worker,
-                             [(cfg, N, tuple(times)) for N in Ns], workers))
-    rows = []
-    for t in times:
-        for N in Ns[:-1]:
-            d = ops.phi_w_distance(results[N][t], results[2 * N][t])
-            rows.append((t, N, d))
+    dt = build_solver_config(cfg, N=Ns[0]).dt  # solver.N itself is unused
+    # Snapshot only on the coarsest grid that holds every requested time.
+    steps = [round(t / dt) for t in times]
+    stride = math.gcd(*steps)
+    runs = dict(zip(Ns, _pool_map(
+        [(cfg, N, None, _i(cfg, "seed"), 0.0, max(times), stride * dt)
+         for N in Ns], workers)))
+    rows = [(t, N, ops.phi_w_distance(runs[N][k // stride].field,
+                                      runs[2 * N][k // stride].field))
+            for t, k in zip(times, steps) for N in Ns[:-1]]
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "converge_n.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["t", "N", "phi_w_diff"])
-        for t, N, d in rows:
-            wtr.writerow([f"{t:.17g}", N, f"{d:.17g}"])
+    write_rows(os.path.join(outdir, "converge_n.csv"), ["t", "N", "phi_w_diff"],
+               rows)
     final = [d for t, N, d in rows if t == max(times)]
     return {
         "rows": len(rows),
@@ -292,44 +306,26 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     }
 
 
-def _lipschitz_worker(args):
-    cfg, eps = args
-    ops = build_operators(cfg)
-    scfg = build_solver_config(cfg)
-    seed = _i(cfg, "seed")
-    f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
-                       _f(cfg, "experiment.mean"))
-    if eps > 0.0:
-        # mean-neutral perturbation, fixed shape across eps
-        if ops.domain.kind == "interval":
-            x = ops.domain.x
-            dv = np.cos(2.0 * np.pi * (x - ops.domain.a)
-                        / (ops.domain.b - ops.domain.a))
-        else:
-            X = ops.domain.x[:, None]
-            Y = ops.domain.y[None, :]
-            dv = np.cos(2.0 * np.pi * X / ops.domain.Lx) * np.cos(
-                np.pi * (Y + 1.0) / 2.0)
-        dv = dv - ops.mean(dv)
-        dv /= np.max(np.abs(dv))
-        bulk = f0.bulk + eps * dv
-        f0 = ops.field_from_bulk(bulk)
-    T = _f(cfg, "experiment.T")
-    traj = simulate(ops, scfg, f0, T, _snapshot_cadence(cfg, scfg, T))
-    return eps, [(st.t, st.field) for st in traj.states]
-
-
 def run_lipschitz(cfg, outdir, workers=1):
-    eps_list = [float(s) for s in cfg["experiment.eps"].split(",") if s.strip()]
+    raw = cfg["experiment.eps"]
+    try:
+        eps_list = [float(s) for s in raw.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"experiment.eps: not a list of numbers: {raw!r}") \
+            from exc
+    if not eps_list or not all(0.0 < eps < math.inf for eps in eps_list):
+        raise ConfigError("experiment.eps must list values that are finite "
+                          f"and > 0, got {raw!r}")
     ops = build_operators(cfg)
-    runs = dict(_pool_map(_lipschitz_worker,
-                          [(cfg, e) for e in [0.0] + eps_list], workers))
-    base = runs[0.0]
-    rows, fits = [], {}
-    for eps in eps_list:
-        dists = []
-        for (t, fb), (_, fp) in zip(base, runs[eps]):
-            dists.append((t, ops.phi_w_distance(fb, fp)))
+    T = _f(cfg, "experiment.T")
+    cadence = _snapshot_cadence(cfg, build_solver_config(cfg), T)
+    base, *perturbed = _pool_map(
+        [(cfg, None, None, _i(cfg, "seed"), eps, T, cadence)
+         for eps in [0.0] + eps_list], workers)
+    rows, fitted_C, fitted_K, ratios = [], {}, {}, {}
+    for eps, run in zip(eps_list, perturbed):
+        dists = [(sb.t, ops.phi_w_distance(sb.field, sp.field))
+                 for sb, sp in zip(base, run)]
         d0 = dists[0][1]
         for t, d in dists:
             rows.append((eps, t, d))
@@ -341,47 +337,36 @@ def run_lipschitz(cfg, outdir, workers=1):
             # single sample: read the envelope straight off the endpoint
             K_fit = float(np.log(ds[-1] / d0) / ts[-1]) if len(ts) else 0.0
             logC = 0.0
-        fits[eps] = (float(np.exp(logC)), float(K_fit), d0,
-                     dists[-1][1] / d0)
+        fitted_C[eps], fitted_K[eps] = float(np.exp(logC)), float(K_fit)
+        ratios[eps] = dists[-1][1] / d0
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "lipschitz.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["eps", "t", "phi_w_distance"])
-        for eps, t, d in rows:
-            wtr.writerow([f"{eps:.17g}", f"{t:.17g}", f"{d:.17g}"])
-    ratios = {eps: fits[eps][3] for eps in eps_list}
-    return {
-        "eps": eps_list,
-        "final_over_initial": ratios,
-        "fitted_C": {eps: fits[eps][0] for eps in eps_list},
-        "fitted_K": {eps: fits[eps][1] for eps in eps_list},
-    }
+    write_rows(os.path.join(outdir, "lipschitz.csv"),
+               ["eps", "t", "phi_w_distance"], rows)
+    return {"eps": eps_list, "final_over_initial": ratios,
+            "fitted_C": fitted_C, "fitted_K": fitted_K}
 
 
-def _margin_worker(args):
-    cfg, N, h2 = args
+def _final_margins(cfg, sweep, workers):
+    """(bulk margin, boundary margin, trace gap) at T of each (N, h2) run."""
     ops = build_operators(cfg)
-    scfg = build_solver_config(cfg, N=N, h2=h2)
-    f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
-                       _f(cfg, "experiment.mean"))
+    scfgs = [build_solver_config(cfg, N=N, h2=h2) for N, h2 in sweep]
     T = _f(cfg, "experiment.T")
-    traj = simulate(ops, scfg, f0, T, _snapshot_cadence(cfg, scfg, T))
-    sep = diagnostics.separation_tracker(traj)
-    gap = diagnostics.trace_mismatch(ops, scfg, traj.final).gap
-    return sep, gap
+    cadence = _snapshot_cadence(cfg, scfgs[0], T)
+    runs = _pool_map([(cfg, N, h2, _i(cfg, "seed"), 0.0, T, cadence)
+                      for N, h2 in sweep], workers)
+    return [(1.0 - float(np.max(np.abs(run[-1].field.bulk))),
+             1.0 - float(np.max(np.abs(run[-1].field.trace))),
+             diagnostics.trace_mismatch(ops, scfg, run[-1]).gap)
+            for scfg, run in zip(scfgs, runs)]
 
 
 def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Boundary margins and trace gaps across the regularization sweep."""
-    runs = _pool_map(_margin_worker, [(cfg, N, None) for N in Ns], workers)
-    rows = [(N, sep.final_bulk_margin, sep.final_boundary_margin, gap)
-            for N, (sep, gap) in zip(Ns, runs)]
+    margins = _final_margins(cfg, [(N, None) for N in Ns], workers)
+    rows = [(N, *m) for N, m in zip(Ns, margins)]
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "separation.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["N", "bulk_margin", "boundary_margin", "trace_gap"])
-        for r in rows:
-            wtr.writerow([r[0]] + [f"{v:.17g}" for v in r[1:]])
+    write_rows(os.path.join(outdir, "separation.csv"),
+               ["N", "bulk_margin", "boundary_margin", "trace_gap"], rows)
     cond = check_separation_condition(build_solver_config(cfg).potential)
     return {"rows": rows, "condition_satisfied": cond.satisfied,
             "note": cond.note}
@@ -391,24 +376,18 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Paired sweep: h2 satisfying the boundary sign condition vs violating
     it, identical solver settings otherwise."""
     g = _boundary_g(cfg)
-    h2_ok = _f(cfg, "forcing.h2")
-    h2_bad = _f(cfg, "experiment.h2_violating")
-    eps = 0.05
-    branches = {"satisfying": h2_ok, "violating": h2_bad}
-    holds = {label: check_sign_condition(g, h2, eps)
+    branches = {"satisfying": _f(cfg, "forcing.h2"),
+                "violating": _f(cfg, "experiment.h2_violating")}
+    holds = {label: check_sign_condition(g, h2, 0.05)
              for label, h2 in branches.items()}
     jobs = [(label, h2, N) for label, h2 in branches.items() for N in Ns]
-    runs = _pool_map(_margin_worker, [(cfg, N, h2) for _, h2, N in jobs],
-                     workers)
-    rows = [(label, h2, holds[label], N, sep.final_boundary_margin, gap)
-            for (label, h2, N), (sep, gap) in zip(jobs, runs)]
+    margins = _final_margins(cfg, [(N, h2) for _, h2, N in jobs], workers)
+    rows = [(label, h2, holds[label], N, bnd, gap)
+            for (label, h2, N), (_, bnd, gap) in zip(jobs, margins)]
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "sign_condition.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["branch", "h2", "condition_holds", "N",
-                      "boundary_margin", "trace_gap"])
-        for b, h2, ok, N, m, gp in rows:
-            wtr.writerow([b, f"{h2:.17g}", ok, N, f"{m:.17g}", f"{gp:.17g}"])
+    write_rows(os.path.join(outdir, "sign_condition.csv"),
+               ["branch", "h2", "condition_holds", "N", "boundary_margin",
+                "trace_gap"], rows)
     return {"rows": rows}
 
 
@@ -432,12 +411,9 @@ def run_stationary(cfg, outdir, workers=1):
                               f"steps >= 1, got {sweep!r}")
     sol = stationary.solve_bvp(problem)
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "stationary_profile.csv"), "w",
-              newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["x", "y", "yp"])
-        for xi, yi, ypi in zip(sol.profile.x, sol.profile.y, sol.profile.yp):
-            wtr.writerow([f"{xi:.17g}", f"{yi:.17g}", f"{ypi:.17g}"])
+    write_rows(os.path.join(outdir, "stationary_profile.csv"), ["x", "y", "yp"],
+               zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
+                   sol.profile.yp.tolist()))
     summary = {"classification": stationary.classify(pot, K), "K": K,
                "s": sol.s, "kind": sol.kind, "defect": sol.defect}
     crit = stationary.critical_flux(pot)
@@ -445,39 +421,34 @@ def run_stationary(cfg, outdir, workers=1):
         summary["s_star"] = crit.s_star
         summary["K_plus"] = crit.K_plus
     if sweep:
-        with open(os.path.join(outdir, "stationary_sweep.csv"), "w",
-                  newline="") as fh:
-            wtr = csv.writer(fh)
-            wtr.writerow(["s", "x1", "exit"])
-            for s in np.linspace(lo, hi, steps):
-                x1 = stationary.time_of_flight(pot, float(s))
-                res = stationary.shoot(pot, float(s))
-                wtr.writerow([f"{s:.17g}", f"{x1:.17g}", res.exit])
+        write_rows(os.path.join(outdir, "stationary_sweep.csv"),
+                   ["s", "x1", "exit"],
+                   [(s, stationary.time_of_flight(pot, s),
+                     stationary.shoot(pot, s).exit)
+                    for s in np.linspace(lo, hi, steps).tolist()])
         summary["sweep_rows"] = steps
     return summary
 
 
 def run_decay(cfg, outdir, workers=1):
-    """The ensemble runs inside diagnostics.decay_experiment, in this process;
-    workers is unused."""
+    """Diameters over time of an ensemble of runs from the seeds seed,
+    seed + 1, ..., all at the configured mean."""
+    n_ens = _i(cfg, "experiment.ensemble")
+    if n_ens < 2:
+        raise ConfigError(f"experiment.ensemble must be >= 2, got {n_ens}")
     ops = build_operators(cfg)
     scfg = build_solver_config(cfg)
     seed = _i(cfg, "seed")
-    n_ens = _i(cfg, "experiment.ensemble")
-    amp = _f(cfg, "experiment.amplitude")
-    mean = _f(cfg, "experiment.mean")
-    fields = [initial_field(ops, seed + k, amp, mean) for k in range(n_ens)]
     T = _f(cfg, "experiment.T")
-    rep = diagnostics.decay_experiment(ops, scfg, fields, T,
-                                       _snapshot_cadence(cfg, scfg, T))
+    cadence = _snapshot_cadence(cfg, scfg, T)
+    runs = _pool_map([(cfg, None, None, seed + k, 0.0, T, cadence)
+                      for k in range(n_ens)], workers)
+    rep = diagnostics.decay_experiment(ops, scfg, runs)
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "decay.csv"), "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["t", "phi_w_diameter", "h1_diameter", "energy_spread"])
-        for k in range(len(rep.times)):
-            wtr.writerow([f"{v:.17g}" for v in
-                          [rep.times[k], rep.phi_w_diameters[k],
-                           rep.h1_diameters[k], rep.energy_spreads[k]]])
+    write_rows(os.path.join(outdir, "decay.csv"),
+               ["t", "phi_w_diameter", "h1_diameter", "energy_spread"],
+               zip(rep.times.tolist(), rep.phi_w_diameters.tolist(),
+                   rep.h1_diameters.tolist(), rep.energy_spreads.tolist()))
     return {"ensemble": n_ens, "decay_rate": rep.decay_rate,
             "initial_diameter": float(rep.phi_w_diameters[0]),
             "final_diameter": float(rep.phi_w_diameters[-1])}

@@ -53,7 +53,6 @@ class LogarithmicPotential:
 
     kappa0: float = 0.0
     kappa1: float = 1.0
-    singular: bool = True
 
     def __post_init__(self):
         if not (self.kappa0 >= 0.0 and self.kappa1 > self.kappa0):
@@ -101,7 +100,6 @@ class PowerSingularPotential:
 
     kappa: float = 1.0
     p: float = 3.0
-    singular: bool = True
 
     def __post_init__(self):
         if not (self.kappa > 0.0 and self.p > 1.0):
@@ -152,8 +150,6 @@ class PowerSingularPotential:
 class SmoothDoubleWell:
     """f(u) = u^3: regular stand-in for cross-checks only, never singular."""
 
-    singular: bool = False
-
     @property
     def name(self):
         return "smooth-double-well"
@@ -200,39 +196,25 @@ class RegularizedPotential:
         return 1.0 - 1.0 / self.N
 
     def _split(self, u):
+        """core = clip(u, +-cutoff) and d = u - core: every value below is
+        the base potential's Taylor expansion at core, exact where d = 0."""
         u = np.asarray(u, dtype=float)
-        uc = self.cutoff
-        return u, np.clip(u, -uc, uc), uc
+        core = np.clip(u, -self.cutoff, self.cutoff)
+        return core, u - core
 
     def f(self, u):
-        u, core, uc = self._split(u)
-        val = np.asarray(self.base.f(core), dtype=float).copy()
-        up = u > uc
-        dn = u < -uc
-        if np.any(up):
-            val[up] = self.base.f(uc) + self.base.df(uc) * (u[up] - uc)
-        if np.any(dn):
-            val[dn] = self.base.f(-uc) + self.base.df(-uc) * (u[dn] + uc)
+        core, d = self._split(u)
+        val = self.base.f(core) + self.base.df(core) * d
         return val if val.ndim else float(val)
 
     def df(self, u):
-        u, core, uc = self._split(u)
-        val = np.asarray(self.base.df(core), dtype=float).copy()
-        val[u > uc] = self.base.df(uc)
-        val[u < -uc] = self.base.df(-uc)
+        val = self.base.df(self._split(u)[0])
         return val if val.ndim else float(val)
 
     def F(self, u):
-        u, core, uc = self._split(u)
-        val = np.asarray(self.base.F(core), dtype=float).copy()
-        up = u > uc
-        dn = u < -uc
-        if np.any(up):
-            d = u[up] - uc
-            val[up] = self.base.F(uc) + self.base.f(uc) * d + 0.5 * self.base.df(uc) * d * d
-        if np.any(dn):
-            d = u[dn] + uc
-            val[dn] = self.base.F(-uc) + self.base.f(-uc) * d + 0.5 * self.base.df(-uc) * d * d
+        core, d = self._split(u)
+        val = (self.base.F(core) + self.base.f(core) * d
+               + 0.5 * self.base.df(core) * d * d)
         return val if val.ndim else float(val)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,12 +229,17 @@ def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Traject
     state = State(t=0.0, field=initial.copy())
     states = [state.copy()]
     records = []
+    iters = factorizations = 0  # totals over the current snapshot interval
     for k in range(1, n_steps + 1):
         state, report = stepper.step(state)  # raises with the step's start time
         state.t = k * cfg.dt
+        iters += report.newton_iters
+        factorizations += report.factorizations
         if k % stride == 0 or k == n_steps:
             states.append(state.copy())
-            records.append(diagnostics.record(ops, cfg, state, report))
+            records.append(diagnostics.record(ops, cfg, state, replace(
+                report, newton_iters=iters, factorizations=factorizations)))
+            iters = factorizations = 0
     return Trajectory(ops, cfg, states, records, cadence)
 
 

@@ -66,14 +66,31 @@ class TestExitCodes:
         ("experiment.T", "0.0105"), ("experiment.cadence", "0.0025"),
         ("experiment.amplitude", "nan"), ("solver.newton_tol", "nan"),
         ("solver.newton_tol", "0"), ("solver.lam", "nan"), ("forcing.h1", "inf"),
-        ("solver.newton_max_iter", "0")])
+        ("solver.newton_max_iter", "0"), ("experiment.cadence", "abc"),
+        ("experiment.eps", "0"), ("experiment.eps", "-1e-3"),
+        ("experiment.eps", "1e-2,abc"), ("experiment.eps", "1e-2,inf"),
+        ("experiment.eps", ""),
+        ("experiment.ensemble", "0"), ("experiment.ensemble", "1"),
+        ("experiment.n_levels", "0")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
+        # each key is read by the subcommand that uses it
+        command = {"experiment.eps": "lipschitz", "experiment.ensemble": "decay",
+                   "experiment.n_levels": "converge-n"}.get(key, "simulate")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{key} = {value}\n")
-        rc = main(["simulate", "--config", str(cfg),
+        rc = main([command, "--config", str(cfg),
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_bad_workers_is_2(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as info:
+            main(["decay", "--workers", workers,
+                  "--outdir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_nonfinite_forcing_is_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -153,7 +170,9 @@ class TestSweepDrivers:
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
                                  "experiment.amplitude": "0.3"})
         times = (0.04, 0.1, 0.16)
-        _, fields = ex._converge_worker((cfg, 8, times))
+        stride = 2  # the gcd of the 4, 10 and 16 steps to the times
+        states = ex._run((cfg, 8, None, 0, 0.0, 0.16, stride * 1e-2))
+        fields = {t: states[round(t / 1e-2) // stride].field for t in times}
         ops = ex.build_operators(cfg)
         scfg = ex.build_solver_config(cfg, N=8)
         f0 = ex.initial_field(ops, 0, 0.3, 0.0)
@@ -165,11 +184,23 @@ class TestSweepDrivers:
     def test_margin_sweeps_honour_workers(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
                                  "experiment.T": "0.05",
-                                 "experiment.amplitude": "0.3"})
+                                 "experiment.amplitude": "0.3",
+                                 "experiment.n_levels": "1",
+                                 "experiment.ensemble": "3"})
         for run in (ex.run_separation, ex.run_sign_condition):
             serial = run(cfg, tmp_path / "a", Ns=(8, 16))
             pooled = run(cfg, tmp_path / "b", workers=2, Ns=(8, 16))
             assert pooled["rows"] == serial["rows"]
+        for run, table in [
+                (ex.run_converge_n, "converge_n.csv"),
+                (ex.run_lipschitz, "lipschitz.csv"),
+                (ex.run_decay, "decay.csv")]:
+            kwargs = {"times": (0.02, 0.05)} if table == "converge_n.csv" else {}
+            serial = run(cfg, tmp_path / "a", **kwargs)
+            pooled = run(cfg, tmp_path / "b", workers=2, **kwargs)
+            assert pooled == serial
+            assert (tmp_path / "b" / table).read_bytes() == \
+                (tmp_path / "a" / table).read_bytes()
 
     def test_lipschitz_zero_eps_skipped(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",

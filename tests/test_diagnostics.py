@@ -275,16 +275,19 @@ class TestDecay:
     def test_diameter_decays(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.0,
                            dt=1e-2)
-        rep = dg.decay_experiment(iops, cfg, self._fields(iops, [0, 1, 2]),
-                                  T=0.5, cadence=0.1)
+        runs = [simulate(iops, cfg, f0, T=0.5, cadence=0.1).states
+                for f0 in self._fields(iops, [0, 1, 2])]
+        rep = dg.decay_experiment(iops, cfg, runs)
         assert rep.phi_w_diameters[-1] < rep.phi_w_diameters[0]
         assert rep.decay_rate > 0
 
     def test_permutation_invariant(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)
         fields = self._fields(iops, [0, 1, 2])
-        r1 = dg.decay_experiment(iops, cfg, fields, T=0.1, cadence=0.05)
-        r2 = dg.decay_experiment(iops, cfg, fields[::-1], T=0.1, cadence=0.05)
+        runs = [simulate(iops, cfg, f0, T=0.1, cadence=0.05).states
+                for f0 in fields]
+        r1 = dg.decay_experiment(iops, cfg, runs)
+        r2 = dg.decay_experiment(iops, cfg, runs[::-1])
         assert np.allclose(r1.phi_w_diameters, r2.phi_w_diameters, atol=1e-13)
 
 

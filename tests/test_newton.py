@@ -192,3 +192,22 @@ def test_factorizations_column(tmp_path):
     assert header[-2:] == ["mu_mean", "newton_factorizations"]
     assert len(rows) == 20
     assert 1 <= sum(int(r[-1]) for r in rows) < 20
+
+
+def test_count_columns_total_over_interval(tmp_path):
+    # newton_iters and newton_factorizations sum over the snapshot interval,
+    # so the cadence moves counts between rows but never drops any
+    sums = []
+    for cadence in ("1e-3", "5e-3"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.kind = strip\ndomain.nx = 16\ndomain.ny = 17\n"
+                       "solver.N = 16\nsolver.lam = 1.5\nsolver.dt = 1e-3\n"
+                       f"experiment.T = 0.02\nexperiment.cadence = {cadence}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / cadence)]) == 0
+        with open(tmp_path / cadence / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        sums.append([sum(int(r[c]) for r in rows)
+                     for c in ("newton_iters", "newton_factorizations")])
+    assert sums[0] == sums[1]
+    assert sums[0][1] >= 1
