@@ -306,13 +306,21 @@ def make_operators(domain):
 
 
 def write_rows(path, header, rows):
-    """One CSV table: floats as .17g, which reads back to the same double;
-    every other value in csv's default form."""
+    """One CSV table: floats (np.float64 too) as .17g, which reads back to
+    the same double; every other value as str(), which is csv's default form
+    for values that need no quoting (numbers, bools, identifiers).  Each row
+    is one % format, built once per distinct tuple of column types."""
+    formats = {}
+    lines = [",".join(header) + "\r\n"]
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+        lines.append(fmt % tuple(row))
     with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(header)
-        wtr.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
-                      for row in rows)
+        fh.writelines(lines)
 
 
 def field_to_csv(ops, field: Field, path):

@@ -316,6 +316,8 @@ def run_lipschitz(cfg, outdir, workers=1):
     if not eps_list or not all(0.0 < eps < math.inf for eps in eps_list):
         raise ConfigError("experiment.eps must list values that are finite "
                           f"and > 0, got {raw!r}")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError(f"experiment.eps repeats a value: {raw!r}")
     ops = build_operators(cfg)
     T = _f(cfg, "experiment.T")
     cadence = _snapshot_cadence(cfg, build_solver_config(cfg), T)
@@ -421,11 +423,11 @@ def run_stationary(cfg, outdir, workers=1):
         summary["s_star"] = crit.s_star
         summary["K_plus"] = crit.K_plus
     if sweep:
+        x1s = [(s, stationary.time_of_flight(pot, s))
+               for s in np.linspace(lo, hi, steps).tolist()]
         write_rows(os.path.join(outdir, "stationary_sweep.csv"),
                    ["s", "x1", "exit"],
-                   [(s, stationary.time_of_flight(pot, s),
-                     stationary.shoot(pot, s).exit)
-                    for s in np.linspace(lo, hi, steps).tolist()])
+                   [(s, x1, stationary.exit_kind(x1)) for s, x1 in x1s])
         summary["sweep_rows"] = steps
     return summary
 

@@ -65,6 +65,10 @@ class LogarithmicPotential:
     def f(self, u):
         u = np.asarray(u, dtype=float)
         _check_open_interval(u)
+        return self._f(u)
+
+    def _f(self, u):
+        """f without the range check, for callers that keep |u| < 1."""
         return -2.0 * self.kappa0 * u + self.kappa1 * np.log((1.0 + u) / (1.0 - u))
 
     def df(self, u):
@@ -112,6 +116,10 @@ class PowerSingularPotential:
     def f(self, u):
         u = np.asarray(u, dtype=float)
         _check_open_interval(u)
+        return self._f(u)
+
+    def _f(self, u):
+        """f without the range check, for callers that keep |u| < 1."""
         return self.kappa * u * (1.0 - u * u) ** (1.0 - self.p)
 
     def df(self, u):
@@ -155,7 +163,9 @@ class SmoothDoubleWell:
         return "smooth-double-well"
 
     def f(self, u):
-        u = np.asarray(u, dtype=float)
+        return self._f(np.asarray(u, dtype=float))
+
+    def _f(self, u):
         return u ** 3
 
     def df(self, u):

@@ -15,6 +15,12 @@ slope whose profile saturates exactly at the endpoint, and
 K_plus = sqrt(s_star^2 + 2 F(1)).  For K > K_plus no classical odd solution
 exists; the saturated profile (shot with s_star) takes over and the boundary
 condition is met only in the variational sense, with defect K - K_plus.
+critical_flux is cached per potential.
+
+Below K_plus the classical slope comes from one root find in Y = y(1), with
+s^2 = K^2 - 2 F(Y) from the first integral, and the profile from one shot.
+How a shot leaves [0, 1] (exit_kind) follows from its time of flight x1
+alone, so a slope sweep needs no shots.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .errors import StiffnessFailureError
 
 __all__ = [
     "StationaryProblem", "ShootingResult", "CriticalFlux", "BVPSolution",
-    "shoot", "time_of_flight", "critical_flux", "solve_bvp", "classify",
+    "shoot", "exit_kind", "time_of_flight", "critical_flux", "solve_bvp",
+    "classify",
     "variational_equilibrium_check", "first_integral_drift",
 ]
 
@@ -79,9 +86,11 @@ class ShootingResult:
 
 
 def _rhs(potential):
+    f = potential._f  # the clamp keeps |y| < 1, so f's range check is moot
+
     def rhs(_x, z):
         y = min(max(z[0], -_Y_EVENT), _Y_EVENT)
-        return [z[1], float(potential.f(y))]
+        return [z[1], float(f(y))]
     return rhs
 
 
@@ -123,6 +132,13 @@ def _tail_quadrature(potential, s, y_from, y_to=1.0):
     return float(val)
 
 
+def exit_kind(x1):
+    """How a shot whose y reaches 1 at x = x1 leaves [0, 1]: "saturated"
+    when x1 <= 1 (the exactly-critical shot lands at the endpoint up to
+    rounding, hence the 1e-9 slack), else "interior"."""
+    return "saturated" if x1 <= 1.0 + 1e-9 else "interior"
+
+
 def time_of_flight(potential, s):
     """x_1(s) = int_0^1 dv / sqrt(s^2 + 2 F(v)): arrival position of y at 1.
 
@@ -161,8 +177,7 @@ def shoot(potential, s, rtol=1e-11, atol=1e-13, n_profile=2001) -> ShootingResul
     if sol.t_events[0].size:
         x_switch = float(sol.t_events[0][0])
         x_hit = x_switch + _tail_quadrature(potential, s, y_switch, 1.0)
-        # the exactly-critical shot lands at the endpoint up to rounding
-        saturated = x_hit <= 1.0 + 1e-9
+        saturated = exit_kind(x_hit) == "saturated"
         x_hit = min(x_hit, 1.0)
     else:
         x_switch = 1.0
@@ -183,8 +198,7 @@ def shoot(potential, s, rtol=1e-11, atol=1e-13, n_profile=2001) -> ShootingResul
     x = np.concatenate([-half[::-1], half[1:]])
     y = np.concatenate([-y_half[::-1], y_half[1:]])
     yp = np.concatenate([yp_half[::-1], yp_half[1:]])
-    exit_kind = "saturated" if saturated else "interior"
-    return ShootingResult(s, x, y, yp, exit_kind,
+    return ShootingResult(s, x, y, yp, "saturated" if saturated else "interior",
                           x_hit if saturated else None,
                           sol.t, sol.y[0], sol.y[1])
 
@@ -204,9 +218,11 @@ class CriticalFlux:
     K_plus: float
 
 
+@functools.cache
 def critical_flux(potential) -> CriticalFlux | None:
     """Critical outward slope, or None when F(1) = inf (classical solutions
-    then exist for every K: the strong-singularity regime)."""
+    then exist for every K: the strong-singularity regime).  Cached per
+    potential: potentials are frozen, hashable dataclasses."""
     F1 = float(potential.F_at_one())
     if not math.isfinite(F1):
         return None
@@ -241,6 +257,37 @@ def _boundary_state(potential, s):
     return Y, math.sqrt(s * s + 2.0 * float(potential.F(Y)))
 
 
+def _classical_slope(potential, K):
+    """Initial slope of the classical odd profile with y'(1) = K > 0.
+
+    One root find in Y = y(1): the first integral fixes s^2 = K^2 - 2 F(Y),
+    and the flight x(Y) = int_0^Y dv / sqrt(s^2 + 2 F(v)) must equal 1.
+    F increases on (0, 1), so x(Y) increases too, and it is infinite where
+    s^2 <= 0.  Valid for K <= K_plus, and for every K when F(1) = inf.
+    """
+    def excess(Y):
+        s2 = K * K - 2.0 * float(potential.F(Y))
+        if s2 <= 0.0:
+            return 1.0
+        return _tail_quadrature(potential, math.sqrt(s2), 0.0, Y) - 1.0
+
+    top = np.nextafter(1.0, 0.0)
+    if excess(top) > 0.0:
+        Y = brentq(excess, 0.0, top, xtol=1e-300)  # to brentq's rtol alone
+    elif math.isfinite(float(potential.F_at_one())):
+        Y = 1.0  # K = K_plus up to rounding: the critical profile
+    else:
+        raise StiffnessFailureError(f"y(1) for K = {K} rounds to 1")
+    # s from the first integral carries f(Y) times the rounding of Y, which
+    # as Y -> 1 swamps the rounding of s; one secant step on x(Y; s) = 1 at
+    # this Y takes s to the precision of the flight instead
+    s = math.sqrt(K * K - 2.0 * float(potential.F(Y)))
+    ds = 1e-7 * s
+    x0 = _tail_quadrature(potential, s, 0.0, Y)
+    x1 = _tail_quadrature(potential, s + ds, 0.0, Y)
+    return s - (x0 - 1.0) * ds / (x1 - x0)
+
+
 def solve_bvp(problem: StationaryProblem) -> BVPSolution:
     """Classical odd profile with y'(1) = K when one exists; otherwise the
     saturated profile shot with s_star, flagged variational-only."""
@@ -252,17 +299,8 @@ def solve_bvp(problem: StationaryProblem) -> BVPSolution:
         prof = shoot(pot, crit.s_star)
         return BVPSolution("variational-only", crit.s_star, prof,
                            K - crit.K_plus)
-    s_max = crit.s_star if crit is not None else None
-    if s_max is None:
-        # strong singularity: K(s) sweeps (0, inf) on s in (0, s_sat)
-        g = lambda s: time_of_flight(pot, s) - 1.0
-        hi = 1.0
-        while g(hi) > 0.0:
-            hi *= 2.0
-        s_max = brentq(g, 1e-9, hi, xtol=1e-13)
-    slope = lambda s: _boundary_state(pot, s)[1] - K
-    s_sol = brentq(slope, 1e-12, s_max * (1.0 - 1e-10), xtol=1e-13)
-    return BVPSolution("classical", float(s_sol), shoot(pot, s_sol), 0.0)
+    s = _classical_slope(pot, K)
+    return BVPSolution("classical", s, shoot(pot, s), 0.0)
 
 
 def classify(potential, K):

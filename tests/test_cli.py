@@ -69,7 +69,7 @@ class TestExitCodes:
         ("solver.newton_max_iter", "0"), ("experiment.cadence", "abc"),
         ("experiment.eps", "0"), ("experiment.eps", "-1e-3"),
         ("experiment.eps", "1e-2,abc"), ("experiment.eps", "1e-2,inf"),
-        ("experiment.eps", ""),
+        ("experiment.eps", ""), ("experiment.eps", "1e-3,1e-3"),
         ("experiment.ensemble", "0"), ("experiment.ensemble", "1"),
         ("experiment.n_levels", "0")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):

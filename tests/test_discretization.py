@@ -1,10 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
-                                  field_from_csv, field_to_csv, make_operators)
+                                  field_from_csv, field_to_csv, make_operators,
+                                  write_rows)
 from chdbc.errors import NonZeroMeanError, UnsupportedDomainError
 
 
@@ -204,6 +207,36 @@ class TestSerialization:
         g = field_from_csv(sops, path)
         assert np.array_equal(f.bulk, g.bulk)
         assert np.array_equal(f.trace, g.trace)
+
+
+def _csv_reference(path, header, rows):
+    """The csv module's table, with floats formatted as .17g."""
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        wtr.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                      for row in rows)
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("header, rows", [
+        (["x", "u", "kind"], [(0.1, -1 / 3, "bulk"), (1.0, 2e-300, "trace")]),
+        (["branch", "h2", "condition_holds", "N", "margin"],
+         [("satisfying", 0.0, True, 8, 0.25), ("violating", 3.0, False, 64,
+                                                float("nan"))]),
+        (["t", "N", "d"], [(np.float64(0.1), np.int64(16), np.float64(1e-17)),
+                           (0.2, 32, float("inf")), (0.3, np.int64(-4), -0.0)]),
+        (["s", "x1", "exit"], [[0.2, 1.0000000000000002, "interior"],
+                               [4.0, 0.5, "saturated"]]),
+        # a column whose type changes from row to row
+        (["a", "b"], [(1, 2.5), (1.5, 2), (True, np.float64(3.0)), ("id", 7)]),
+        (["only", "header"], []),
+    ])
+    def test_matches_csv_writer(self, tmp_path, header, rows):
+        write_rows(tmp_path / "got.csv", header, iter(rows))
+        _csv_reference(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 
 def test_field_copy_independent():

@@ -187,3 +187,31 @@ def test_potential_from_config():
     assert isinstance(potential_from_config("smooth"), SmoothDoubleWell)
     with pytest.raises(ValueError):
         potential_from_config("quartic")
+
+
+_base_potentials = st.one_of(
+    st.builds(lambda k1, r: LogarithmicPotential(kappa0=r * k1, kappa1=k1),
+              st.floats(0.2, 5.0), st.floats(0.0, 0.95)),
+    st.builds(lambda k, p: PowerSingularPotential(kappa=k, p=p),
+              st.floats(0.2, 5.0),
+              st.one_of(st.floats(1.2, 1.9), st.floats(2.0, 4.0))),
+    st.just(SmoothDoubleWell()))
+_open_interval = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestUncheckedCore:
+    @settings(max_examples=60, deadline=None)
+    @given(_base_potentials, _open_interval, st.lists(_open_interval,
+                                                      min_size=1, max_size=8))
+    def test_core_is_f_bitwise(self, pot, u, us):
+        # one formula: f is the range check plus _f of the same array
+        for arg in (u, us):
+            assert np.array_equal(pot._f(np.asarray(arg)), pot.f(arg))
+
+    @pytest.mark.parametrize("pot", [LogarithmicPotential(),
+                                     PowerSingularPotential(p=1.5),
+                                     PowerSingularPotential(p=3.0)])
+    @pytest.mark.parametrize("u", [1.0, -1.0, 1.5, [0.0, 1.0]])
+    def test_f_still_checks_range(self, pot, u):
+        with pytest.raises(DomainError):
+            pot.f(u)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import strategies as hs
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from chdbc import experiments
 from chdbc import stationary as st
 from chdbc.potentials import (LogarithmicPotential, PowerSingularPotential,
                               SmoothDoubleWell)
@@ -232,3 +234,82 @@ class TestGaussQuadratureAgainstQuad:
         got_Y, got_slope = st._boundary_state(pot, s)
         assert got_Y == pytest.approx(Y, abs=1e-12)
         assert got_slope == pytest.approx(slope, abs=1e-12)
+
+
+_SWEEP_POTENTIALS = [LogarithmicPotential(), LogarithmicPotential(kappa0=0.3),
+                     PowerSingularPotential(p=1.5), PowerSingularPotential(p=3.0),
+                     SmoothDoubleWell()]
+
+
+def _sweep_exits(pot, sweep, outdir):
+    """(s, exit) rows of the stationary driver's sweep table."""
+    cfg = experiments.resolve_config({
+        "experiment.kind": "stationary", "experiment.K": "0.5",
+        "experiment.sweep": sweep, "potential.kind":
+        "smooth" if isinstance(pot, SmoothDoubleWell) else
+        "power" if isinstance(pot, PowerSingularPotential) else "logarithmic",
+        "potential.p": repr(getattr(pot, "p", 3.0)),
+        "potential.kappa0": repr(getattr(pot, "kappa0", 0.0))})
+    experiments.run_stationary(cfg, outdir)
+    with open(outdir / "stationary_sweep.csv", newline="") as fh:
+        return [(float(row["s"]), row["exit"]) for row in csv.DictReader(fh)]
+
+
+class TestSweepExit:
+    @pytest.mark.parametrize("pot", _SWEEP_POTENTIALS, ids=lambda p: p.name)
+    def test_exit_from_x1_matches_shot(self, pot, tmp_path):
+        # the sweep's exit column comes from x1 alone; a shot must agree,
+        # also within 1e-8 of the critical slope
+        rows = _sweep_exits(pot, "0.2:4.0:8", tmp_path)
+        assert len(rows) == 8
+        crit = st.critical_flux(pot)
+        if crit is not None:
+            for s in (crit.s_star * (1.0 - 1e-8), crit.s_star,
+                      crit.s_star * (1.0 + 1e-8)):
+                rows += _sweep_exits(pot, f"{s!r}:{s!r}:1", tmp_path)
+        for s, kind in rows:
+            assert kind == st.shoot(pot, s).exit
+
+
+def _nested_slope(pot, K):
+    """Reference classical slope by nested root finds: brentq in s on the
+    boundary slope, each value from brentq in Y = y(1)."""
+    crit = st.critical_flux(pot)
+    if crit is None:
+        g = lambda s: st.time_of_flight(pot, s) - 1.0
+        hi = 1.0
+        while g(hi) > 0.0:
+            hi *= 2.0
+        s_max = brentq(g, 1e-9, hi, xtol=1e-13)
+    else:
+        s_max = crit.s_star
+    return brentq(lambda s: st._boundary_state(pot, s)[1] - K,
+                  1e-12, s_max * (1.0 - 1e-10), xtol=1e-15)
+
+
+class TestClassicalSlope:
+    # r stops at 0.9: the reference's s bracket ends 1e-10 below s_star,
+    # which for p near 2 cuts off the roots of K above about 0.92 K_plus
+    @settings(max_examples=30, deadline=None)
+    @given(_potentials, hs.floats(0.05, 0.9))
+    def test_one_root_find_matches_nested(self, pot, r):
+        # K below K_plus; with F(1) = inf, below the K that puts y(1) at 0.999
+        crit = st.critical_flux(pot)
+        K = r * (crit.K_plus if crit is not None
+                 else math.sqrt(2.0 * float(pot.F(0.999))))
+        sol = st.solve_bvp(st.StationaryProblem(pot, K))
+        assert sol.kind == "classical"
+        assert sol.s == pytest.approx(_nested_slope(pot, K), rel=1e-12)
+        # y'(1) = K at s to 1e-10 K or, where y'(1) is too steep in s for
+        # that (y(1) near 1), by a change of sign across s (1 -+ 1e-12)
+        miss = [st._boundary_state(pot, sol.s * (1.0 + d))[1] - K
+                for d in (-1e-12, 0.0, 1e-12)]
+        assert abs(miss[1]) <= 1e-10 * K or miss[0] <= 0.0 <= miss[2]
+
+    def test_at_critical_flux(self):
+        # K = K_plus to rounding: the root sits at Y = 1, s at s_star
+        crit = st.critical_flux(LOG)
+        for K in (crit.K_plus, crit.K_plus * (1.0 - 1e-14)):
+            sol = st.solve_bvp(st.StationaryProblem(LOG, K))
+            assert sol.kind == "classical"
+            assert sol.s == pytest.approx(crit.s_star, rel=1e-12)
