@@ -5,12 +5,14 @@ Every driver takes a resolved config dict (strings, as parsed) plus an output
 directory, writes its artifacts there, and returns a small summary dict that
 the command-line layer prints one line at a time.  Sweeps optionally fan out
 to a process pool; workers rebuild their problem from the plain config dict,
-and the parent process alone writes files.
+and the parent process alone writes files.  Each process builds the operators
+of a domain once.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 
@@ -142,6 +144,14 @@ def build_operators(cfg):
                      _i(cfg, "domain.ny"))
     else:
         raise ConfigError(f"domain.kind must be interval or strip, got {kind!r}")
+    return _operators(dom)
+
+
+@functools.lru_cache(maxsize=8)
+def _operators(dom):
+    """make_operators(dom), once per process for each domain: a sweep's runs
+    share their parent's set, and a pool worker builds its own.  Operators
+    are never modified after they are built."""
     return make_operators(dom)
 
 

@@ -74,6 +74,9 @@ class LogarithmicPotential:
     def df(self, u):
         u = np.asarray(u, dtype=float)
         _check_open_interval(u)
+        return self._df(u)
+
+    def _df(self, u):
         return -2.0 * self.kappa0 + 2.0 * self.kappa1 / (1.0 - u * u)
 
     def d2f(self, u):
@@ -125,6 +128,9 @@ class PowerSingularPotential:
     def df(self, u):
         u = np.asarray(u, dtype=float)
         _check_open_interval(u)
+        return self._df(u)
+
+    def _df(self, u):
         s = 1.0 - u * u
         return self.kappa * s ** (-self.p) * (1.0 + (2.0 * self.p - 3.0) * u * u)
 
@@ -169,7 +175,9 @@ class SmoothDoubleWell:
         return u ** 3
 
     def df(self, u):
-        u = np.asarray(u, dtype=float)
+        return self._df(np.asarray(u, dtype=float))
+
+    def _df(self, u):
         return 3.0 * u * u
 
     def d2f(self, u):
@@ -207,24 +215,25 @@ class RegularizedPotential:
 
     def _split(self, u):
         """core = clip(u, +-cutoff) and d = u - core: every value below is
-        the base potential's Taylor expansion at core, exact where d = 0."""
+        the base potential's Taylor expansion at core, exact where d = 0.
+        |core| <= 1 - 1/N, so the base potentials' unchecked cores apply."""
         u = np.asarray(u, dtype=float)
         core = np.clip(u, -self.cutoff, self.cutoff)
         return core, u - core
 
     def f(self, u):
         core, d = self._split(u)
-        val = self.base.f(core) + self.base.df(core) * d
+        val = self.base._f(core) + self.base._df(core) * d
         return val if val.ndim else float(val)
 
     def df(self, u):
-        val = self.base.df(self._split(u)[0])
+        val = self.base._df(self._split(u)[0])
         return val if val.ndim else float(val)
 
     def F(self, u):
         core, d = self._split(u)
-        val = (self.base.F(core) + self.base.f(core) * d
-               + 0.5 * self.base.df(core) * d * d)
+        val = (self.base.F(core) + self.base._f(core) * d
+               + 0.5 * self.base._df(core) * d * d)
         return val if val.ndim else float(val)
 
 

@@ -13,13 +13,13 @@ M_G, K_G their boundary counterparts, C = M_G/dt + K_G + M_G):
     M mu+ = K u+ + M (f_N(u+) - lam*u + h1)
             + B^T [ M_G (B u+ - psi)/dt + (K_G + M_G) B u+ + M_G (g0(psi) - h2) ]
 
-Newton eliminates mu through the diagonal M: with A = K + B^T C B and
-D = diag(f_N'(u)), S du = -r1 + dt K M^-1 r2 for the Schur complement
-S = S0 + dt K D, S0 = M + dt K M^-1 A, and dmu = M^-1 (-r2 + (A + M D) du).
-One LU of S is kept across iterations and steps (chord Newton) and remade at
-the current iterate after an iteration that shrinks the residual norm by less
-than _CONTRACTION.  u+ is finally recomputed from the first (linear) equation,
-so mass is conserved to round-off rather than to the Newton tolerance.
+Newton runs on mu alone: u = u_old - P mu, P = dt M^-1 K, solves the first
+equation, and u moves by increments P dmu, so it is rounded once per step.
+r2 = M (mu - f_N(u)) - A u - rhs2, A = K + B^T C B, has Jacobian S^T in mu,
+S = M + dt K M^-1 A + dt K diag(f_N'(u)).  One LU of S is kept across
+iterations and steps (chord Newton), solved transposed, and remade at the
+current iterate after an iteration that shrinks |r2| by less than
+_CONTRACTION.  P 1 = 0, so each iterate's constant mode of mu is exact.
 """
 
 from __future__ import annotations
@@ -105,21 +105,23 @@ class Stepper:
     """Prebuilt matrices and the kept LU of S for one (ops, cfg) pair."""
 
     def __init__(self, ops, cfg: SolverConfig):
-        self.ops = ops
-        self.cfg = cfg
+        self.ops, self.cfg = ops, cfg
         self.reg = cfg.regularized
         w = ops.weights
-        self.K = ops.K
         ng = len(ops.boundary_weights)
         B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
                          shape=(ng, ops.n_bulk))
         Mg = sp.diags_array(ops.boundary_weights)
-        self.A = (self.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
+        self.A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
         self.BtMg = (B.T @ Mg).tocsr()
-        self.dtKMinv = (cfg.dt * self.K @ sp.diags_array(1.0 / w)).tocsr()
-        self.S0 = (sp.diags_array(w) + self.dtKMinv @ self.A).tocsc()
-        self.lu = self.lu_df = None  # LU of S and the f_N'(u) it was made at
+        self.dtK = (cfg.dt * ops.K).tocsc()
+        self.P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
+        self.S0 = (sp.diags_array(w) + self.P.T @ self.A).tocsc()  # K = K^T
+        # S = S0 + dt K diag(f_N'(u)) scales column j of dt K by f_N'(u_j)
+        self.dtK_cols = np.repeat(np.arange(ops.n_bulk), np.diff(self.dtK.indptr))
+        self.lu = self.mu_out = None  # LU of S; the mu of the last step
         self.h1, self.h2 = diagnostics.forcing_arrays(ops, cfg)
+        self.w_sum = float(np.sum(w))
         # Surface the regime where the explicit shift dominates the implicit
         # slope; the splitting is only provably monotone below it.
         fmin = float(np.min(self.reg.df(np.linspace(-2.0, 2.0, 401))))
@@ -128,63 +130,66 @@ class Stepper:
                         "is nonmonotone somewhere (N may be too small)",
                         cfg.lam, fmin)
 
-    def _residual(self, u_new, mu_new, u_old, rhs2):
-        w = self.ops.weights
-        r1 = w * (u_new - u_old) + self.cfg.dt * (self.K @ mu_new)
-        r2 = w * (mu_new - self.reg.f(u_new)) - self.A @ u_new - rhs2
-        return r1, r2
+    def _residual(self, u, mu, rhs2):
+        return self.ops.weights * (mu - self.reg.f(u)) - self.A @ u - rhs2
 
     def step(self, state: State):
         ops, cfg = self.ops, self.cfg
         w = ops.weights
-        u_old = state.field.bulk.ravel()
-        psi_old = state.field.trace.ravel()
+        u_old, psi_old = state.field.bulk.ravel(), state.field.trace.ravel()
         rhs2 = w * (self.h1 - cfg.lam * u_old) + self.BtMg @ (
             np.ravel(cfg.g.g0(psi_old)) - self.h2 - psi_old / cfg.dt)
-
-        u = u_old
-        mu = state.mu.ravel().copy() if state.mu is not None else np.zeros_like(u)
-        r1, r2 = self._residual(u, mu, u_old, rhs2)
         scale = 1.0 + np.linalg.norm(w * u_old) + np.linalg.norm(self.h1) \
             + np.linalg.norm(self.h2)
-        rnorm = np.linalg.norm(np.concatenate([r1, r2]))
+
+        # This stepper's own last mu starts u at u_old - P mu, a time
+        # extrapolation.  A foreign mu may put that u far off, so u starts at
+        # u_old and the first step takes in M^-1 r1 = P mu (lag) as Newton does.
+        mu = np.zeros_like(u_old) if state.mu is None else state.mu.ravel().copy()
+        lag = None if state.mu is None or state.mu is self.mu_out else self.P @ mu
+        u = u_old - self.P @ mu if lag is None else u_old.copy()
         iters = factorizations = 0
-        # A non-finite residual (NaN data, infinite forcing) is a failure,
-        # never a converged step.
-        while not (np.isfinite(rnorm) and rnorm <= cfg.newton_tol * scale):
-            if iters >= cfg.newton_max_iter or not np.isfinite(rnorm):
+        while True:
+            r2 = self._residual(u, mu, rhs2)
+            rnorm_new = np.linalg.norm(r2)
+            finite = np.isfinite(rnorm_new)  # NaN data, infinite forcing
+            if finite and iters:  # each update's constant mode, exactly
+                c = -r2.sum() / self.w_sum  # moves r2 by c w, u not at all
+                mu += c
+                r2 += c * w
+                rnorm_new = np.linalg.norm(r2)
+            if iters and not rnorm_new <= _CONTRACTION * rnorm:
+                self.lu = None
+            rnorm = rnorm_new
+            if finite and lag is None and rnorm <= cfg.newton_tol * scale:
+                break
+            if iters >= cfg.newton_max_iter or not finite:
                 raise NewtonDivergedError(
                     f"Newton stalled at residual {rnorm:.3e}",
                     residual=rnorm, iterations=iters, time=state.t)
             if self.lu is None:  # refactor at the current iterate
-                self.lu_df = self.reg.df(u)
-                S = self.S0 + cfg.dt * (self.K @ sp.diags_array(self.lu_df))
+                S = self.S0 + sp.csc_array(
+                    (self.dtK.data * self.reg.df(u)[self.dtK_cols],
+                     self.dtK.indices, self.dtK.indptr), shape=self.dtK.shape)
                 try:
-                    self.lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                    self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A")
                 except RuntimeError as exc:
                     raise LinearSolveFailedError(str(exc)) from exc
                 factorizations += 1
-            du = self.lu.solve(-r1 + self.dtKMinv @ r2)
-            u = u + du
-            mu = mu + (self.A @ du - r2) / w + self.lu_df * du
-            r1, r2 = self._residual(u, mu, u_old, rhs2)
-            rnorm_new = np.linalg.norm(np.concatenate([r1, r2]))
-            if not rnorm_new <= _CONTRACTION * rnorm:
-                self.lu = None
-            rnorm = rnorm_new
+            if lag is not None:  # (A + M f_N'(u_old)) P mu, from r1
+                r2 += self.A @ lag + w * self.reg.df(u) * lag
+            dmu = self.lu.solve(r2, trans="T")
+            mu -= dmu
+            u = u + self.P @ dmu if lag is None else u_old - self.P @ mu
+            lag = None
             iters += 1
 
-        # Enforce the conservative flux form exactly.
-        u = u_old - cfg.dt * ((self.K @ mu) / w)
         bulk = u.reshape(ops.bulk_shape)
-        new = State(
-            t=state.t + cfg.dt,
-            field=Field(bulk, ops.trace_of(bulk)),
-            mu=mu.reshape(ops.bulk_shape),
-            prev_bulk=state.field.bulk.copy(),
-            prev_trace=state.field.trace.copy(),
-        )
-        return new, StepReport(iters, float(rnorm / scale), factorizations)
+        self.mu_out = mu.reshape(ops.bulk_shape)
+        return State(state.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
+                     self.mu_out, state.field.bulk.copy(),
+                     state.field.trace.copy()), \
+            StepReport(iters, float(rnorm / scale), factorizations)
 
 
 @dataclass
@@ -258,16 +263,11 @@ def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> MuMeanRepor
     if state.mu is None or state.prev_trace is None:
         raise StaleStateError("no step taken yet; mu is unavailable")
     direct = ops.inner(state.mu, np.ones(ops.n_bulk)) / ops.area
-    reg = cfg.regularized
-    u_new = state.field.bulk.ravel()
-    psi_new = state.field.trace.ravel()
-    u_expl = state.prev_bulk.ravel()
-    psi_expl = state.prev_trace.ravel()
-    dpsi_dt = (state.field.trace - state.prev_trace).ravel() / cfg.dt
+    psi, psi_old = state.field.trace.ravel(), state.prev_trace.ravel()
     h1, h2 = diagnostics.forcing_arrays(ops, cfg)
-    bulk_part = ops.mean(reg.f(u_new) - cfg.lam * u_expl + h1)
-    bnd_part = ops.boundary_mean(
-        dpsi_dt + psi_new + np.ravel(cfg.g.g0(psi_expl)) - h2)
-    formula = bulk_part + bnd_part
+    formula = ops.mean(cfg.regularized.f(state.field.bulk.ravel())
+                       - cfg.lam * state.prev_bulk.ravel() + h1) \
+        + ops.boundary_mean((psi - psi_old) / cfg.dt + psi
+                            + np.ravel(cfg.g.g0(psi_old)) - h2)
     return MuMeanReport(direct, formula,
                         abs(direct - formula) / (1.0 + abs(direct)))

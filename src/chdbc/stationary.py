@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,13 +266,18 @@ def _classical_slope(potential, K):
     F increases on (0, 1), so x(Y) increases too, and it is infinite where
     s^2 <= 0.  Valid for K <= K_plus, and for every K when F(1) = inf.
     """
+    if not K * K >= sys.float_info.min:  # s^2 would lose its digits
+        raise StiffnessFailureError(f"K = {K} is too small: K^2 underflows")
+
     def excess(Y):
         s2 = K * K - 2.0 * float(potential.F(Y))
         if s2 <= 0.0:
             return 1.0
         return _tail_quadrature(potential, math.sqrt(s2), 0.0, Y) - 1.0
 
-    top = np.nextafter(1.0, 0.0)
+    # s^2 + 2 F(v) <= K^2 on [0, Y], so x(Y) >= Y / K: the root lies below K,
+    # and excess(2K) >= 1.  The bracket starts there, not at 1, for small K.
+    top = min(np.nextafter(1.0, 0.0), 2.0 * K)
     if excess(top) > 0.0:
         Y = brentq(excess, 0.0, top, xtol=1e-300)  # to brentq's rtol alone
     elif math.isfinite(float(potential.F_at_one())):

@@ -3,6 +3,7 @@ import pytest
 
 from chdbc import experiments as ex
 from chdbc.cli import main
+from chdbc.discretization import Interval
 from chdbc.errors import ConfigError
 from chdbc.solver import simulate
 
@@ -117,6 +118,13 @@ class TestExitCodes:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_stationary_underflowing_flux_is_3(self, tmp_path, capsys):
+        # K * K underflows: no slope can be found, and the run says so
+        rc = main(["stationary", "--potential", "logarithmic", "--K", "1e-200",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        assert "solver failure" in capsys.readouterr().err
+
     def test_stationary_variational(self, tmp_path, capsys):
         rc = main(["stationary", "--potential", "logarithmic", "--K", "4.0",
                    "--outdir", str(tmp_path / "o")])
@@ -201,6 +209,18 @@ class TestSweepDrivers:
             assert pooled == serial
             assert (tmp_path / "b" / table).read_bytes() == \
                 (tmp_path / "a" / table).read_bytes()
+
+    def test_operators_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        make = ex.make_operators
+        monkeypatch.setattr(ex, "make_operators",
+                            lambda dom: built.append(dom) or make(dom))
+        ex._operators.cache_clear()
+        cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "23",
+                                 "experiment.n_levels": "2"})
+        for out in ("a", "b"):
+            ex.run_converge_n(cfg, tmp_path / out, times=(0.02, 0.05))
+        assert built == [Interval(23, -1.0, 1.0)]
 
     def test_lipschitz_zero_eps_skipped(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",

@@ -1,7 +1,9 @@
-"""The chord Newton step (Schur complement of mu, kept LU) against a
-saddle-point Newton reference, its refactor rule and its failure paths."""
+"""The chord Newton step on mu (kept LU of S, solved transposed) against a
+saddle-point Newton reference and the saddle residuals themselves, its warm
+start, its refactor rule and its failure paths."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
 from chdbc.solver import SolverConfig, State, Stepper
 
 
-def saddle_newton_step(ops, cfg, state):
-    """Full Newton on the 2n x 2n saddle system [[M, dt K], [-(A + M D), M]],
-    assembled and factored at every iterate, run until the residual stops
-    shrinking; then the flux-form recomputation of u+."""
+def saddle_residuals(ops, cfg, state):
+    """The two residuals of the step's saddle system, as functions of
+    (u+, mu+): r1 = M (u+ - u) + dt K mu+ and
+    r2 = M mu+ - K u+ - M f_N(u+) - B^T C B u+ - rhs2; and their Jacobian."""
     reg = cfg.regularized
     n, w = ops.n_bulk, ops.weights
     ng = len(ops.boundary_weights)
@@ -40,20 +42,37 @@ def saddle_newton_step(ops, cfg, state):
     rhs2 = (M @ (h1 - cfg.lam * u_old) + B.T @ (
         Mg @ (np.ravel(cfg.g.g0(psi_old)) - h2 - psi_old / cfg.dt)))
 
+    def r1(u, mu):
+        return M @ (u - u_old) + cfg.dt * (ops.K @ mu)
+
+    def r2(u, mu):
+        return M @ mu - ops.K @ u - M @ reg.f(u) - BtCB @ u - rhs2
+
+    def jacobian(u):
+        return sp.block_array(
+            [[M, cfg.dt * ops.K],
+             [-(ops.K + BtCB + M @ sp.diags_array(reg.df(u))), M]],
+            format="csc")
+
+    return r1, r2, jacobian
+
+
+def saddle_newton_step(ops, cfg, state):
+    """Full Newton on the 2n x 2n saddle system [[M, dt K], [-(A + M D), M]],
+    assembled and factored at every iterate, run until the residual stops
+    shrinking; then the flux-form recomputation of u+."""
+    n, w = ops.n_bulk, ops.weights
+    u_old = state.field.bulk.ravel()
+    r1, r2, jacobian = saddle_residuals(ops, cfg, state)
+
     def residual(u, mu):
-        return np.concatenate([
-            M @ (u - u_old) + cfg.dt * (ops.K @ mu),
-            M @ mu - ops.K @ u - M @ reg.f(u) - BtCB @ u - rhs2])
+        return np.concatenate([r1(u, mu), r2(u, mu)])
 
     u = u_old.copy()
     mu = np.zeros(n) if state.mu is None else state.mu.ravel().copy()
     r = residual(u, mu)
     for _ in range(50):
-        J = sp.block_array(
-            [[M, cfg.dt * ops.K],
-             [-(ops.K + BtCB + M @ sp.diags_array(reg.df(u))), M]],
-            format="csc")
-        d = spla.splu(J).solve(-r)
+        d = spla.splu(jacobian(u)).solve(-r)
         r_new = residual(u + d[:n], mu + d[n:])
         if not np.linalg.norm(r_new) < 0.5 * np.linalg.norm(r):
             break  # round-off reached
@@ -120,6 +139,54 @@ class TestChordStepAgainstSaddleNewton:
         drift = abs(ops.mean(new.field.bulk) - ops.mean(state.field.bulk))
         assert drift <= 1e-12 * scale
         assert np.array_equal(new.field.trace, ops.trace_of(new.field.bulk))
+
+
+class TestSolvedEquations:
+    """The returned state solves the step's saddle system itself: the first
+    equation to round-off, the second to the Newton tolerance."""
+
+    @given(step_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_saddle_residuals(self, case):
+        ops, cfg, state = case
+        new, _ = Stepper(ops, cfg).step(state)
+        r1, r2, _ = saddle_residuals(ops, cfg, state)
+        u, mu = new.field.bulk.ravel(), new.mu.ravel()
+        w, u_old = ops.weights, state.field.bulk.ravel()
+        h1, h2 = forcing_arrays(ops, cfg)
+        scale = 1.0 + np.linalg.norm(w * u_old) + np.linalg.norm(h1) \
+            + np.linalg.norm(h2)
+        assert np.max(np.abs(r1(u, mu))) <= 64 * np.finfo(float).eps * scale
+        assert np.linalg.norm(r2(u, mu)) <= cfg.newton_tol * scale
+
+
+class TestWarmStart:
+    def test_own_mu_warm_starts(self):
+        # the stepper's own last mu predicts u; the same mu in a copied
+        # State is foreign, and Newton starts at u_old instead
+        ops, cfg, state = _criterion_4()
+        totals = []
+        for foreign in (False, True):
+            stepper, st, total = Stepper(ops, cfg), state, 0
+            for _ in range(20):
+                st, report = stepper.step(st.copy() if foreign else st)
+                total += report.newton_iters
+            totals.append(total)
+        assert totals[0] < totals[1]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e3, 1e6])
+    def test_foreign_mu_is_harmless(self, amplitude):
+        # Newton's first step from (u_old, mu) does not depend on mu, so
+        # however wild a foreign mu, the step is the one from mu = None
+        ops, cfg, state = _criterion_4()
+        first, _ = Stepper(ops, cfg).step(state)
+        ref, _ = Stepper(ops, cfg).step(replace(first, mu=None))
+        first.mu = amplitude * np.cos(np.arange(ops.n_bulk))
+        new, _ = Stepper(ops, cfg).step(first)
+        assert np.max(np.abs(new.field.bulk - ref.field.bulk)) <= 1e-14
+        assert np.max(np.abs(new.mu - ref.mu)) <= 1e-13
+        assert abs(ops.mean(new.field.bulk) - ops.mean(first.field.bulk)) \
+            <= 1e-15
 
 
 def _criterion_4():

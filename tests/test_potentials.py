@@ -204,9 +204,11 @@ class TestUncheckedCore:
     @given(_base_potentials, _open_interval, st.lists(_open_interval,
                                                       min_size=1, max_size=8))
     def test_core_is_f_bitwise(self, pot, u, us):
-        # one formula: f is the range check plus _f of the same array
+        # one formula: f and df are the range check plus _f and _df of the
+        # same array
         for arg in (u, us):
             assert np.array_equal(pot._f(np.asarray(arg)), pot.f(arg))
+            assert np.array_equal(pot._df(np.asarray(arg)), pot.df(arg))
 
     @pytest.mark.parametrize("pot", [LogarithmicPotential(),
                                      PowerSingularPotential(p=1.5),
@@ -215,3 +217,37 @@ class TestUncheckedCore:
     def test_f_still_checks_range(self, pot, u):
         with pytest.raises(DomainError):
             pot.f(u)
+        with pytest.raises(DomainError):
+            pot.df(u)
+
+
+def _checked_regularization(reg, u):
+    """f_N, f_N' and F_N through the base potentials' range-checked f, df
+    and F: the clip-and-Taylor formula of RegularizedPotential."""
+    u = np.asarray(u, dtype=float)
+    core = np.clip(u, -reg.cutoff, reg.cutoff)
+    d = u - core
+    b = reg.base
+    vals = (b.f(core) + b.df(core) * d, b.df(core),
+            b.F(core) + b.f(core) * d + 0.5 * b.df(core) * d * d)
+    return [v if v.ndim else float(v) for v in vals]
+
+
+class TestRegularizedUncheckedCore:
+    @pytest.mark.parametrize("base", [
+        LogarithmicPotential(0.3, 1.2), PowerSingularPotential(1.5, 3.0),
+        PowerSingularPotential(0.7, 1.5), SmoothDoubleWell()])
+    @pytest.mark.parametrize("N", [2, 3, 16, 1000])
+    def test_matches_checked_path_bitwise(self, base, N):
+        reg = RegularizedPotential(base, N)
+        c = reg.cutoff
+        u = np.concatenate([np.linspace(-1.5, 1.5, 61),
+                            [0.0, c, -c, 1.0, -1.0, 1e6, -1e6,
+                             np.inf, -np.inf, np.nan]])
+        args = [u, u[:70].reshape(7, 10), np.asarray(c), np.asarray(np.nan)]
+        args += [float(v) for v in u]  # both tails, +-inf and NaN as scalars
+        for arg in args:
+            ref = _checked_regularization(reg, arg)
+            for got, want in zip((reg.f(arg), reg.df(arg), reg.F(arg)), ref):
+                assert type(got) is type(want)
+                assert np.array_equal(got, want, equal_nan=True)

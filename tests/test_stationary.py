@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from chdbc import experiments
 from chdbc import stationary as st
+from chdbc.errors import StiffnessFailureError
 from chdbc.potentials import (LogarithmicPotential, PowerSingularPotential,
                               SmoothDoubleWell)
 
@@ -305,6 +306,20 @@ class TestClassicalSlope:
         miss = [st._boundary_state(pot, sol.s * (1.0 + d))[1] - K
                 for d in (-1e-12, 0.0, 1e-12)]
         assert abs(miss[1]) <= 1e-10 * K or miss[0] <= 0.0 <= miss[2]
+
+    @pytest.mark.parametrize("K", [1e-8, 1e-30, 1e-100, 1e-150])
+    def test_small_flux_is_linear(self, K):
+        # y'' = f'(0) y to first order: s = K / cosh(sqrt(kappa)) for the
+        # power family and s = K for the cubic, whose f'(0) is 0
+        sol = st._classical_slope(PowerSingularPotential(kappa=1.0, p=3.0), K)
+        assert sol == pytest.approx(K / math.cosh(1.0), rel=1e-12)
+        assert st._classical_slope(SmoothDoubleWell(), K) == \
+            pytest.approx(K, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1e-200, 1e-155, 5e-324])
+    def test_underflowing_flux_is_typed(self, K):
+        with pytest.raises(StiffnessFailureError):
+            st.solve_bvp(st.StationaryProblem(LOG, K))
 
     def test_at_critical_flux(self):
         # K = K_plus to rounding: the root sits at Y = 1, s at s_star
