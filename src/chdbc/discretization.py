@@ -16,14 +16,17 @@ and pins the mean through a bordered system rather than a pinned node.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonZeroMeanError, SingularSystemError, UnsupportedDomainError
+from .errors import (CorruptSnapshotError, NonZeroMeanError, SingularSystemError,
+                     UnsupportedDomainError)
 
 __all__ = [
     "Interval",
@@ -292,7 +295,7 @@ def _bordered_lu(K, weights):
     m = sp.csr_array(weights.reshape(1, -1))
     A = sp.block_array([[K, m.T], [m, None]], format="csc")
     try:
-        return spla.splu(A)
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularSystemError("bordered Poisson factorization failed") from exc
 
@@ -308,8 +311,14 @@ def make_operators(domain):
 def write_rows(path, header, rows):
     """One CSV table: floats (np.float64 too) as .17g, which reads back to
     the same double; every other value as str(), which is csv's default form
-    for values that need no quoting (numbers, bools, identifiers).  Each row
-    is one % format, built once per distinct tuple of column types."""
+    for values that need no quoting (numbers, bools, identifiers)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_table(header, rows))
+
+
+def _table(header, rows):
+    """write_rows' text.  Each row is one % format, built once per distinct
+    tuple of column types."""
     formats = {}
     lines = [",".join(header) + "\r\n"]
     for row in rows:
@@ -319,32 +328,56 @@ def write_rows(path, header, rows):
             fmt = formats[types] = ",".join(
                 "%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
         lines.append(fmt % tuple(row))
-    with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
+    return "".join(lines)
 
 
 def field_to_csv(ops, field: Field, path):
     """One row per node (x[,y], u); the trace follows as flagged rows."""
-    dom = ops.domain
+    text = _snapshot_template(ops.domain) % tuple(
+        np.ravel(field.bulk).tolist() + np.ravel(field.trace).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+@functools.lru_cache(maxsize=8)
+def _snapshot_template(dom):
+    """The snapshot table of one domain with a %.17g slot for each u value,
+    so that a write is one % format."""
+    u = repeat("%.17g")
     if dom.kind == "interval":
-        write_rows(path, ["x", "u", "kind"], [
-            *zip(dom.x.tolist(), field.bulk.tolist(), repeat("bulk")),
-            *zip([dom.a, dom.b], field.trace.tolist(), repeat("trace"))])
-    else:
-        X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
-        write_rows(path, ["x", "y", "u", "kind"], [
-            *zip(X.ravel().tolist(), Y.ravel().tolist(),
-                 field.bulk.ravel().tolist(), repeat("bulk")),
-            *zip(np.tile(dom.x, 2).tolist(),
-                 np.repeat([-1.0, 1.0], dom.nx).tolist(),
-                 field.trace.ravel().tolist(), repeat("trace"))])
+        return _table(["x", "u", "kind"], [
+            *zip(dom.x.tolist(), u, repeat("bulk")),
+            *zip([dom.a, dom.b], u, repeat("trace"))])
+    X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
+    return _table(["x", "y", "u", "kind"], [
+        *zip(X.ravel().tolist(), Y.ravel().tolist(), u, repeat("bulk")),
+        *zip(np.tile(dom.x, 2).tolist(), np.repeat([-1.0, 1.0], dom.nx).tolist(),
+             u, repeat("trace"))])
 
 
 def field_from_csv(ops, path):
-    bulk_vals, trace_vals = [], []
+    """The Field of a snapshot file, columns found by name in the header;
+    missing columns, unreadable or non-finite values and row counts that do
+    not fit ops raise CorruptSnapshotError."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            (trace_vals if row["kind"] == "trace" else bulk_vals).append(float(row["u"]))
-    bulk = np.array(bulk_vals).reshape(ops.bulk_shape)
-    trace = np.array(trace_vals).reshape(ops.trace_shape)
-    return Field(bulk, trace)
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        try:
+            get = itemgetter(header.index("u"), header.index("kind"))
+        except ValueError:
+            raise CorruptSnapshotError(
+                f"{path}: header {header} lacks a u or kind column") from None
+        try:
+            u_text, kinds = tuple(zip(*map(get, filter(None, rows)))) or ((), ())
+            u = np.array(list(map(float, u_text)))
+        except (IndexError, ValueError, csv.Error) as exc:  # short row, bad number
+            raise CorruptSnapshotError(f"{path}: {exc}") from None
+    if not np.isfinite(u).all():
+        raise CorruptSnapshotError(f"{path}: non-finite u value")
+    is_trace = np.array(kinds) == "trace"
+    bulk, trace = u[~is_trace], u[is_trace]
+    if bulk.size != ops.n_bulk or trace.size != len(ops.boundary_weights):
+        raise CorruptSnapshotError(
+            f"{path}: {bulk.size} bulk and {trace.size} trace rows, expected "
+            f"{ops.n_bulk} and {len(ops.boundary_weights)}")
+    return Field(bulk.reshape(ops.bulk_shape), trace.reshape(ops.trace_shape))

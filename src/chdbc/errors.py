@@ -54,3 +54,8 @@ class StiffnessFailureError(ChdbcError):
 class ConfigError(ChdbcError, ValueError):
     """Invalid or unknown experiment configuration, or a run parameter off
     its grid (a ValueError too, as any rejected argument value)."""
+
+
+class CorruptSnapshotError(ChdbcError, ValueError):
+    """A snapshot file lacks a column, holds an unreadable or non-finite
+    value, or has row counts that do not fit the domain."""

@@ -95,6 +95,12 @@ class LogarithmicPotential:
                 (1.0 + u) * np.log1p(u) + (1.0 - u) * np.log1p(-u),
                 2.0 * math.log(2.0),
             )
+        # Near 0 the two terms cancel to u^2; there the same sum is
+        # 2 u atanh(u) + log(1 - u^2), which keeps its digits (and cancels
+        # itself above |u| = 1/2).
+        small = np.abs(u) < 0.5
+        v = u[small]
+        term[small] = 2.0 * v * np.arctanh(v) + np.log1p(-v * v)
         return -self.kappa0 * u * u + self.kappa1 * term
 
     def F_at_one(self):

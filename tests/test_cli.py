@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,16 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_stationary_tiny_flux_is_linearized(self, tmp_path, capsys):
+        # f'(0) = 2: the profile is K sinh(sqrt2 x) / (sqrt2 cosh sqrt2)
+        rc = main(["stationary", "--potential", "logarithmic", "--K", "1e-30",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 0
+        out = dict(line.split(": ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        assert float(out["s"]) == pytest.approx(
+            1e-30 / math.cosh(math.sqrt(2.0)), rel=1e-12, abs=0.0)
 
     def test_stationary_variational(self, tmp_path, capsys):
         rc = main(["stationary", "--potential", "logarithmic", "--K", "4.0",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
                                   field_from_csv, field_to_csv, make_operators,
                                   write_rows)
-from chdbc.errors import NonZeroMeanError, UnsupportedDomainError
+from chdbc.errors import (ChdbcError, CorruptSnapshotError, NonZeroMeanError,
+                          UnsupportedDomainError)
 
 
 @pytest.fixture
@@ -207,6 +208,109 @@ class TestSerialization:
         g = field_from_csv(sops, path)
         assert np.array_equal(f.bulk, g.bulk)
         assert np.array_equal(f.trace, g.trace)
+
+    @pytest.mark.parametrize("domain", [Interval(9, -2, 3), Interval(33),
+                                        PeriodicStrip(1.5, 8, 9)])
+    def test_bytes_match_per_row_csv_writer(self, tmp_path, domain):
+        ops = make_operators(domain)
+        rng = np.random.default_rng(5)
+        f = Field(rng.standard_normal(ops.bulk_shape),
+                  rng.standard_normal(ops.trace_shape))
+        if domain.kind == "interval":
+            header = ["x", "u", "kind"]
+            rows = [*zip(domain.x.tolist(), f.bulk.tolist(),
+                         ["bulk"] * domain.n),
+                    *zip([domain.a, domain.b], f.trace.tolist(),
+                         ["trace"] * 2)]
+        else:
+            header = ["x", "y", "u", "kind"]
+            X, Y = np.meshgrid(domain.x, domain.y, indexing="ij")
+            rows = [*zip(X.ravel().tolist(), Y.ravel().tolist(),
+                         f.bulk.ravel().tolist(), ["bulk"] * ops.n_bulk),
+                    *zip(np.tile(domain.x, 2).tolist(),
+                         np.repeat([-1.0, 1.0], domain.nx).tolist(),
+                         f.trace.ravel().tolist(), ["trace"] * 2 * domain.nx)]
+        field_to_csv(ops, f, tmp_path / "got.csv")
+        _csv_reference(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_template_per_domain(self, tmp_path):
+        # equal n, different ends: each file carries its own coordinates
+        for a, b in ((-1.0, 1.0), (0.0, 3.0), (-1.0, 1.0)):
+            ops = make_operators(Interval(9, a, b))
+            field_to_csv(ops, ops.field_from_bulk(np.zeros(9)),
+                         tmp_path / "f.csv")
+            with open(tmp_path / "f.csv", newline="") as fh:
+                x = [float(row["x"]) for row in csv.DictReader(fh)]
+            assert x == [*ops.domain.x.tolist(), a, b]
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+                         1e300, -1e300]),
+        st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=28, max_size=28))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        vals = np.array(values)
+        for ops in _CSV_OPS:
+            f = Field(vals[:ops.n_bulk].reshape(ops.bulk_shape),
+                      vals[-len(ops.boundary_weights):].reshape(
+                          ops.trace_shape))
+            field_to_csv(ops, f, path)
+            g = field_from_csv(ops, path)
+            assert np.array_equal(g.bulk.view(np.int64), f.bulk.view(np.int64))
+            assert np.array_equal(g.trace.view(np.int64),
+                                  f.trace.view(np.int64))
+
+    def test_any_column_order_line_end_and_float_text(self, tmp_path):
+        ops = make_operators(Interval(5))
+        rows = ["kind,u,x", "bulk,0.5,-1", "bulk, -.25,-0.5", "trace,1E-3,-1",
+                "bulk,+0,0", "", "bulk,1_0.0,0.5", "trace,-2,1", "bulk,3,1"]
+        for end in ("\n", "\r\n"):
+            (tmp_path / "f.csv").write_bytes(end.join(rows).encode() + b"\n")
+            g = field_from_csv(ops, tmp_path / "f.csv")
+            assert g.bulk.tolist() == [0.5, -0.25, 0.0, 10.0, 3.0]
+            assert g.trace.tolist() == [1e-3, -2.0]
+
+    def test_shifted_value_still_loads(self, iops, tmp_path):
+        path = tmp_path / "f.csv"
+        field_to_csv(iops, iops.field_from_bulk(np.zeros(iops.n_bulk)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",0,", ",0.001,")
+        path.write_text("\n".join(lines) + "\n")
+        assert field_from_csv(iops, path).bulk[2] == 0.001
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls: [ls[0].replace(",u,", ",v,"), *ls[1:]],
+        lambda ls: [ls[0].replace("kind", "type"), *ls[1:]],
+        lambda ls: [ls[0], ls[1].replace(",0,", ",zero,"), *ls[2:]],
+        lambda ls: [ls[0], ls[1].replace(",0,", ",nan,"), *ls[2:]],
+        lambda ls: [ls[0], ls[1].replace(",0,", ",-inf,"), *ls[2:]],
+        lambda ls: [ls[0], ls[1].rsplit(",", 1)[0], *ls[2:]],
+        lambda ls: [*ls, ls[1]],
+        lambda ls: ls[:-1],
+        lambda ls: [ls[0], *(ln.replace("trace", "bulk") for ln in ls[1:])],
+        lambda ls: ls[:1],
+        lambda ls: [],
+    ], ids=["no-u", "no-kind", "text", "nan", "inf", "short-row",
+            "extra-bulk", "missing-trace", "trace-as-bulk", "no-rows",
+            "empty"])
+    def test_corrupt_snapshot_fails_loudly(self, tmp_path, edit):
+        ops = make_operators(Interval(5))
+        path = tmp_path / "f.csv"
+        field_to_csv(ops, ops.field_from_bulk(np.zeros(5)), path)
+        path.write_text("".join(ln + "\n" for ln in
+                                edit(path.read_text().splitlines())))
+        with pytest.raises(CorruptSnapshotError) as info:
+            field_from_csv(ops, path)
+        assert isinstance(info.value, ChdbcError)
+        assert isinstance(info.value, ValueError)
+
+
+_CSV_OPS = [make_operators(Interval(9)), make_operators(PeriodicStrip(2.0, 4, 5))]
 
 
 def _csv_reference(path, header, rows):

@@ -131,7 +131,8 @@ class TestChordStepAgainstSaddleNewton:
         h1, h2 = forcing_arrays(ops, cfg)
         scale = 1.0 + np.linalg.norm(ops.weights * state.field.bulk.ravel()) \
             + np.linalg.norm(h1) + np.linalg.norm(h2)
-        assert report.factorizations >= 1
+        # a state that already solves its step takes no iteration
+        assert report.factorizations >= 1 or report.newton_iters == 0
         assert np.max(np.abs(new.field.bulk.ravel() - u_ref)) <= 1e-9 * scale
         # mu in the units of the residual: M (mu - mu_ref)
         assert np.max(np.abs(ops.weights * (new.mu.ravel() - mu_ref))) \
@@ -139,6 +140,17 @@ class TestChordStepAgainstSaddleNewton:
         drift = abs(ops.mean(new.field.bulk) - ops.mean(state.field.bulk))
         assert drift <= 1e-12 * scale
         assert np.array_equal(new.field.trace, ops.trace_of(new.field.bulk))
+
+    def test_state_that_solves_its_step(self):
+        # with zero field and forcing, u = 0, mu = 0 solves the step: the
+        # start residual is 0
+        ops = make_operators(Interval(9))
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=4, lam=3.0,
+                           dt=0.1)
+        state = State(0.0, Field(np.zeros(9), np.zeros(2)))
+        new, report = Stepper(ops, cfg).step(state)
+        assert (report.newton_iters, report.factorizations) == (0, 0)
+        assert np.array_equal(new.field.bulk, state.field.bulk)
 
 
 class TestSolvedEquations:

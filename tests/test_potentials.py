@@ -41,6 +41,26 @@ class TestLogarithmic:
             val, _ = quad(lambda v: float(pot.f(v)), 0.0, u)
             assert pot.F(u) == pytest.approx(val, abs=1e-10)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_antiderivative_keeps_its_digits_near_zero(self, sign):
+        # the series u^2 + u^4/6 + u^6/15 is exact to u^8/28 relative u^6/28
+        u = sign * np.logspace(-150, -3, 60)
+        series = u * u + u ** 4 / 6.0 + u ** 6 / 15.0
+        assert np.allclose(LogarithmicPotential().F(u), series, rtol=4e-16,
+                           atol=0.0)
+
+    def test_antiderivative_unchanged_from_one_half(self):
+        u = np.concatenate([np.linspace(0.5, 1.0, 1001)[:-1],
+                            [np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([u, -u])
+        old_form = (1.0 + u) * np.log1p(u) + (1.0 - u) * np.log1p(-u)
+        assert np.array_equal(LogarithmicPotential().F(u), old_form)
+        # the two forms meet at |u| = 1/2
+        below = np.nextafter(0.5, 0.0)
+        assert LogarithmicPotential().F(below) == pytest.approx(
+            (1.0 + below) * math.log1p(below) + (1.0 - below)
+            * math.log1p(-below), rel=4e-16, abs=0.0)
+
     def test_blows_up(self):
         pot = LogarithmicPotential()
         with pytest.raises(DomainError):
