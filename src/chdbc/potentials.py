@@ -88,19 +88,26 @@ class LogarithmicPotential:
         """Antiderivative with F(0) = 0; finite limits F(+-1) = -kappa0 + 2*kappa1*ln 2."""
         u = np.asarray(u, dtype=float)
         _check_closed_interval(u)
-        # x*log(x) -> 0 as x -> 0, so the endpoint values are the limits.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(
-                np.abs(u) < 1.0,
-                (1.0 + u) * np.log1p(u) + (1.0 - u) * np.log1p(-u),
-                2.0 * math.log(2.0),
-            )
-        # Near 0 the two terms cancel to u^2; there the same sum is
-        # 2 u atanh(u) + log(1 - u^2), which keeps its digits (and cancels
-        # itself above |u| = 1/2).
+        return self._F(u)
+
+    def _F(self, u):
+        """F without the range check, for callers that keep |u| <= 1."""
+        term = np.empty_like(u)
+        # Near 0 the sum (1+u) log(1+u) + (1-u) log(1-u) cancels to u^2;
+        # there the same sum is 2 u atanh(u) + log(1 - u^2), which keeps its
+        # digits (and cancels itself above |u| = 1/2).
         small = np.abs(u) < 0.5
         v = u[small]
         term[small] = 2.0 * v * np.arctanh(v) + np.log1p(-v * v)
+        rest = ~small
+        v = u[rest]
+        # x*log(x) -> 0 as x -> 0, so the endpoint values are the limits.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term[rest] = np.where(
+                np.abs(v) < 1.0,
+                (1.0 + v) * np.log1p(v) + (1.0 - v) * np.log1p(-v),
+                2.0 * math.log(2.0),
+            )
         return -self.kappa0 * u * u + self.kappa1 * term
 
     def F_at_one(self):
@@ -152,6 +159,10 @@ class PowerSingularPotential:
     def F(self, u):
         u = np.asarray(u, dtype=float)
         _check_closed_interval(u)
+        return self._F(u)
+
+    def _F(self, u):
+        """F without the range check, for callers that keep |u| <= 1."""
         with np.errstate(divide="ignore"):
             log_s = np.log1p(-u * u)  # -inf at |u| = 1
         if self.p == 2.0:
@@ -191,7 +202,9 @@ class SmoothDoubleWell:
         return 6.0 * u
 
     def F(self, u):
-        u = np.asarray(u, dtype=float)
+        return self._F(np.asarray(u, dtype=float))
+
+    def _F(self, u):
         return 0.25 * u ** 4
 
     def F_at_one(self):
@@ -238,7 +251,7 @@ class RegularizedPotential:
 
     def F(self, u):
         core, d = self._split(u)
-        val = (self.base.F(core) + self.base._f(core) * d
+        val = (self.base._F(core) + self.base._f(core) * d
                + 0.5 * self.base._df(core) * d * d)
         return val if val.ndim else float(val)
 

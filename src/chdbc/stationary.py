@@ -31,9 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-# quad is no longer called; perfbench/tracing.py patches it by name
-from scipy.integrate import quad, solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 
 from .errors import StiffnessFailureError
 
@@ -48,6 +45,22 @@ _Y_SWITCH = 1.0 - 1e-6  # hand over from the ODE to the quadrature here
 _Y_EVENT = 1.0 - 1e-12
 _V_SPLIT = 0.999  # v = 1 - w^2 above this level
 _PANELS = 128
+
+
+# Patchable by name; scipy.integrate and scipy.optimize load on first call only.
+def quad(*args, **kwargs):
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @functools.cache

@@ -229,6 +229,7 @@ class TestUncheckedCore:
         for arg in (u, us):
             assert np.array_equal(pot._f(np.asarray(arg)), pot.f(arg))
             assert np.array_equal(pot._df(np.asarray(arg)), pot.df(arg))
+            assert np.array_equal(pot._F(np.asarray(arg)), pot.F(arg))
 
     @pytest.mark.parametrize("pot", [LogarithmicPotential(),
                                      PowerSingularPotential(p=1.5),
@@ -239,6 +240,30 @@ class TestUncheckedCore:
             pot.f(u)
         with pytest.raises(DomainError):
             pot.df(u)
+
+    @pytest.mark.parametrize("pot", [LogarithmicPotential(),
+                                     PowerSingularPotential(p=1.5),
+                                     PowerSingularPotential(p=3.0)])
+    @pytest.mark.parametrize("u", [1.0000001, -1.5, [0.0, 1.0, 1.5]])
+    def test_F_still_checks_range(self, pot, u):
+        with pytest.raises(DomainError):
+            pot.F(u)
+
+    def test_logarithmic_F_core_matches_one_pass_formula(self):
+        # the same values as evaluating the log1p form on every node and
+        # overwriting |u| < 1/2 with the atanh form
+        pot = LogarithmicPotential(0.3, 1.2)
+        u = np.random.default_rng(7).uniform(-1.0, 1.0, 4000)
+        u = np.concatenate([u, [0.0, 0.5, -0.5, np.nextafter(0.5, 0.0),
+                                1.0, -1.0, 1e-300]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(np.abs(u) < 1.0,
+                            (1.0 + u) * np.log1p(u) + (1.0 - u) * np.log1p(-u),
+                            2.0 * math.log(2.0))
+        small = np.abs(u) < 0.5
+        v = u[small]
+        term[small] = 2.0 * v * np.arctanh(v) + np.log1p(-v * v)
+        assert np.array_equal(pot._F(u), -0.3 * u * u + 1.2 * term)
 
 
 def _checked_regularization(reg, u):
@@ -264,7 +289,11 @@ class TestRegularizedUncheckedCore:
         u = np.concatenate([np.linspace(-1.5, 1.5, 61),
                             [0.0, c, -c, 1.0, -1.0, 1e6, -1e6,
                              np.inf, -np.inf, np.nan]])
-        args = [u, u[:70].reshape(7, 10), np.asarray(c), np.asarray(np.nan)]
+        rng = np.random.default_rng(N)  # both tails and the core, 2D too
+        wide = np.concatenate([rng.uniform(-1.0, 1.0, 2000),
+                               rng.uniform(-4.0, 4.0, 2000)])
+        args = [u, u[:70].reshape(7, 10), wide, wide.reshape(40, 100),
+                np.asarray(c), np.asarray(np.nan)]
         args += [float(v) for v in u]  # both tails, +-inf and NaN as scalars
         for arg in args:
             ref = _checked_regularization(reg, arg)

@@ -328,3 +328,32 @@ class TestClassicalSlope:
             sol = st.solve_bvp(st.StationaryProblem(LOG, K))
             assert sol.kind == "classical"
             assert sol.s == pytest.approx(crit.s_star, rel=1e-12)
+
+
+class TestScipyPatchPoints:
+    """The scipy calls go through module attributes, so that a profiler can
+    wrap them by name (perfbench counts ODE steps and brentq calls)."""
+
+    def test_names_are_module_callables(self):
+        for name in ("quad", "solve_ivp", "brentq"):
+            assert callable(st.__dict__[name])
+
+    def test_patched_names_are_called(self, monkeypatch):
+        calls = {"solve_ivp": 0, "brentq": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(st, name, counting(name, st.__dict__[name]))
+        st.shoot(LOG, 1.0)
+        st.critical_flux.cache_clear()
+        try:
+            st.critical_flux(LOG)
+        finally:
+            st.critical_flux.cache_clear()
+        assert calls["solve_ivp"] > 0
+        assert calls["brentq"] > 0
