@@ -9,7 +9,7 @@ onto the bulk boundary values after the first implicit step.
 
 import numpy as np
 
-from chdbc.diagnostics import energy, separation_tracker, trace_mismatch
+from chdbc.diagnostics import energy, trace_mismatch
 from chdbc.discretization import Interval, make_operators
 from chdbc.experiments import initial_field
 from chdbc.potentials import BoundaryNonlinearity, LogarithmicPotential
@@ -20,7 +20,7 @@ def _margin_at(ops, cfg, u0, N):
     from dataclasses import replace
 
     traj = simulate(ops, replace(cfg, N=N), u0, T=2.0, cadence=0.5)
-    return separation_tracker(traj).final_bulk_margin
+    return traj.records[-1].bulk_margin
 
 
 def main():
@@ -66,9 +66,9 @@ def main():
     print(f"normal-derivative consistency gap: "
           f"{trace_mismatch(ops, cfg, final).gap:.3e}")
 
-    sep = separation_tracker(traj)
-    print(f"separation margin from +-1: bulk {sep.final_bulk_margin:.4f}, "
-          f"boundary {sep.final_boundary_margin:.4f}")
+    last = traj.records[-1]
+    print(f"separation margin from +-1: bulk {last.bulk_margin:.4f}, "
+          f"boundary {last.boundary_margin:.4f}")
     # a negative bulk margin means the plateau sits in the linear
     # extension region of f_N; it moves back inside (-1, 1) as N grows
     print("bulk margin at N=64:",

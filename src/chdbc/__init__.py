@@ -5,7 +5,7 @@ Layout:
     potentials      singular nonlinearities and their regularizations
     discretization  interval and periodic-strip grids and operators
     solver          energy-stable semi-implicit time stepping
-    diagnostics     energy ledger, variational-inequality residuals, trackers
+    diagnostics     energy ledger, variational-inequality residuals, margins
     stationary      the singular equilibrium boundary-value problem
     experiments     batch drivers behind the command-line interface
 """

@@ -31,8 +31,9 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--outdir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=_at_least_one, default=1,
-                       help="processes for the independent runs of a sweep")
+        if name not in ("simulate", "stationary"):  # the sweeps
+            p.add_argument("--workers", type=_at_least_one, default=1,
+                           help="processes for the independent runs of a sweep")
         if name == "stationary":
             p.add_argument("--potential",
                            choices=("logarithmic", "power", "smooth"))
@@ -65,10 +66,10 @@ def _load(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    options = {"workers": args.workers} if "workers" in args else {}
     try:
         cfg = _load(args)
-        summary = experiments.run_experiment(cfg, args.outdir,
-                                             workers=args.workers)
+        summary = experiments.run_experiment(cfg, args.outdir, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ __all__ = [
     "dissipation_check", "DissipationReport",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
     "trace_mismatch", "TraceMismatchReport",
-    "separation_tracker", "SeparationReport",
     "decay_experiment", "DecayReport",
     "records_to_csv",
 ]
@@ -346,39 +345,6 @@ def trace_mismatch(ops, cfg, state) -> TraceMismatchReport:
                 - np.ravel(cfg.g.g(psi))).reshape(ops.trace_shape)
     gap = float(ops.boundary_weights @ np.abs(internal.ravel() - external.ravel()))
     return TraceMismatchReport(internal, external, gap)
-
-
-# --------------------------------------------------------------------------
-# Separation tracking
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeparationReport:
-    times: np.ndarray
-    bulk_margins: np.ndarray
-    boundary_margins: np.ndarray
-    f_l1: np.ndarray
-
-    @property
-    def final_bulk_margin(self):
-        return float(self.bulk_margins[-1])
-
-    @property
-    def final_boundary_margin(self):
-        return float(self.boundary_margins[-1])
-
-
-def separation_tracker(traj) -> SeparationReport:
-    ops = traj.ops
-    reg = traj.cfg.regularized
-    ts, bm, gm, fl = [], [], [], []
-    for s in traj.states:
-        u = s.field.bulk.ravel()
-        ts.append(s.t)
-        bm.append(1.0 - float(np.max(np.abs(u))))
-        gm.append(1.0 - float(np.max(np.abs(s.field.trace))))
-        fl.append(float(ops.weights @ np.abs(reg.f(u))))
-    return SeparationReport(np.array(ts), np.array(bm), np.array(gm), np.array(fl))
 
 
 # --------------------------------------------------------------------------

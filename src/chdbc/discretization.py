@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (CorruptSnapshotError, NonZeroMeanError, SingularSystemError,
-                     UnsupportedDomainError)
+from .errors import CorruptSnapshotError, NonZeroMeanError, SingularSystemError
 
 __all__ = [
     "Interval",
@@ -52,6 +51,9 @@ class Interval:
     def __post_init__(self):
         if self.n < 5:
             raise ValueError("interval needs at least 5 nodes")
+        if not -np.inf < self.a < self.b < np.inf:  # NaN fails too
+            raise ValueError(f"interval needs finite a < b, got a={self.a!r}, "
+                             f"b={self.b!r}")
 
     @property
     def h(self):
@@ -73,6 +75,8 @@ class PeriodicStrip:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 5:
             raise ValueError("strip needs nx >= 4 and ny >= 5")
+        if not 0.0 < self.Lx < np.inf:  # NaN fails too
+            raise ValueError(f"strip needs a finite Lx > 0, got {self.Lx!r}")
 
     @property
     def dx(self):
@@ -233,9 +237,6 @@ class IntervalOperators(_OperatorsBase):
         """Generalized eigenvalues of (K, diag(weights)), zero mode first."""
         return _neumann_eigenvalues(self.domain.n, self.domain.h)
 
-    def tangential_gradient_seminorm(self, bulk):
-        raise UnsupportedDomainError("no tangential directions on the interval")
-
 
 class StripOperators(_OperatorsBase):
     def __init__(self, domain: PeriodicStrip):
@@ -275,20 +276,6 @@ class StripOperators(_OperatorsBase):
         dom = self.domain
         kx = (2.0 / dom.dx * np.sin(np.pi * np.arange(dom.nx) / dom.nx)) ** 2
         return np.add.outer(kx, _neumann_eigenvalues(dom.ny, dom.hy)).ravel()
-
-    def tangential_gradient_seminorm(self, bulk):
-        """L^2 norm of (d_xx u, d_y d_x u): second derivatives with at least
-        one tangential direction."""
-        u = np.asarray(bulk).reshape(self.bulk_shape)
-        dx, hy = self.domain.dx, self.domain.hy
-        ux = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * dx)
-        uxx = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx ** 2
-        uxy = np.empty_like(u)
-        uxy[:, 1:-1] = (ux[:, 2:] - ux[:, :-2]) / (2.0 * hy)
-        uxy[:, 0] = (-3.0 * ux[:, 0] + 4.0 * ux[:, 1] - ux[:, 2]) / (2.0 * hy)
-        uxy[:, -1] = (3.0 * ux[:, -1] - 4.0 * ux[:, -2] + ux[:, -3]) / (2.0 * hy)
-        val = self.inner(uxx, uxx) + self.inner(uxy, uxy)
-        return float(np.sqrt(val))
 
 
 def _bordered_lu(K, weights):

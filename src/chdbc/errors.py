@@ -17,10 +17,6 @@ class SingularSystemError(ChdbcError):
     """A linear factorization or solve failed."""
 
 
-class UnsupportedDomainError(ChdbcError):
-    """Operation is not defined on this domain kind."""
-
-
 class NewtonDivergedError(ChdbcError):
     """Newton iteration did not reach the requested tolerance."""
 

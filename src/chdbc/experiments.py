@@ -229,9 +229,8 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
 # Drivers
 # --------------------------------------------------------------------------
 
-def run_simulate(cfg, outdir, workers=1):
-    """One trajectory; a single run has nothing to fan out, so workers is
-    unused."""
+def run_simulate(cfg, outdir):
+    """One trajectory, with its snapshots and diagnostics table."""
     ops = build_operators(cfg)
     scfg = build_solver_config(cfg)
     f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
@@ -403,9 +402,9 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     return {"rows": rows}
 
 
-def run_stationary(cfg, outdir, workers=1):
+def run_stationary(cfg, outdir):
     """One boundary-value solve and an optional slope sweep, run in this
-    process; workers is unused."""
+    process."""
     pot = build_solver_config(cfg).potential
     K = _f(cfg, "experiment.K")
     problem = _build(stationary.StationaryProblem, pot, K)
@@ -479,8 +478,9 @@ _RUNNERS = {
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
-def run_experiment(cfg, outdir, workers=1):
-    """Dispatch on experiment.kind; writes the manifest first so that a
-    crashed run still documents what was attempted."""
+def run_experiment(cfg, outdir, **options):
+    """Dispatch on experiment.kind, passing the driver its options (workers,
+    for the sweeps); writes the manifest first so that a crashed run still
+    documents what was attempted."""
     write_manifest(cfg, outdir)
-    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, workers=workers)
+    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, **options)

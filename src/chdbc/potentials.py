@@ -79,11 +79,6 @@ class LogarithmicPotential:
     def _df(self, u):
         return -2.0 * self.kappa0 + 2.0 * self.kappa1 / (1.0 - u * u)
 
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        return 4.0 * self.kappa1 * u / (1.0 - u * u) ** 2
-
     def F(self, u):
         """Antiderivative with F(0) = 0; finite limits F(+-1) = -kappa0 + 2*kappa1*ln 2."""
         u = np.asarray(u, dtype=float)
@@ -147,15 +142,6 @@ class PowerSingularPotential:
         s = 1.0 - u * u
         return self.kappa * s ** (-self.p) * (1.0 + (2.0 * self.p - 3.0) * u * u)
 
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        s = 1.0 - u * u
-        return (
-            2.0 * self.kappa * (self.p - 1.0) * u * s ** (-self.p - 1.0)
-            * (3.0 + (2.0 * self.p - 3.0) * u * u)
-        )
-
     def F(self, u):
         u = np.asarray(u, dtype=float)
         _check_closed_interval(u)
@@ -196,10 +182,6 @@ class SmoothDoubleWell:
 
     def _df(self, u):
         return 3.0 * u * u
-
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        return 6.0 * u
 
     def F(self, u):
         return self._F(np.asarray(u, dtype=float))
@@ -265,16 +247,11 @@ class BoundaryNonlinearity:
     """g(z) = z + g0(z) with g0 bounded in C^2; G is the antiderivative, G(0)=0."""
 
     g0: Callable = field(default=_zero)
-    dg0: Callable = field(default=_zero)
     G0: Callable = field(default=_zero)
 
     def g(self, z):
         z = np.asarray(z, dtype=float)
         return z + self.g0(z)
-
-    def dg(self, z):
-        z = np.asarray(z, dtype=float)
-        return 1.0 + self.dg0(z)
 
     def G(self, z):
         z = np.asarray(z, dtype=float)
@@ -289,7 +266,6 @@ class BoundaryNonlinearity:
         """g(z) = z + a*tanh(z); G0(z) = a*ln cosh z."""
         return cls(
             g0=lambda z: a * np.tanh(z),
-            dg0=lambda z: a / np.cosh(z) ** 2,
             G0=lambda z: a * np.log(np.cosh(z)),
         )
 
@@ -348,11 +324,10 @@ def check_separation_condition(spec) -> SeparationConditionReport:
 
 def potential_from_config(kind, *, kappa0=0.0, kappa1=1.0, kappa=1.0, p=3.0):
     """Map config keys potential.kind etc. onto a potential object."""
-    kind = kind.lower()
     if kind == "logarithmic":
         return LogarithmicPotential(kappa0=kappa0, kappa1=kappa1)
-    if kind in ("power", "power-singular", "powersingular"):
+    if kind == "power":
         return PowerSingularPotential(kappa=kappa, p=p)
-    if kind in ("smooth", "smooth-double-well", "smoothdoublewell"):
+    if kind == "smooth":
         return SmoothDoubleWell()
     raise ValueError(f"unknown potential kind: {kind!r}")

@@ -143,11 +143,11 @@ class Stepper:
             + np.linalg.norm(self.h2)
 
         # This stepper's own last mu starts u at u_old - P mu, a time
-        # extrapolation.  A foreign mu may put that u far off, so u starts at
-        # u_old and the first step takes in M^-1 r1 = P mu (lag) as Newton does.
-        mu = np.zeros_like(u_old) if state.mu is None else state.mu.ravel().copy()
-        lag = None if state.mu is None or state.mu is self.mu_out else self.P @ mu
-        u = u_old - self.P @ mu if lag is None else u_old.copy()
+        # extrapolation.  A foreign mu may put that u far off, so it is
+        # dropped and Newton starts at u_old with mu = 0.
+        own = state.mu is not None and state.mu is self.mu_out
+        mu = state.mu.ravel().copy() if own else np.zeros_like(u_old)
+        u = u_old - self.P @ mu
         iters = factorizations = 0
         while True:
             r2 = self._residual(u, mu, rhs2)
@@ -161,7 +161,7 @@ class Stepper:
             if iters and not rnorm_new <= _CONTRACTION * rnorm:
                 self.lu = None
             rnorm = rnorm_new
-            if finite and lag is None and rnorm <= cfg.newton_tol * scale:
+            if finite and rnorm <= cfg.newton_tol * scale:
                 break
             if iters >= cfg.newton_max_iter or not finite:
                 raise NewtonDivergedError(
@@ -176,12 +176,9 @@ class Stepper:
                 except RuntimeError as exc:
                     raise LinearSolveFailedError(str(exc)) from exc
                 factorizations += 1
-            if lag is not None:  # (A + M f_N'(u_old)) P mu, from r1
-                r2 += self.A @ lag + w * self.reg.df(u) * lag
             dmu = self.lu.solve(r2, trans="T")
             mu -= dmu
-            u = u + self.P @ dmu if lag is None else u_old - self.P @ mu
-            lag = None
+            u = u + self.P @ dmu
             iters += 1
 
         bulk = u.reshape(ops.bulk_shape)

@@ -74,13 +74,18 @@ class TestExitCodes:
         ("experiment.eps", "1e-2,abc"), ("experiment.eps", "1e-2,inf"),
         ("experiment.eps", ""), ("experiment.eps", "1e-3,1e-3"),
         ("experiment.ensemble", "0"), ("experiment.ensemble", "1"),
-        ("experiment.n_levels", "0")])
+        ("experiment.n_levels", "0"), ("domain.b", "-2.0"), ("domain.a", "1.0"),
+        ("domain.a", "nan"), ("domain.b", "inf"), ("domain.a", "-inf"),
+        ("domain.Lx", "-2.0"), ("domain.Lx", "0"), ("domain.Lx", "nan"),
+        ("domain.Lx", "inf")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
         # each key is read by the subcommand that uses it
         command = {"experiment.eps": "lipschitz", "experiment.ensemble": "decay",
                    "experiment.n_levels": "converge-n"}.get(key, "simulate")
+        domain = "domain.kind = strip\n" if key == "domain.Lx" else ""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{key} = {value}\n")
+        cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{domain}"
+                       f"{key} = {value}\n")
         rc = main([command, "--config", str(cfg),
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
@@ -91,6 +96,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["decay", "--workers", workers,
                   "--outdir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "stationary"])
+    def test_workers_on_single_run_is_2(self, tmp_path, capsys, command):
+        # one run has nothing to fan out, so the flag is not accepted
+        with pytest.raises(SystemExit) as info:
+            main([command, "--workers", "2", "--outdir", str(tmp_path / "o")])
         assert info.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -248,13 +248,19 @@ class TestTraceMismatch:
             dg.trace_mismatch(iops, traj.cfg, s)
 
 
-class TestSeparationTracker:
-    def test_shapes_and_margins(self, iops):
+class TestRecordMargins:
+    def test_margins_match_states(self, iops):
+        # each record's margins and |f_N(u)|_L1 are those of its snapshot
         traj = run(iops, T=0.02, cadence=5e-3)
-        rep = dg.separation_tracker(traj)
-        assert len(rep.times) == len(traj.states)
-        assert np.all(rep.bulk_margins > 0)
-        assert rep.final_boundary_margin > 0
+        reg = traj.cfg.regularized
+        assert len(traj.records) == len(traj.states) - 1 == 4
+        for rec, st in zip(traj.records, traj.states[1:]):
+            u = st.field.bulk
+            assert rec.t == st.t
+            assert rec.bulk_margin == 1.0 - np.max(np.abs(u)) > 0
+            assert rec.boundary_margin \
+                == 1.0 - np.max(np.abs(st.field.trace)) > 0
+            assert rec.f_l1 == iops.weights @ np.abs(reg.f(u))
 
 
 class TestDecay:

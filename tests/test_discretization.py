@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
                                   field_from_csv, field_to_csv, make_operators,
                                   write_rows)
-from chdbc.errors import (ChdbcError, CorruptSnapshotError, NonZeroMeanError,
-                          UnsupportedDomainError)
+from chdbc.errors import ChdbcError, CorruptSnapshotError, NonZeroMeanError
 
 
 @pytest.fixture
@@ -179,10 +178,6 @@ class TestBoundaryOperators:
         nd = sops.normal_derivative(u)
         assert np.allclose(nd[0], -2.0, atol=1e-10)
         assert np.allclose(nd[1], 2.0, atol=1e-10)
-
-    def test_tangential_unsupported_on_interval(self, iops):
-        with pytest.raises(UnsupportedDomainError):
-            iops.tangential_gradient_seminorm(np.zeros(iops.n_bulk))
 
     def test_trace_of(self, iops):
         v = np.arange(iops.n_bulk, dtype=float)
