@@ -53,7 +53,10 @@ def _load(args):
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         overrides = experiments.parse_config(text)
-    overrides["experiment.kind"] = args.command
+    kind = overrides.setdefault("experiment.kind", args.command)
+    if kind != args.command:
+        raise ConfigError(f"the config's experiment.kind is {kind!r}, but the "
+                          f"subcommand is {args.command!r}")
     if args.command == "stationary":
         if args.potential is not None:
             overrides["potential.kind"] = args.potential

@@ -132,7 +132,6 @@ def records_to_csv(records, path):
 @dataclass(frozen=True)
 class DissipationReport:
     violations: int
-    max_violation: float
     ledger: list  # rows (t0, t1, dE, dissipation_rate)
 
 
@@ -140,13 +139,16 @@ def dissipation_check(traj, tol_frac=0.2, abs_tol=1e-8) -> DissipationReport:
     """Check the discrete energy law between consecutive snapshots:
     E(t1) - E(t0) <= -(1 - tol_frac) * dt * (||du/dt||^2_{H^-1} + ||dpsi/dt||^2_Gamma)
     with a small absolute slack, plus strict energy monotonicity.
-    Assumes static forcing."""
+    Assumes static forcing.  The energies after the initial state are read
+    from traj.records, one per later snapshot."""
     if len(traj.states) < 2:
         raise InsufficientDataError("need at least two snapshots")
+    if [r.t for r in traj.records] != [s.t for s in traj.states[1:]]:
+        raise InsufficientDataError("need one record per snapshot after the first")
     ops, cfg = traj.ops, traj.cfg
-    energies = [energy(ops, cfg, s.field).total for s in traj.states]
+    energies = [energy(ops, cfg, traj.states[0].field).total] \
+        + [r.energy.total for r in traj.records]
     violations = 0
-    max_violation = -np.inf
     ledger = []
     for k in range(len(traj.states) - 1):
         s0, s1 = traj.states[k], traj.states[k + 1]
@@ -160,9 +162,8 @@ def dissipation_check(traj, tol_frac=0.2, abs_tol=1e-8) -> DissipationReport:
         excess = dE + (1.0 - tol_frac) * dt * rate
         if excess > slack or dE > slack:
             violations += 1
-        max_violation = max(max_violation, excess)
         ledger.append((s0.t, s1.t, dE, rate))
-    return DissipationReport(violations, float(max_violation), ledger)
+    return DissipationReport(violations, ledger)
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +186,6 @@ def compute_vi_constant(ops, lam):
 @dataclass(frozen=True)
 class VIReport:
     residuals: list
-    min_residual: float
     max_residual: float
     L: float
     scales: list
@@ -277,8 +277,7 @@ def vi_residual(traj, window, test_functions, L=None) -> VIReport:
         scale = (t - s) * (1.0 + size) * (1.0 + abs(cfg.lam))
         residuals.append(float(total))
         scales.append(float(scale))
-    return VIReport(residuals, float(min(residuals)), float(max(residuals)),
-                    float(L), scales)
+    return VIReport(residuals, float(max(residuals)), float(L), scales)
 
 
 def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,

@@ -3,7 +3,9 @@
 Two desk-scale domains are supported: a 1D interval whose boundary is the
 two endpoints (counting measure, vanishing surface Laplacian) and a 2D
 strip, periodic in x, whose boundary is the two lines y = +-1 (there the
-surface Laplacian is the periodic second derivative in x).
+surface Laplacian is the periodic second derivative in x).  One operators
+class serves both as product grids X x [y0, y1]: the interval is the strip
+with one column of unit weight.
 
 Grids are node-centered and include the boundary nodes; boundary degrees of
 freedom are identified with boundary nodes.  The Neumann Laplacian comes
@@ -32,8 +34,6 @@ __all__ = [
     "PeriodicStrip",
     "Field",
     "make_operators",
-    "IntervalOperators",
-    "StripOperators",
     "write_rows",
     "field_to_csv",
     "field_from_csv",
@@ -139,10 +139,34 @@ def _trapezoid_weights(n, h):
 
 
 class _OperatorsBase:
-    """Shared quadrature, H^-1 and Phi^w machinery; geometry in subclasses."""
+    """Quadrature, stiffness, H^-1 and Phi^w on the product grid X x [y0, y1]
+    of a domain: nx nodes of weight dx along X (periodic on the strip, one
+    node of unit weight on the interval) times the ny-node trapezoid grid
+    along y.  Gamma is the two end rows y = y0 and y = y1, each node weighted
+    dx; bulk values flatten in C order of (nx, ny)."""
 
-    def __init__(self):
-        # Called last by the subclasses, once K and the weights are set.
+    def __init__(self, domain):
+        self.domain = domain
+        if domain.kind == "interval":
+            nx, dx, ny, hy = 1, 1.0, domain.n, domain.h
+            Kx = sp.csr_array((1, 1))  # a two-point Gamma has no Laplacian
+            self.bulk_shape, self.trace_shape = (ny,), (2,)
+            self.area = domain.b - domain.a
+        else:
+            nx, dx, ny, hy = domain.nx, domain.dx, domain.ny, domain.hy
+            Kx = _periodic_stiffness(nx, dx)
+            self.bulk_shape, self.trace_shape = (nx, ny), (2, nx)
+            self.area = 2.0 * domain.Lx
+        self._grid = nx, dx, ny, hy
+        wx, wy = np.full(nx, dx), _trapezoid_weights(ny, hy)
+        self.n_bulk = nx * ny
+        self.weights = np.kron(wx, wy)
+        self.boundary_weights = np.full(2 * nx, dx)
+        idx = np.arange(nx) * ny
+        self.boundary_indices = np.concatenate([idx, idx + ny - 1])  # y0 then y1
+        self.K = (sp.kron(Kx, sp.diags_array(wy))
+                  + sp.kron(sp.diags_array(wx), _interval_stiffness(ny, hy))).tocsr()
+        self.K_gamma = sp.block_diag([Kx, Kx], format="csr")
         self._poisson_lu = _bordered_lu(self.K, self.weights)
 
     # --- quadrature -----------------------------------------------------
@@ -166,11 +190,27 @@ class _OperatorsBase:
         bulk = np.asarray(bulk, dtype=float).reshape(self.bulk_shape)
         return Field(bulk, self.trace_of(bulk))
 
+    def normal_derivative(self, bulk):
+        """Outward one-sided second-order differences across y0 and y1."""
+        _, _, ny, hy = self._grid
+        u = np.reshape(bulk, (-1, ny))
+        bottom = (3.0 * u[:, 0] - 4.0 * u[:, 1] + u[:, 2]) / (2.0 * hy)
+        top = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hy)
+        return np.stack([bottom, top]).reshape(self.trace_shape)
+
     # --- Laplacian and its inverse --------------------------------------
     def laplacian(self, v):
         """Conservative Neumann Laplacian (ghost-node elimination)."""
         flat = -(self.K @ np.ravel(v)) / self.weights
         return flat.reshape(np.shape(v))
+
+    def laplacian_eigenvalues(self):
+        """Generalized eigenvalues of (K, diag(weights)), zero mode first: the
+        outer sum of the periodic (Fourier) x spectrum, [0] for one column,
+        and the Neumann y spectrum."""
+        nx, dx, ny, hy = self._grid
+        kx = (2.0 / dx * np.sin(np.pi * np.arange(nx) / nx)) ** 2
+        return np.add.outer(kx, _neumann_eigenvalues(ny, hy)).ravel()
 
     def inverse_laplacian(self, r):
         """Solve -Lap w = r with Neumann data and zero mean.
@@ -183,14 +223,9 @@ class _OperatorsBase:
         # absolute floor so that all-roundoff inputs (norm ~ eps) pass
         if abs(self.mean(r)) * self.area > max(1e-8 * nrm, 1e-14):
             raise NonZeroMeanError("inverse Laplacian requires zero-mean input")
-        w = self._poisson_solve(flat)
+        w = self._poisson_lu.solve(np.concatenate([self.weights * flat, [0.0]]))[:-1]
         w -= (self.weights @ w) / self.area
         return w.reshape(np.shape(r))
-
-    def _poisson_solve(self, flat_r):
-        rhs = np.concatenate([self.weights * flat_r, [0.0]])
-        sol = self._poisson_lu.solve(rhs)
-        return sol[:-1]
 
     def h_minus1_norm(self, r):
         """|| r ||_{H^-1}: (A r, r)^(1/2) on zero-mean r."""
@@ -208,76 +243,6 @@ class _OperatorsBase:
         return float(np.sqrt(self.h_minus1_norm(d) ** 2 + self.boundary_inner(dpsi, dpsi)))
 
 
-class IntervalOperators(_OperatorsBase):
-    def __init__(self, domain: Interval):
-        self.domain = domain
-        n, h = domain.n, domain.h
-        self.bulk_shape = (n,)
-        self.trace_shape = (2,)
-        self.n_bulk = n
-        self.weights = _trapezoid_weights(n, h)
-        self.area = domain.b - domain.a
-        # Two-point boundary: counting measure on Gamma.
-        self.boundary_weights = np.ones(2)
-        self.boundary_indices = np.array([0, n - 1])
-        self.K = _interval_stiffness(n, h)
-        # Laplace-Beltrami on a two-point boundary vanishes.
-        self.K_gamma = sp.csr_array((2, 2))
-        super().__init__()
-
-    def normal_derivative(self, bulk):
-        """Outward one-sided second-order differences at the two endpoints."""
-        u = np.ravel(bulk)
-        h = self.domain.h
-        left = (3.0 * u[0] - 4.0 * u[1] + u[2]) / (2.0 * h)
-        right = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        return np.array([left, right])
-
-    def laplacian_eigenvalues(self):
-        """Generalized eigenvalues of (K, diag(weights)), zero mode first."""
-        return _neumann_eigenvalues(self.domain.n, self.domain.h)
-
-
-class StripOperators(_OperatorsBase):
-    def __init__(self, domain: PeriodicStrip):
-        self.domain = domain
-        nx, ny = domain.nx, domain.ny
-        dx, hy = domain.dx, domain.hy
-        self.bulk_shape = (nx, ny)
-        self.trace_shape = (2, nx)
-        self.n_bulk = nx * ny
-        wx = np.full(nx, dx)
-        wy = _trapezoid_weights(ny, hy)
-        self.weights = np.kron(wx, wy)  # C-order flattening of (nx, ny)
-        self.area = 2.0 * domain.Lx
-        self.boundary_weights = np.full(2 * nx, dx)
-        idx = np.arange(nx) * ny
-        self.boundary_indices = np.concatenate([idx, idx + ny - 1])  # y=-1 then y=+1
-        Kx = _periodic_stiffness(nx, dx)
-        Ky = _interval_stiffness(ny, hy)
-        Mx = sp.diags_array(wx)
-        My = sp.diags_array(wy)
-        self.K = (sp.kron(Kx, My) + sp.kron(Mx, Ky)).tocsr()
-        self.K_gamma = sp.block_diag(
-            [_periodic_stiffness(nx, dx), _periodic_stiffness(nx, dx)], format="csr"
-        )
-        super().__init__()
-
-    def normal_derivative(self, bulk):
-        u = np.asarray(bulk).reshape(self.bulk_shape)
-        hy = self.domain.hy
-        bottom = (3.0 * u[:, 0] - 4.0 * u[:, 1] + u[:, 2]) / (2.0 * hy)
-        top = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hy)
-        return np.stack([bottom, top])
-
-    def laplacian_eigenvalues(self):
-        """Generalized eigenvalues of (K, diag(weights)), zero mode first: the
-        outer sum of the periodic (Fourier) x and the Neumann y spectra."""
-        dom = self.domain
-        kx = (2.0 / dom.dx * np.sin(np.pi * np.arange(dom.nx) / dom.nx)) ** 2
-        return np.add.outer(kx, _neumann_eigenvalues(dom.ny, dom.hy)).ravel()
-
-
 def _bordered_lu(K, weights):
     m = sp.csr_array(weights.reshape(1, -1))
     A = sp.block_array([[K, m.T], [m, None]], format="csc")
@@ -288,11 +253,9 @@ def _bordered_lu(K, weights):
 
 
 def make_operators(domain):
-    if isinstance(domain, Interval):
-        return IntervalOperators(domain)
-    if isinstance(domain, PeriodicStrip):
-        return StripOperators(domain)
-    raise TypeError(f"unknown domain: {domain!r}")
+    if not isinstance(domain, (Interval, PeriodicStrip)):
+        raise TypeError(f"unknown domain: {domain!r}")
+    return _OperatorsBase(domain)
 
 
 def write_rows(path, header, rows):

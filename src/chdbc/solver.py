@@ -24,7 +24,6 @@ _CONTRACTION.  P 1 = 0, so each iterate's constant mode of mu is exact.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -40,8 +39,6 @@ from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
            "simulate", "chemical_potential_mean", "MuMeanReport"]
-
-log = logging.getLogger("chdbc")
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,6 @@ class Stepper:
         self.lu = self.mu_out = None  # LU of S; the mu of the last step
         self.h1, self.h2 = diagnostics.forcing_arrays(ops, cfg)
         self.w_sum = float(np.sum(w))
-        # Surface the regime where the explicit shift dominates the implicit
-        # slope; the splitting is only provably monotone below it.
-        fmin = float(np.min(self.reg.df(np.linspace(-2.0, 2.0, 401))))
-        if cfg.lam >= fmin:
-            log.warning("lambda=%g exceeds min f_N'=%g: shifted nonlinearity "
-                        "is nonmonotone somewhere (N may be too small)",
-                        cfg.lam, fmin)
 
     def _residual(self, u, mu, rhs2):
         return self.ops.weights * (mu - self.reg.f(u)) - self.A @ u - rhs2

@@ -59,6 +59,26 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad),
                      "--outdir", str(tmp_path / "o")]) == 2
 
+    def test_config_kind_other_than_subcommand_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("experiment.kind = decay\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        assert "experiment.kind" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_replays_with_its_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 24\nsolver.dt = 1e-2\nexperiment.T = 0.05\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest.txt"
+        assert "experiment.kind = simulate" in manifest.read_text()
+        assert main(["simulate", "--config", str(manifest),
+                     "--outdir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == \
+            (tmp_path / "b" / "diagnostics.csv").read_bytes()
+
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--outdir", str(tmp_path / "o")]) == 2

@@ -50,6 +50,27 @@ class TestDissipation:
         assert rep.violations == 0
         assert len(rep.ledger) > 0
 
+    def test_energy_only_of_the_initial_state(self, iops, monkeypatch):
+        """The records hold bitwise the energies of the later snapshots, so
+        the check computes only the initial state's."""
+        traj = run(iops, cadence=5e-3)
+        assert [r.energy.total for r in traj.records] == \
+            [dg.energy(iops, traj.cfg, s.field).total for s in traj.states[1:]]
+        calls = []
+        energy = dg.energy
+        monkeypatch.setattr(dg, "energy",
+                            lambda *a: calls.append(a) or energy(*a))
+        rep = dg.dissipation_check(traj)
+        assert len(calls) == 1 and calls[0][2] is traj.states[0].field
+        assert len(rep.ledger) == len(traj.records)
+
+    def test_records_must_match_snapshots(self, iops):
+        traj = run(iops, cadence=5e-3)
+        for records in ([], traj.records[:-1], traj.records[::-1]):
+            broken = Trajectory(iops, traj.cfg, traj.states, records, 5e-3)
+            with pytest.raises(InsufficientDataError):
+                dg.dissipation_check(broken)
+
     def test_needs_two_snapshots(self, iops):
         traj = run(iops, T=1e-3)
         broken = Trajectory(iops, traj.cfg, traj.states[:1], [], 1e-3)

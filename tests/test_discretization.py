@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
-                                  field_from_csv, field_to_csv, make_operators,
-                                  write_rows)
+                                  _interval_stiffness, _neumann_eigenvalues,
+                                  _trapezoid_weights, field_from_csv,
+                                  field_to_csv, make_operators, write_rows)
 from chdbc.errors import ChdbcError, CorruptSnapshotError, NonZeroMeanError
 
 
@@ -140,6 +141,31 @@ def test_laplacian_eigenvalues_match_dense(domain):
     assert kappa.shape == (ops.n_bulk,)
     assert kappa[0] == 0.0 and np.all(kappa[1:] > 0.0)
     assert np.max(np.abs(np.sort(kappa) - dense)) <= 1e-12 * dense[-1]
+
+
+@pytest.mark.parametrize("n, a, b", [(5, -1.0, 1.0), (33, -1.0, 1.0),
+                                     (129, -4.0, 4.0), (17, 0.3, 1.7)])
+def test_interval_is_the_one_column_strip_exactly(n, a, b):
+    """The product grid with one column of unit weight reproduces the 1D
+    stencil, trapezoid weights, counting measure and spectrum bit for bit."""
+    dom = Interval(n, a, b)
+    ops = make_operators(dom)
+    K1 = _interval_stiffness(n, dom.h)
+    assert ops.K.shape == K1.shape
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ops.K, attr), getattr(K1, attr))
+    assert np.array_equal(ops.weights, _trapezoid_weights(n, dom.h))
+    assert ops.K_gamma.shape == (2, 2) and ops.K_gamma.nnz == 0
+    assert np.array_equal(ops.boundary_weights, [1.0, 1.0])
+    assert np.array_equal(ops.boundary_indices, [0, n - 1])
+    assert np.array_equal(ops.laplacian_eigenvalues(),
+                          _neumann_eigenvalues(n, dom.h))
+    assert (ops.bulk_shape, ops.trace_shape, ops.area) == ((n,), (2,), b - a)
+
+
+def test_unknown_domain_is_a_type_error():
+    with pytest.raises(TypeError):
+        make_operators((2.0, 8, 9))
 
 
 class TestPhiW:

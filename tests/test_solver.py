@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ class TestStepBasics:
         m0 = iops.mean(f0.bulk)
         for s in traj.states:
             assert abs(iops.mean(s.field.bulk) - m0) < 1e-13
+
+    def test_spinodal_lambda_logs_nothing(self, iops, caplog):
+        """lam above f'(0) = min f_N' for every N is the spinodal regime the
+        explicit -lam u of the splitting handles; it is no cause to warn."""
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=64, lam=6.0,
+                           dt=1e-3)
+        with caplog.at_level(logging.DEBUG):
+            simulate(iops, cfg, smooth_data(iops), T=5e-3)
+        assert caplog.records == []
 
     def test_trace_coupling_exact(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
