@@ -28,7 +28,7 @@ __all__ = [
     "dissipation_check", "DissipationReport",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
     "trace_mismatch", "TraceMismatchReport",
-    "decay_experiment", "DecayReport",
+    "decay_experiment", "DecayReport", "exponential_fit",
     "records_to_csv",
 ]
 
@@ -298,17 +298,11 @@ def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,
         raise InadmissibleTestFunctionError(f"no room for bumps at mass {mass!r}")
     while len(out) < count:
         if ops.domain.kind == "interval":
-            x = ops.domain.x
-            k = rng.integers(1, 4)
-            prof = np.cos(np.pi * k * (x - ops.domain.a) / (ops.domain.b - ops.domain.a))
+            prof = ops.cosine_mode(0, rng.integers(1, 4))
             prof = prof + 0.5 * rng.standard_normal() * np.exp(
-                -((x - rng.uniform(-0.5, 0.5)) / 0.4) ** 2)
+                -((ops.domain.x - rng.uniform(-0.5, 0.5)) / 0.4) ** 2)
         else:
-            X = ops.domain.x[:, None]
-            Y = ops.domain.y[None, :]
-            kx = int(rng.integers(1, 3))
-            prof = np.cos(2.0 * np.pi * kx * X / ops.domain.Lx) * np.cos(
-                np.pi * rng.integers(1, 3) * (Y + 1.0) / 2.0)
+            prof = ops.cosine_mode(rng.integers(1, 3), rng.integers(1, 3))
         prof = prof - ops.mean(prof)
         amp = (1.0 - delta_w - abs(mass)) * rng.uniform(0.2, 0.95)
         mx = np.max(np.abs(prof))
@@ -356,18 +350,15 @@ class DecayReport:
     phi_w_diameters: np.ndarray
     h1_diameters: np.ndarray
     energy_spreads: np.ndarray
-    decay_rate: float  # fitted exponential rate on the transient
+    decay_rate: float  # -K of exponential_fit to the phi_w diameters
 
 
 def decay_experiment(ops, cfg, runs) -> DecayReport:
     """Diameter decay of an ensemble sharing the same mass; runs holds each
     member's snapshot States, taken at the same times."""
     times = np.array([s.t for s in runs[0]])
-    n_snap = len(times)
-    phi_d = np.zeros(n_snap)
-    h1_d = np.zeros(n_snap)
-    e_spread = np.zeros(n_snap)
-    for k in range(n_snap):
+    phi_d, h1_d, e_spread = np.zeros((3, len(times)))
+    for k in range(len(times)):
         fields = [run[k].field for run in runs]
         energies = [energy(ops, cfg, f).total for f in fields]
         e_spread[k] = max(energies) - min(energies)
@@ -376,10 +367,21 @@ def decay_experiment(ops, cfg, runs) -> DecayReport:
             d = (fi.bulk - fj.bulk).ravel()
             h1 = np.sqrt(float(d @ (ops.K @ d)) + ops.inner(d, d))
             h1_d[k] = max(h1_d[k], h1)
-    mask = (phi_d > 1e-14) & (times > 0)
-    if mask.sum() >= 2:
-        coef = np.polyfit(times[mask], np.log(phi_d[mask]), 1)
-        rate = float(-coef[0])
-    else:
-        rate = 0.0
-    return DecayReport(times, phi_d, h1_d, e_spread, rate)
+    return DecayReport(times, phi_d, h1_d, e_spread,
+                       -exponential_fit(times, phi_d)[0])
+
+
+def exponential_fit(times, d):
+    """(K, C) of d(t) ~ C d(0) e^(K t), fitted to the samples with t > 0
+    and d > 1e-14: with two or more, a least-squares line in log(d / d(0));
+    with one, K = log(d1 / d(0)) / t1 and C = 1; with none, or d(0) = 0,
+    (nan, nan)."""
+    times, d = np.asarray(times, dtype=float), np.asarray(d, dtype=float)
+    keep = (times > 0) & (d > 1e-14) & (d[0] > 0)
+    ts, logs = times[keep], np.log(d[keep] / d[0])
+    if len(ts) >= 2:
+        K, logC = np.polyfit(ts, logs, 1)
+        return float(K), float(np.exp(logC))
+    if len(ts) == 1:
+        return float(logs[0] / ts[0]), 1.0
+    return np.nan, np.nan

@@ -152,11 +152,13 @@ class _OperatorsBase:
             Kx = sp.csr_array((1, 1))  # a two-point Gamma has no Laplacian
             self.bulk_shape, self.trace_shape = (ny,), (2,)
             self.area = domain.b - domain.a
+            self._axes = np.zeros(1), 1.0, domain.x
         else:
             nx, dx, ny, hy = domain.nx, domain.dx, domain.ny, domain.hy
             Kx = _periodic_stiffness(nx, dx)
             self.bulk_shape, self.trace_shape = (nx, ny), (2, nx)
             self.area = 2.0 * domain.Lx
+            self._axes = domain.x, domain.Lx, domain.y
         self._grid = nx, dx, ny, hy
         wx, wy = np.full(nx, dx), _trapezoid_weights(ny, hy)
         self.n_bulk = nx * ny
@@ -189,6 +191,15 @@ class _OperatorsBase:
     def field_from_bulk(self, bulk):
         bulk = np.asarray(bulk, dtype=float).reshape(self.bulk_shape)
         return Field(bulk, self.trace_of(bulk))
+
+    def cosine_mode(self, kx, ky, phase=0.0, amp=1.0):
+        """amp cos(2 pi kx x / period + phase) cos(pi ky (y - y0) / (y1 - y0)):
+        a periodic mode along X (the constant on the interval's one column)
+        times a Neumann cosine mode along y."""
+        x, period, y = self._axes
+        cx = np.cos(2.0 * np.pi * kx * x / period + phase)
+        cy = np.cos(np.pi * ky * (y - y[0]) / (y[-1] - y[0]))
+        return ((amp * cx)[:, None] * cy[None, :]).reshape(self.bulk_shape)
 
     def normal_derivative(self, bulk):
         """Outward one-sided second-order differences across y0 and y1."""

@@ -187,37 +187,19 @@ def _cadence(cfg):
     return _f(cfg, "experiment.cadence") if cfg["experiment.cadence"] else None
 
 
-def _snapshot_cadence(cfg, scfg, T):
-    """Configured cadence, defaulting to every 10th step, capped by T."""
-    cad = _cadence(cfg) or 10.0 * scfg.dt
-    return min(cad, T)
-
-
 def initial_field(ops, seed, amplitude, mean) -> Field:
     """Deterministic spinodal-like data: a few random low modes, normalized,
     then mean-corrected so that |u0| <= |mean| + amplitude < 1."""
     if not abs(mean) + amplitude < 1.0:  # NaN fails too
         raise ConfigError("require |experiment.mean| + experiment.amplitude < 1")
     rng = np.random.default_rng(seed)
-    dom = ops.domain
-    if dom.kind == "interval":
-        x = dom.x
-        prof = np.zeros_like(x)
-        for k in range(1, 5):
-            prof += rng.standard_normal() * np.cos(
-                np.pi * k * (x - dom.a) / (dom.b - dom.a))
-    else:
-        X = dom.x[:, None]
-        Y = dom.y[None, :]
-        prof = np.zeros((dom.nx, dom.ny))
-        for kx in range(3):
-            for ky in range(3):
-                if kx == 0 and ky == 0:
-                    continue
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                prof += rng.standard_normal() * np.cos(
-                    2.0 * np.pi * kx * X / dom.Lx + phase) * np.cos(
-                    np.pi * ky * (Y + 1.0) / 2.0)
+    strip = ops.domain.kind == "strip"
+    modes = [(kx, ky) for kx in range(3) for ky in range(3) if kx or ky] \
+        if strip else [(0, k) for k in range(1, 5)]
+    prof = np.zeros(ops.bulk_shape)
+    for kx, ky in modes:
+        phase = rng.uniform(0.0, 2.0 * np.pi) if strip else 0.0
+        prof += ops.cosine_mode(kx, ky, phase, rng.standard_normal())
     prof = prof - ops.mean(prof)
     mx = np.max(np.abs(prof))
     u0 = mean + (amplitude / mx) * prof
@@ -229,13 +211,49 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
 # Drivers
 # --------------------------------------------------------------------------
 
+def _trajectory(cfg, N, h2, seed, eps, T, cadence):
+    """One run, rebuilt from the plain config dict.  N and h2 of None take
+    the config's values; eps > 0 adds eps times a fixed mean-neutral mode to
+    the initial data."""
+    ops = build_operators(cfg)
+    scfg = build_solver_config(cfg, N=N, h2=h2)
+    f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
+                       _f(cfg, "experiment.mean"))
+    if eps:
+        dv = ops.cosine_mode(0, 2) if ops.domain.kind == "interval" \
+            else ops.cosine_mode(1, 1)
+        dv = dv - ops.mean(dv)
+        dv /= np.max(np.abs(dv))
+        f0 = ops.field_from_bulk(f0.bulk + eps * dv)
+    return simulate(ops, scfg, f0, T, cadence)
+
+
+def _run(args):
+    """_trajectory(*args).states, for a pool process: a Trajectory does not
+    pickle, since its operators hold a SuperLU and a tanh g holds lambdas."""
+    return _trajectory(*args).states
+
+
+def _sweep(cfg, jobs, workers, T=None, cadence=None):
+    """The snapshot States of each (N, h2, seed, eps) job, in order, run in
+    at most `workers` processes.  T defaults to experiment.T, and the
+    cadence to experiment.cadence or else every 10th step, capped by T."""
+    if T is None:
+        T = _f(cfg, "experiment.T")
+        cadence = min(_cadence(cfg) or 10.0 * build_solver_config(cfg).dt, T)
+    args = [(cfg, *job, T, cadence) for job in jobs]
+    workers = min(workers, len(args))
+    if workers <= 1:
+        return [_run(a) for a in args]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_run, args))
+
+
 def run_simulate(cfg, outdir):
     """One trajectory, with its snapshots and diagnostics table."""
-    ops = build_operators(cfg)
-    scfg = build_solver_config(cfg)
-    f0 = initial_field(ops, _i(cfg, "seed"), _f(cfg, "experiment.amplitude"),
-                       _f(cfg, "experiment.mean"))
-    traj = simulate(ops, scfg, f0, _f(cfg, "experiment.T"), _cadence(cfg))
+    traj = _trajectory(cfg, None, None, _i(cfg, "seed"), 0.0,
+                       _f(cfg, "experiment.T"), _cadence(cfg))
+    ops = traj.ops
     os.makedirs(outdir, exist_ok=True)
     for k, st in enumerate(traj.states):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))
@@ -247,43 +265,9 @@ def run_simulate(cfg, outdir):
         "snapshots": len(traj.states),
         "final_time": traj.final.t,
         "final_energy": last.energy.total,
-        "mass_drift": abs(last.mass - ops.mean(f0.bulk)),
+        "mass_drift": abs(last.mass - ops.mean(traj.states[0].field.bulk)),
         "dissipation_violations": rep.violations,
     }
-
-
-def _run(args):
-    """One sweep run, rebuilt from the plain config dict so that it can run
-    in a pool process: (cfg, N, h2, seed, eps, T, cadence) -> the snapshot
-    States.  N and h2 of None take the config's values; eps > 0 adds eps
-    times a fixed mean-neutral mode to the initial data.  States go back, not
-    the Trajectory, which does not pickle: its operators hold a SuperLU and a
-    tanh g holds lambdas."""
-    cfg, N, h2, seed, eps, T, cadence = args
-    ops = build_operators(cfg)
-    scfg = build_solver_config(cfg, N=N, h2=h2)
-    f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
-                       _f(cfg, "experiment.mean"))
-    if eps:
-        dom = ops.domain
-        if dom.kind == "interval":
-            dv = np.cos(2.0 * np.pi * (dom.x - dom.a) / (dom.b - dom.a))
-        else:
-            dv = np.cos(2.0 * np.pi * dom.x[:, None] / dom.Lx) * np.cos(
-                np.pi * (dom.y[None, :] + 1.0) / 2.0)
-        dv = dv - ops.mean(dv)
-        dv /= np.max(np.abs(dv))
-        f0 = ops.field_from_bulk(f0.bulk + eps * dv)
-    return simulate(ops, scfg, f0, T, cadence).states
-
-
-def _pool_map(jobs, workers):
-    """_run over the jobs, in order, in at most `workers` processes."""
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [_run(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_run, jobs))
 
 
 def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
@@ -293,13 +277,12 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
         raise ConfigError(f"experiment.n_levels must be >= 1, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
     ops = build_operators(cfg)
-    dt = build_solver_config(cfg, N=Ns[0]).dt  # solver.N itself is unused
+    dt = build_solver_config(cfg, N=Ns[0]).dt
     # Snapshot only on the coarsest grid that holds every requested time.
     steps = [round(t / dt) for t in times]
     stride = math.gcd(*steps)
-    runs = dict(zip(Ns, _pool_map(
-        [(cfg, N, None, _i(cfg, "seed"), 0.0, max(times), stride * dt)
-         for N in Ns], workers)))
+    jobs = [(N, None, _i(cfg, "seed"), 0.0) for N in Ns]
+    runs = dict(zip(Ns, _sweep(cfg, jobs, workers, max(times), stride * dt)))
     rows = [(t, N, ops.phi_w_distance(runs[N][k // stride].field,
                                       runs[2 * N][k // stride].field))
             for t, k in zip(times, steps) for N in Ns[:-1]]
@@ -328,28 +311,19 @@ def run_lipschitz(cfg, outdir, workers=1):
     if len(set(eps_list)) < len(eps_list):
         raise ConfigError(f"experiment.eps repeats a value: {raw!r}")
     ops = build_operators(cfg)
-    T = _f(cfg, "experiment.T")
-    cadence = _snapshot_cadence(cfg, build_solver_config(cfg), T)
-    base, *perturbed = _pool_map(
-        [(cfg, None, None, _i(cfg, "seed"), eps, T, cadence)
-         for eps in [0.0] + eps_list], workers)
+    base, *perturbed = _sweep(
+        cfg, [(None, None, _i(cfg, "seed"), eps) for eps in [0.0] + eps_list],
+        workers)
+    ts = [sb.t for sb in base]
     rows, fitted_C, fitted_K, ratios = [], {}, {}, {}
     for eps, run in zip(eps_list, perturbed):
-        dists = [(sb.t, ops.phi_w_distance(sb.field, sp.field))
-                 for sb, sp in zip(base, run)]
-        d0 = dists[0][1]
-        for t, d in dists:
-            rows.append((eps, t, d))
-        ts = np.array([t for t, d in dists if d > 0 and t > 0])
-        ds = np.array([d for t, d in dists if d > 0 and t > 0])
-        if len(ts) >= 2:
-            K_fit, logC = np.polyfit(ts, np.log(ds / d0), 1)
-        else:
-            # single sample: read the envelope straight off the endpoint
-            K_fit = float(np.log(ds[-1] / d0) / ts[-1]) if len(ts) else 0.0
-            logC = 0.0
-        fitted_C[eps], fitted_K[eps] = float(np.exp(logC)), float(K_fit)
-        ratios[eps] = dists[-1][1] / d0
+        ds = [ops.phi_w_distance(sb.field, sp.field) for sb, sp in zip(base, run)]
+        if ds[0] == 0.0:
+            raise ConfigError(f"experiment.eps = {eps!r} leaves the perturbed "
+                              "start equal to the base start")
+        rows += [(eps, t, d) for t, d in zip(ts, ds)]
+        fitted_K[eps], fitted_C[eps] = diagnostics.exponential_fit(ts, ds)
+        ratios[eps] = ds[-1] / ds[0]
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "lipschitz.csv"),
                ["eps", "t", "phi_w_distance"], rows)
@@ -361,10 +335,8 @@ def _final_margins(cfg, sweep, workers):
     """(bulk margin, boundary margin, trace gap) at T of each (N, h2) run."""
     ops = build_operators(cfg)
     scfgs = [build_solver_config(cfg, N=N, h2=h2) for N, h2 in sweep]
-    T = _f(cfg, "experiment.T")
-    cadence = _snapshot_cadence(cfg, scfgs[0], T)
-    runs = _pool_map([(cfg, N, h2, _i(cfg, "seed"), 0.0, T, cadence)
-                      for N, h2 in sweep], workers)
+    runs = _sweep(cfg, [(N, h2, _i(cfg, "seed"), 0.0) for N, h2 in sweep],
+                  workers)
     return [(1.0 - float(np.max(np.abs(run[-1].field.bulk))),
              1.0 - float(np.max(np.abs(run[-1].field.trace))),
              diagnostics.trace_mismatch(ops, scfg, run[-1]).gap)
@@ -447,14 +419,10 @@ def run_decay(cfg, outdir, workers=1):
     n_ens = _i(cfg, "experiment.ensemble")
     if n_ens < 2:
         raise ConfigError(f"experiment.ensemble must be >= 2, got {n_ens}")
-    ops = build_operators(cfg)
-    scfg = build_solver_config(cfg)
-    seed = _i(cfg, "seed")
-    T = _f(cfg, "experiment.T")
-    cadence = _snapshot_cadence(cfg, scfg, T)
-    runs = _pool_map([(cfg, None, None, seed + k, 0.0, T, cadence)
-                      for k in range(n_ens)], workers)
-    rep = diagnostics.decay_experiment(ops, scfg, runs)
+    runs = _sweep(cfg, [(None, None, _i(cfg, "seed") + k, 0.0)
+                        for k in range(n_ens)], workers)
+    rep = diagnostics.decay_experiment(build_operators(cfg),
+                                       build_solver_config(cfg), runs)
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "decay.csv"),
                ["t", "phi_w_diameter", "h1_diameter", "energy_spread"],
@@ -476,11 +444,22 @@ _RUNNERS = {
     "decay": run_decay,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
+# Keys a driver does not read, since it sets their values itself.
+_UNREAD = {"converge-n": ("experiment.T", "experiment.cadence", "solver.N"),
+           "separation": ("solver.N",), "sign-condition": ("solver.N",)}
 
 
 def run_experiment(cfg, outdir, **options):
     """Dispatch on experiment.kind, passing the driver its options (workers,
     for the sweeps); writes the manifest first so that a crashed run still
-    documents what was attempted."""
+    documents what was attempted.  A key the driver does not read must be
+    left at its default, compared parsed, so that a manifest still replays."""
+    kind = cfg["experiment.kind"]
+    for key in _UNREAD.get(kind, ()):
+        value, default = cfg[key], DEFAULTS[key]
+        if value != default and (not value or not default
+                                 or _f(cfg, key) != float(default)):
+            raise ConfigError(f"{kind} does not read {key}; leave it out or "
+                              f"at its default {default!r}")
     write_manifest(cfg, outdir)
-    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, **options)
+    return _RUNNERS[kind](cfg, outdir, **options)

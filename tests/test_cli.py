@@ -103,13 +103,54 @@ class TestExitCodes:
         command = {"experiment.eps": "lipschitz", "experiment.ensemble": "decay",
                    "experiment.n_levels": "converge-n"}.get(key, "simulate")
         domain = "domain.kind = strip\n" if key == "domain.Lx" else ""
+        # converge-n rejects an experiment.T it does not read
+        T = "" if command == "converge-n" else "experiment.T = 0.01\n"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.n = 16\nexperiment.T = 0.01\n{domain}"
-                       f"{key} = {value}\n")
+        cfg.write_text(f"domain.n = 16\n{T}{domain}{key} = {value}\n")
         rc = main([command, "--config", str(cfg),
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if command == "converge-n":
+            assert "experiment.n_levels" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("converge-n", "experiment.T", "0.02"),
+        ("converge-n", "experiment.cadence", "0.01"),
+        ("converge-n", "solver.N", "64"),
+        ("separation", "solver.N", "64"),
+        ("sign-condition", "solver.N", "16")])
+    def test_unread_key_is_2(self, tmp_path, capsys, command, key, value):
+        # the driver sets these itself, so a value for one would be ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.n = 33\nsolver.dt = 1e-2\n{key} = {value}\n")
+        assert main([command, "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unread_key_at_its_default_replays(self, tmp_path):
+        # compared parsed: 0.10 is the default T, and a manifest lists all keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 16\nsolver.dt = 5e-2\nexperiment.T = 0.10\n"
+                       "solver.N = 8\nexperiment.n_levels = 1\n")
+        assert main(["converge-n", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "a")]) == 0
+        assert main(["converge-n", "--config",
+                     str(tmp_path / "a" / "manifest.txt"),
+                     "--outdir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "converge_n.csv").read_bytes() == \
+            (tmp_path / "b" / "converge_n.csv").read_bytes()
+
+    def test_lipschitz_eps_below_resolution_is_2(self, tmp_path, capsys):
+        # 1e-300 times the mode leaves every start value as it was
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 24\nsolver.dt = 1e-2\nexperiment.T = 0.05\n"
+                       "experiment.eps = 1e-2,1e-300\n")
+        assert main(["lipschitz", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        assert "experiment.eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-1", "two"])
     def test_bad_workers_is_2(self, tmp_path, capsys, workers):
@@ -276,6 +317,25 @@ class TestSweepDrivers:
         assert set(out["eps"]) == {1e-2, 1e-3}
         r = out["final_over_initial"]
         assert r[1e-2] == pytest.approx(r[1e-3], rel=0.05)
+
+    def test_decay_rate_from_one_sample(self, tmp_path):
+        # the default cadence, 10 dt = T, leaves one snapshot after t = 0
+        cfg = {"solver.dt": "1e-2", "domain.n": "33", "experiment.T": "0.1",
+               "experiment.ensemble": "3"}
+        one = ex.run_decay(ex.resolve_config(cfg, seed=1), tmp_path / "a")
+        five = ex.run_decay(ex.resolve_config(
+            {**cfg, "experiment.cadence": "0.02"}, seed=1), tmp_path / "b")
+        assert 0.0 < one["decay_rate"] < math.inf
+        assert one["decay_rate"] == pytest.approx(five["decay_rate"], rel=0.1)
+
+    def test_decay_rate_of_equal_members_is_nan(self, tmp_path):
+        cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
+                                 "experiment.T": "0.05",
+                                 "experiment.ensemble": "2",
+                                 "experiment.amplitude": "0"})
+        out = ex.run_decay(cfg, tmp_path)
+        assert out["initial_diameter"] == 0.0
+        assert math.isnan(out["decay_rate"])
 
     def test_decay_outputs(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",

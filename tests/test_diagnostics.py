@@ -318,6 +318,32 @@ class TestDecay:
         assert np.allclose(r1.phi_w_diameters, r2.phi_w_diameters, atol=1e-13)
 
 
+class TestExponentialFit:
+    def test_recovers_K_and_C(self):
+        t = np.linspace(0.0, 1.0, 11)
+        d = 0.3 * np.r_[1.0, 1.7 * np.exp(-2.5 * t[1:])]
+        K, C = dg.exponential_fit(t, d)
+        assert K == pytest.approx(-2.5, rel=1e-12)
+        assert C == pytest.approx(1.7, rel=1e-12)
+
+    def test_one_sample_reads_the_endpoint(self):
+        K, C = dg.exponential_fit([0.0, 0.1], [0.5, 0.25])
+        assert K == pytest.approx(np.log(0.5) / 0.1, rel=1e-15)
+        assert C == 1.0
+
+    def test_samples_at_or_below_the_floor_are_dropped(self):
+        # t = 0 and d <= 1e-14 are not fitted: one sample is left
+        K, C = dg.exponential_fit([0.0, 0.1, 0.2, 0.3],
+                                  [1.0, 0.5, 1e-14, 0.0])
+        assert (K, C) == (np.log(0.5) / 0.1, 1.0)
+
+    @pytest.mark.parametrize("t, d", [([0.0], [1.0]), ([0.0, 0.1], [1.0, 0.0]),
+                                      ([0.0, 0.1, 0.2], [0.0, 0.0, 0.0])])
+    def test_no_sample_is_nan(self, t, d):
+        K, C = dg.exponential_fit(t, d)
+        assert np.isnan(K) and np.isnan(C)
+
+
 def test_records_to_csv(tmp_path, iops):
     traj = run(iops, T=5e-3)
     path = tmp_path / "diag.csv"

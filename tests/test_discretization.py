@@ -163,6 +163,32 @@ def test_interval_is_the_one_column_strip_exactly(n, a, b):
     assert (ops.bulk_shape, ops.trace_shape, ops.area) == ((n,), (2,), b - a)
 
 
+@pytest.mark.parametrize("domain", [Interval(24), Interval(33, -4.0, 4.0),
+                                    Interval(17, 0.3, 2.9),
+                                    PeriodicStrip(2.0, 8, 9),
+                                    PeriodicStrip(3.7, 12, 7)])
+def test_cosine_mode_is_the_per_domain_formula_exactly(domain):
+    """One basis for both domains: bit for bit the formulas written per
+    domain kind, amp * cos_x * cos_y in that order."""
+    ops = make_operators(domain)
+    rng = np.random.default_rng(0)
+    for kx, ky in [(0, 1), (0, 2), (1, 1), (2, 0), (2, 2), (1, 3)]:
+        phase, amp = rng.uniform(0.0, 2.0 * np.pi), rng.standard_normal()
+        if domain.kind == "interval":
+            if kx:
+                continue
+            x, a, b = domain.x, domain.a, domain.b
+            want = amp * np.cos(np.pi * ky * (x - a) / (b - a))
+            got = ops.cosine_mode(0, ky, amp=amp)
+        else:
+            X, Y = domain.x[:, None], domain.y[None, :]
+            want = amp * np.cos(2.0 * np.pi * kx * X / domain.Lx + phase) \
+                * np.cos(np.pi * ky * (Y + 1.0) / 2.0)
+            got = ops.cosine_mode(kx, ky, phase, amp)
+        assert got.shape == ops.bulk_shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_unknown_domain_is_a_type_error():
     with pytest.raises(TypeError):
         make_operators((2.0, 8, 9))

@@ -1,4 +1,4 @@
-"""Reference outputs of the six stepping subcommands on small configs.
+"""Reference outputs of every subcommand on small configs.
 
 Each case runs one `chdbc` subcommand and compares every file it writes with
 the committed copy under tests/data/reference/<case>/:
@@ -58,6 +58,14 @@ CASES = {
     "decay-strip": ("decay", {**_STRIP, "experiment.T": 0.1,
                               "experiment.cadence": 0.02,
                               "experiment.ensemble": 2}),
+    # classical with a slope sweep, variational-only, and F(1) = inf
+    "stationary-log-sweep": ("stationary", {"potential.kind": "logarithmic",
+                                            "experiment.K": 0.5,
+                                            "experiment.sweep": "0.2:4.0:8"}),
+    "stationary-log-variational": ("stationary", {
+        "potential.kind": "logarithmic", "experiment.K": 3.0}),
+    "stationary-power": ("stationary", {"potential.kind": "power",
+                                        "experiment.K": 2.0}),
 }
 
 
