@@ -45,8 +45,8 @@ def main():
     show_family("power (p=3)", pw)
 
     print("\nvalue at the pure phase:")
-    print(f"  logarithmic F(1) = {log.F_at_one():.6f}  (finite)")
-    print(f"  power p=3   F(1) = {pw.F_at_one()}  (strong singularity)")
+    print(f"  logarithmic F(1) = {float(log.F(1.0)):.6f}  (finite)")
+    print(f"  power p=3   F(1) = {float(pw.F(1.0))}  (strong singularity)")
 
     print("\nseparation condition f(u)/u >= kappa_1/(1-u^2)^(p-1), p > 2:")
     for name, pot in (("power p=3", pw), ("logarithmic", log)):

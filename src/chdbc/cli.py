@@ -9,8 +9,9 @@ import argparse
 import sys
 
 from . import __version__, experiments
-from .errors import (ConfigError, LinearSolveFailedError, NewtonDivergedError,
+from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
                      StiffnessFailureError)
+from .potentials import POTENTIAL_KINDS
 
 
 def _at_least_one(text):
@@ -35,8 +36,7 @@ def build_parser():
             p.add_argument("--workers", type=_at_least_one, default=1,
                            help="processes for the independent runs of a sweep")
         if name == "stationary":
-            p.add_argument("--potential",
-                           choices=("logarithmic", "power", "smooth"))
+            p.add_argument("--potential", choices=POTENTIAL_KINDS)
             p.add_argument("--K", type=float, default=None,
                            help="outward boundary slope")
             p.add_argument("--sweep", default=None,
@@ -76,7 +76,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonDivergedError, LinearSolveFailedError,
+    except (NewtonDivergedError, SingularSystemError,
             StiffnessFailureError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

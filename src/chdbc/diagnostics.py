@@ -14,7 +14,7 @@ closed-form Neumann spectrum of the discretization, not an eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +27,7 @@ __all__ = [
     "forcing_arrays", "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
     "dissipation_check", "DissipationReport",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
-    "trace_mismatch", "TraceMismatchReport",
+    "trace_mismatch",
     "decay_experiment", "DecayReport", "exponential_fit",
     "records_to_csv",
 ]
@@ -112,16 +112,15 @@ def record(ops, cfg, state, report) -> DiagnosticsRecord:
 
 
 def records_to_csv(records, path):
-    cols = ["t", "mass", "total_energy", "bulk_gradient", "boundary_gradient",
-            "bulk_potential", "boundary_potential", "forcing", "min_u", "max_u",
-            "bulk_margin", "boundary_margin", "f_l1", "newton_iters",
-            "newton_residual", "mu_mean", "newton_factorizations"]
-    write_rows(path, cols, [
-        [r.t, r.mass, r.energy.total, r.energy.bulk_gradient,
-         r.energy.boundary_gradient, r.energy.bulk_potential,
-         r.energy.boundary_potential, r.energy.forcing, r.min_u, r.max_u,
-         r.bulk_margin, r.boundary_margin, r.f_l1, r.newton_iters,
-         r.newton_residual, r.mu_mean, r.newton_factorizations]
+    """One row per record: its fields in order, with the energy spread into
+    total_energy and then the EnergyBreakdown terms."""
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    terms = [f.name for f in fields(EnergyBreakdown)]
+    k = names.index("energy")
+    head, tail = names[:k], names[k + 1:]
+    write_rows(path, head + ["total_energy"] + terms + tail, [
+        [getattr(r, n) for n in head] + [r.energy.total]
+        + [getattr(r.energy, n) for n in terms] + [getattr(r, n) for n in tail]
         for r in records])
 
 
@@ -135,10 +134,10 @@ class DissipationReport:
     ledger: list  # rows (t0, t1, dE, dissipation_rate)
 
 
-def dissipation_check(traj, tol_frac=0.2, abs_tol=1e-8) -> DissipationReport:
+def dissipation_check(traj) -> DissipationReport:
     """Check the discrete energy law between consecutive snapshots:
-    E(t1) - E(t0) <= -(1 - tol_frac) * dt * (||du/dt||^2_{H^-1} + ||dpsi/dt||^2_Gamma)
-    with a small absolute slack, plus strict energy monotonicity.
+    E(t1) - E(t0) <= -0.8 * dt * (||du/dt||^2_{H^-1} + ||dpsi/dt||^2_Gamma)
+    with the slack 1e-8 (1 + |E(t0)|), plus strict energy monotonicity.
     Assumes static forcing.  The energies after the initial state are read
     from traj.records, one per later snapshot."""
     if len(traj.states) < 2:
@@ -158,8 +157,8 @@ def dissipation_check(traj, tol_frac=0.2, abs_tol=1e-8) -> DissipationReport:
         rate = ops.h_minus1_norm(du - ops.mean(du)) ** 2 \
             + ops.boundary_inner(dpsi, dpsi)
         dE = energies[k + 1] - energies[k]
-        slack = abs_tol * (1.0 + abs(energies[k]))
-        excess = dE + (1.0 - tol_frac) * dt * rate
+        slack = 1e-8 * (1.0 + abs(energies[k]))
+        excess = dE + 0.8 * dt * rate
         if excess > slack or dE > slack:
             violations += 1
         ledger.append((s0.t, s1.t, dE, rate))
@@ -280,11 +279,10 @@ def vi_residual(traj, window, test_functions, L=None) -> VIReport:
     return VIReport(residuals, float(max(residuals)), float(L), scales)
 
 
-def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,
-                            anchor=None):
+def generate_test_functions(ops, mass, count=20, seed=0, anchor=None):
     """Admissible test functions: the constant at the conserved mass, convex
     combinations with an anchor snapshot, and mean-corrected smooth bumps
-    rescaled into [-1+delta_w, 1-delta_w]."""
+    rescaled into [-0.95, 0.95], kept if they stay inside (-0.975, 0.975)."""
     rng = np.random.default_rng(seed)
     out = []
     const = ops.field_from_bulk(np.full(ops.bulk_shape, mass))
@@ -293,7 +291,7 @@ def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,
         for alpha in (0.25, 0.5, 0.75):
             bulk = (1.0 - alpha) * anchor.bulk + alpha * mass
             out.append(ops.field_from_bulk(bulk))
-    if len(out) < count and not abs(mass) < 1.0 - delta_w:
+    if len(out) < count and not abs(mass) < 0.95:
         # else the amplitude below is not positive and the loop may not end
         raise InadmissibleTestFunctionError(f"no room for bumps at mass {mass!r}")
     while len(out) < count:
@@ -304,11 +302,11 @@ def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,
         else:
             prof = ops.cosine_mode(rng.integers(1, 3), rng.integers(1, 3))
         prof = prof - ops.mean(prof)
-        amp = (1.0 - delta_w - abs(mass)) * rng.uniform(0.2, 0.95)
+        amp = (0.95 - abs(mass)) * rng.uniform(0.2, 0.95)
         mx = np.max(np.abs(prof))
         bulk = mass + (amp / mx) * prof
         bulk += mass - ops.mean(bulk)  # mean correction, exact to quadrature
-        if np.max(np.abs(bulk)) < 1.0 - delta_w / 2.0:
+        if np.max(np.abs(bulk)) < 0.975:
             out.append(ops.field_from_bulk(bulk))
     return out[:count]
 
@@ -317,27 +315,18 @@ def generate_test_functions(ops, mass, count=20, delta_w=0.05, seed=0,
 # Trace mismatch
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceMismatchReport:
-    internal: np.ndarray
-    external: np.ndarray
-    gap: float  # L^1(Gamma) norm of internal - external
-
-
-def trace_mismatch(ops, cfg, state) -> TraceMismatchReport:
-    """Compare the normal derivative computed from the bulk with the value
-    implied by the dynamic boundary equation."""
+def trace_mismatch(ops, cfg, state) -> float:
+    """L^1(Gamma) gap between the normal derivative computed from the bulk
+    and the value implied by the dynamic boundary equation."""
     if state.prev_trace is None:
         raise StaleStateError("state has not been stepped")
-    internal = ops.normal_derivative(state.field.bulk)
+    internal = ops.normal_derivative(state.field.bulk).ravel()
     psi = state.field.trace.ravel()
     dpsi_dt = (state.field.trace - state.prev_trace).ravel() / cfg.dt
     _, h2 = forcing_arrays(ops, cfg)
     lap_gamma = -(ops.K_gamma @ psi) / ops.boundary_weights
-    external = (h2 - dpsi_dt + lap_gamma
-                - np.ravel(cfg.g.g(psi))).reshape(ops.trace_shape)
-    gap = float(ops.boundary_weights @ np.abs(internal.ravel() - external.ravel()))
-    return TraceMismatchReport(internal, external, gap)
+    external = h2 - dpsi_dt + lap_gamma - np.ravel(cfg.g.g(psi))
+    return float(ops.boundary_weights @ np.abs(internal - external))
 
 
 # --------------------------------------------------------------------------

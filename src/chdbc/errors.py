@@ -27,10 +27,6 @@ class NewtonDivergedError(ChdbcError):
         self.time = time
 
 
-class LinearSolveFailedError(ChdbcError):
-    """The inner linear solve of a Newton iteration failed."""
-
-
 class StaleStateError(ChdbcError):
     """The state does not carry the data required (no step taken yet)."""
 
@@ -44,7 +40,8 @@ class InadmissibleTestFunctionError(ChdbcError):
 
 
 class StiffnessFailureError(ChdbcError):
-    """Adaptive ODE integration step size collapsed."""
+    """Adaptive ODE integration step size collapsed, or a stationary root
+    find has no bracket."""
 
 
 class ConfigError(ChdbcError, ValueError):

@@ -160,7 +160,7 @@ def _boundary_g(cfg):
     if name == "linear":
         return BoundaryNonlinearity.linear()
     if name == "tanh":
-        return BoundaryNonlinearity.tanh_tilt(_f(cfg, "boundary.a"))
+        return _build(BoundaryNonlinearity.tanh_tilt, _f(cfg, "boundary.a"))
     raise ConfigError(f"boundary.g must be linear or tanh, got {name!r}")
 
 
@@ -230,7 +230,7 @@ def _trajectory(cfg, N, h2, seed, eps, T, cadence):
 
 def _run(args):
     """_trajectory(*args).states, for a pool process: a Trajectory does not
-    pickle, since its operators hold a SuperLU and a tanh g holds lambdas."""
+    pickle, since its operators hold a SuperLU."""
     return _trajectory(*args).states
 
 
@@ -339,7 +339,7 @@ def _final_margins(cfg, sweep, workers):
                   workers)
     return [(1.0 - float(np.max(np.abs(run[-1].field.bulk))),
              1.0 - float(np.max(np.abs(run[-1].field.trace))),
-             diagnostics.trace_mismatch(ops, scfg, run[-1]).gap)
+             diagnostics.trace_mismatch(ops, scfg, run[-1]))
             for scfg, run in zip(scfgs, runs)]
 
 

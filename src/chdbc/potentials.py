@@ -12,14 +12,14 @@ antiderivative picks up exact quadratic tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChdbcError, DomainError
 
 __all__ = [
+    "POTENTIAL_KINDS",
     "LogarithmicPotential",
     "PowerSingularPotential",
     "SmoothDoubleWell",
@@ -55,8 +55,8 @@ class LogarithmicPotential:
     kappa1: float = 1.0
 
     def __post_init__(self):
-        if not (self.kappa0 >= 0.0 and self.kappa1 > self.kappa0):
-            raise ValueError("require 0 <= kappa0 < kappa1")
+        if not 0.0 <= self.kappa0 < self.kappa1 < math.inf:  # NaN fails too
+            raise ValueError("require 0 <= kappa0 < kappa1 < inf")
 
     @property
     def name(self):
@@ -105,9 +105,6 @@ class LogarithmicPotential:
             )
         return -self.kappa0 * u * u + self.kappa1 * term
 
-    def F_at_one(self):
-        return -self.kappa0 + 2.0 * self.kappa1 * math.log(2.0)
-
 
 @dataclass(frozen=True)
 class PowerSingularPotential:
@@ -117,8 +114,8 @@ class PowerSingularPotential:
     p: float = 3.0
 
     def __post_init__(self):
-        if not (self.kappa > 0.0 and self.p > 1.0):
-            raise ValueError("require kappa > 0 and p > 1")
+        if not (0.0 < self.kappa < math.inf and 1.0 < self.p < math.inf):
+            raise ValueError("require finite kappa > 0 and p > 1")
 
     @property
     def name(self):
@@ -157,11 +154,6 @@ class PowerSingularPotential:
         # the plain difference loses as p -> 2
         return self.kappa * np.expm1((2.0 - self.p) * log_s) / (2.0 * (self.p - 2.0))
 
-    def F_at_one(self):
-        if self.p >= 2.0:
-            return math.inf
-        return self.kappa / (2.0 * (2.0 - self.p))
-
 
 @dataclass(frozen=True)
 class SmoothDoubleWell:
@@ -188,9 +180,6 @@ class SmoothDoubleWell:
 
     def _F(self, u):
         return 0.25 * u ** 4
-
-    def F_at_one(self):
-        return 0.25
 
 
 @dataclass(frozen=True)
@@ -238,16 +227,21 @@ class RegularizedPotential:
         return val if val.ndim else float(val)
 
 
-def _zero(z):
-    return np.zeros_like(np.asarray(z, dtype=float))
-
-
 @dataclass(frozen=True)
 class BoundaryNonlinearity:
-    """g(z) = z + g0(z) with g0 bounded in C^2; G is the antiderivative, G(0)=0."""
+    """g(z) = z + g0(z) with g0(z) = a tanh z, bounded in C^2; its
+    antiderivative G(z) = z^2/2 + a ln cosh z has G(0) = 0.  At a = 0 (linear
+    g) the g0 and ln cosh terms are exact zeros and no tanh or cosh runs."""
 
-    g0: Callable = field(default=_zero)
-    G0: Callable = field(default=_zero)
+    a: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValueError("the tanh tilt a must be finite")
+
+    def g0(self, z):
+        z = np.asarray(z, dtype=float)
+        return self.a * np.tanh(z) if self.a else np.zeros_like(z)
 
     def g(self, z):
         z = np.asarray(z, dtype=float)
@@ -255,7 +249,8 @@ class BoundaryNonlinearity:
 
     def G(self, z):
         z = np.asarray(z, dtype=float)
-        return 0.5 * z * z + self.G0(z)
+        G = 0.5 * z * z
+        return G + self.a * np.log(np.cosh(z)) if self.a else G
 
     @classmethod
     def linear(cls):
@@ -263,11 +258,8 @@ class BoundaryNonlinearity:
 
     @classmethod
     def tanh_tilt(cls, a):
-        """g(z) = z + a*tanh(z); G0(z) = a*ln cosh z."""
-        return cls(
-            g0=lambda z: a * np.tanh(z),
-            G0=lambda z: a * np.log(np.cosh(z)),
-        )
+        """g(z) = z + a*tanh(z)."""
+        return cls(a)
 
 
 def check_sign_condition(g: BoundaryNonlinearity, h2, eps):
@@ -282,10 +274,6 @@ def check_sign_condition(g: BoundaryNonlinearity, h2, eps):
 
 @dataclass(frozen=True)
 class SeparationConditionReport:
-    p: float | None
-    kappa1: float | None
-    kappa2: float | None
-    M: float | None
     satisfied: bool
     note: str = ""
 
@@ -301,10 +289,7 @@ def check_separation_condition(spec) -> SeparationConditionReport:
     if isinstance(spec, PowerSingularPotential):
         ok = spec.p > 2.0
         return SeparationConditionReport(
-            p=spec.p, kappa1=spec.kappa, kappa2=spec.kappa, M=spec.p - 1.0,
-            satisfied=ok,
-            note="" if ok else "power exponent p <= 2",
-        )
+            ok, "" if ok else "power exponent p <= 2")
     if isinstance(spec, LogarithmicPotential):
         # Sampled verification of the asymptotic failure, p slightly above 2.
         p = 2.5
@@ -313,13 +298,12 @@ def check_separation_condition(spec) -> SeparationConditionReport:
         if not (np.all(np.diff(ratio) < 0.0) and ratio[-1] < 1e-6):
             raise ChdbcError("sampled f(u)(1-u^2)^(p-1)/u does not decay to 0")
         return SeparationConditionReport(
-            p=None, kappa1=None, kappa2=None, M=None, satisfied=False,
-            note="f(u)/u grows only logarithmically near +-1",
-        )
-    return SeparationConditionReport(
-        p=None, kappa1=None, kappa2=None, M=None, satisfied=False,
-        note="not a singular potential",
-    )
+            False, "f(u)/u grows only logarithmically near +-1")
+    return SeparationConditionReport(False, "not a singular potential")
+
+
+# The kinds potential_from_config accepts: the CLI's --potential choices.
+POTENTIAL_KINDS = ("logarithmic", "power", "smooth")
 
 
 def potential_from_config(kind, *, kappa0=0.0, kappa1=1.0, kappa=1.0, p=3.0):

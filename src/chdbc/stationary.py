@@ -116,7 +116,7 @@ def _switch_level(potential, s):
     for nothing (the quadrature is exact there), so stop once F reaches a
     moderate multiple of the shot energy.
     """
-    if math.isfinite(float(potential.F_at_one())):
+    if math.isfinite(float(potential.F(1.0))):
         return _Y_SWITCH
     F_cap = 100.0 * (1.0 + s * s)
     if float(potential.F(_Y_SWITCH)) <= F_cap:
@@ -125,7 +125,7 @@ def _switch_level(potential, s):
                   xtol=1e-14)
 
 
-def _tail_quadrature(potential, s, y_from, y_to=1.0):
+def _tail_quadrature(potential, s, y_from, y_to):
     """x-distance spent between y_from and y_to, via the first integral.
 
     Below _V_SPLIT the rule runs in v; above it in w, with v = 1 - w^2.
@@ -166,11 +166,12 @@ def time_of_flight(potential, s):
     return _tail_quadrature(potential, s, 0.0, 1.0)
 
 
-def shoot(potential, s, rtol=1e-11, atol=1e-13, n_profile=2001) -> ShootingResult:
-    """Integrate y'' = f(y) from y(0)=0, y'(0)=s and mirror by oddness."""
+def shoot(potential, s) -> ShootingResult:
+    """Integrate y'' = f(y) from y(0)=0, y'(0)=s and mirror by oddness, on
+    2001 profile points over [-1, 1]."""
     if s < 0.0:
         raise ValueError("initial slope s must be >= 0")
-    half = np.linspace(0.0, 1.0, (n_profile + 1) // 2)
+    half = np.linspace(0.0, 1.0, 1001)
     if s == 0.0:
         x = np.concatenate([-half[::-1], half[1:]])
         z = np.zeros_like(x)
@@ -182,7 +183,7 @@ def shoot(potential, s, rtol=1e-11, atol=1e-13, n_profile=2001) -> ShootingResul
     event.terminal = True
     event.direction = 1.0
     sol = solve_ivp(_rhs(potential), (0.0, 1.0), [0.0, s], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=[event],
+                    rtol=1e-11, atol=1e-13, dense_output=True, events=[event],
                     max_step=0.05)
     if sol.status < 0:
         raise StiffnessFailureError(sol.message)
@@ -237,7 +238,7 @@ def critical_flux(potential) -> CriticalFlux | None:
     """Critical outward slope, or None when F(1) = inf (classical solutions
     then exist for every K: the strong-singularity regime).  Cached per
     potential: potentials are frozen, hashable dataclasses."""
-    F1 = float(potential.F_at_one())
+    F1 = float(potential.F(1.0))
     if not math.isfinite(F1):
         return None
     g = lambda s: time_of_flight(potential, s) - 1.0
@@ -245,11 +246,13 @@ def critical_flux(potential) -> CriticalFlux | None:
     while g(s_hi) > 0.0:
         s_hi *= 2.0
         if s_hi > 1e6:
-            raise RuntimeError("no saturation bracket found")
+            raise StiffnessFailureError("no saturation bracket: the flight "
+                                        "stays above 1 up to s = 1e6")
     while g(s_lo) < 0.0:
         s_lo *= 0.5
         if s_lo < 1e-12:
-            raise RuntimeError("no interior bracket found")
+            raise StiffnessFailureError("no interior bracket: the flight "
+                                        "stays below 1 down to s = 1e-12")
     s_star = brentq(g, s_lo, s_hi, xtol=1e-12, rtol=8.9e-16)
     return CriticalFlux(float(s_star), math.sqrt(s_star * s_star + 2.0 * F1))
 
@@ -293,7 +296,7 @@ def _classical_slope(potential, K):
     top = min(np.nextafter(1.0, 0.0), 2.0 * K)
     if excess(top) > 0.0:
         Y = brentq(excess, 0.0, top, xtol=1e-300)  # to brentq's rtol alone
-    elif math.isfinite(float(potential.F_at_one())):
+    elif math.isfinite(float(potential.F(1.0))):
         Y = 1.0  # K = K_plus up to rounding: the critical profile
     else:
         raise StiffnessFailureError(f"y(1) for K = {K} rounds to 1")
@@ -331,16 +334,15 @@ def classify(potential, K):
     return "VariationalOnly"
 
 
-def variational_equilibrium_check(potential, x, y, interior_margin=1e-3):
-    """L^2 residual of y'' - f(y) = <y'' - f(y)> on the region |y| <= 1 - margin,
+def variational_equilibrium_check(potential, x, y):
+    """L^2 residual of y'' - f(y) = <y'' - f(y)> on the region |y| <= 0.999,
     by centered finite differences."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     h = x[1] - x[0]
     ypp = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h ** 2
     yi = y[1:-1]
-    mask = (np.abs(yi) <= 1.0 - interior_margin) \
-        & (np.abs(y[2:]) < 1.0) & (np.abs(y[:-2]) < 1.0)
+    mask = (np.abs(yi) <= 0.999) & (np.abs(y[2:]) < 1.0) & (np.abs(y[:-2]) < 1.0)
     r = ypp[mask] - potential.f(yi[mask])
     r = r - np.mean(r)
     return float(np.sqrt(h * np.sum(r * r)))

@@ -126,7 +126,7 @@ def test_criterion_6_stationary_critical_flux():
         ok &= abs(res.x_hit - st.time_of_flight(pot, s)) <= 1e-6
         # the BVP leg at the flux this slope induces: above critical, the
         # solver must return the saturated profile with the matching defect
-        K_s = math.sqrt(s * s + 2.0 * pot.F_at_one())
+        K_s = math.sqrt(s * s + 2.0 * float(pot.F(1.0)))
         sol = st.solve_bvp(st.StationaryProblem(pot, K_s))
         ok &= sol.kind == "variational-only"
         ok &= abs(sol.defect - (K_s - crit.K_plus)) <= 1e-6
@@ -168,7 +168,7 @@ def test_criterion_7_separation_dichotomy():
         f0 = ex.initial_field(ops, 0, 0.3, 0.0)
         traj = simulate(ops, scfg, f0, 16.0, cadence=8.0)
         marg_l[N] = 1.0 - float(np.max(np.abs(traj.final.field.trace)))
-        gaps[N] = dg.trace_mismatch(ops, scfg, traj.final).gap
+        gaps[N] = dg.trace_mismatch(ops, scfg, traj.final)
     sat_ok = all(marg_l[N] <= 4.0 / N for N in (32, 64))
     gap_ok = abs(gaps[64] - gaps[32]) <= 0.1 * gaps[32] and gaps[64] > 0
     _report(7, f"p=3 margin {margins[64]:.3f} stable; log margins "

@@ -97,23 +97,33 @@ class TestExitCodes:
         ("experiment.n_levels", "0"), ("domain.b", "-2.0"), ("domain.a", "1.0"),
         ("domain.a", "nan"), ("domain.b", "inf"), ("domain.a", "-inf"),
         ("domain.Lx", "-2.0"), ("domain.Lx", "0"), ("domain.Lx", "nan"),
-        ("domain.Lx", "inf")])
+        ("domain.Lx", "inf"), ("forcing.h2", "nan"), ("forcing.h2", "inf"),
+        ("boundary.a", "nan"), ("potential.kappa1", "inf"),
+        ("potential.kappa", "inf"), ("experiment.h2_violating", "nan")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
-        # each key is read by the subcommand that uses it
+        # each key is read by the subcommands that use it: a potential key by
+        # stationary too
         command = {"experiment.eps": "lipschitz", "experiment.ensemble": "decay",
-                   "experiment.n_levels": "converge-n"}.get(key, "simulate")
-        domain = "domain.kind = strip\n" if key == "domain.Lx" else ""
-        # converge-n rejects an experiment.T it does not read
-        T = "" if command == "converge-n" else "experiment.T = 0.01\n"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.n = 16\n{T}{domain}{key} = {value}\n")
-        rc = main([command, "--config", str(cfg),
-                   "--outdir", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error" in err
-        if command == "converge-n":
-            assert "experiment.n_levels" in err
+                   "experiment.n_levels": "converge-n",
+                   "experiment.h2_violating": "sign-condition"}.get(key, "simulate")
+        commands = [command, "stationary"] if key.startswith("potential.") \
+            else [command]
+        # and some only where another key selects them
+        context = {"domain.Lx": "domain.kind = strip\n",
+                   "boundary.a": "boundary.g = tanh\n",
+                   "potential.kappa": "potential.kind = power\n"}.get(key, "")
+        for command in commands:
+            # converge-n rejects an experiment.T it does not read
+            T = "" if command == "converge-n" else "experiment.T = 0.01\n"
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"domain.n = 16\n{T}{context}{key} = {value}\n")
+            rc = main([command, "--config", str(cfg),
+                       "--outdir", str(tmp_path / "o")])
+            assert rc == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error:"), (command, err)
+            if command == "converge-n":
+                assert "experiment.n_levels" in err
 
     @pytest.mark.parametrize("command, key, value", [
         ("converge-n", "experiment.T", "0.02"),
@@ -170,12 +180,6 @@ class TestExitCodes:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_nonfinite_forcing_is_3(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n = 16\nexperiment.T = 0.01\nforcing.h2 = inf\n")
-        assert main(["simulate", "--config", str(cfg),
-                     "--outdir", str(tmp_path / "o")]) == 3
-
     def test_stationary_ok_is_0(self, tmp_path, capsys):
         rc = main(["stationary", "--potential", "logarithmic", "--K", "0.5",
                    "--outdir", str(tmp_path / "o")])
@@ -201,6 +205,15 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_stationary_flux_out_of_bracket_is_3(self, tmp_path, capsys):
+        # the computed flight of kappa1 = 100 stays below 1 for every s tried
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("potential.kappa1 = 100\n")
+        rc = main(["stationary", "--config", str(cfg), "--K", "1.0",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("solver failure:")
 
     def test_stationary_tiny_flux_is_linearized(self, tmp_path, capsys):
         # f'(0) = 2: the profile is K sinh(sqrt2 x) / (sqrt2 cosh sqrt2)

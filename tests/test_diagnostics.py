@@ -129,8 +129,8 @@ class TestVI:
 
     @pytest.mark.parametrize("mass", [0.98, -0.975, 0.973, np.nan])
     def test_no_room_for_bumps(self, iops, mass):
-        # at |mass| >= 1 - delta_w the bump amplitude is not positive; the
-        # loop used to spin forever
+        # at |mass| >= 0.95 the bumps' amplitude is not positive; the loop
+        # used to spin forever
         with pytest.raises(InadmissibleTestFunctionError):
             dg.generate_test_functions(iops, mass, count=5)
 
@@ -256,9 +256,7 @@ def test_vi_residual_matches_three_solve_reference(domain):
 class TestTraceMismatch:
     def test_small_in_classical_regime(self, iops):
         traj = run(iops, T=0.05)
-        rep = dg.trace_mismatch(iops, traj.cfg, traj.final)
-        assert rep.gap < 1e-2
-        assert rep.internal.shape == iops.trace_shape
+        assert dg.trace_mismatch(iops, traj.cfg, traj.final) < 1e-2
 
     def test_stale(self, iops):
         from chdbc.errors import StaleStateError

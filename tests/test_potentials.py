@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdbc.errors import ChdbcError, DomainError
-from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
-                              PowerSingularPotential, RegularizedPotential,
-                              SmoothDoubleWell, check_separation_condition,
-                              check_sign_condition, potential_from_config)
+from chdbc.potentials import (POTENTIAL_KINDS, BoundaryNonlinearity,
+                              LogarithmicPotential, PowerSingularPotential,
+                              RegularizedPotential, SmoothDoubleWell,
+                              check_separation_condition, check_sign_condition,
+                              potential_from_config)
 
 
 class TestLogarithmic:
@@ -25,14 +26,13 @@ class TestLogarithmic:
         assert pot.f(0.5) == pytest.approx(math.log(3.0))
         assert pot.df(0.0) == pytest.approx(2.0)
         # F(1) = 2 ln 2 for kappa0 = 0, kappa1 = 1
-        assert pot.F_at_one() == pytest.approx(2.0 * math.log(2.0))
         assert pot.F(1.0) == pytest.approx(2.0 * math.log(2.0))
         assert pot.F(0.0) == 0.0
 
     def test_tilted(self):
         pot = LogarithmicPotential(kappa0=0.25, kappa1=1.0)
         assert pot.f(0.5) == pytest.approx(math.log(3.0) - 0.25)
-        assert pot.F_at_one() == pytest.approx(-0.25 + 2.0 * math.log(2.0))
+        assert pot.F(1.0) == pytest.approx(-0.25 + 2.0 * math.log(2.0))
 
     def test_antiderivative_matches_quadrature(self):
         from scipy.integrate import quad
@@ -69,15 +69,16 @@ class TestLogarithmic:
             pot.F(1.0001)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            LogarithmicPotential(kappa0=1.0, kappa1=0.5)
+        for kappa0, kappa1 in [(1.0, 0.5), (0.0, np.inf), (np.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                LogarithmicPotential(kappa0=kappa0, kappa1=kappa1)
 
 
 class TestPowerSingular:
     def test_values(self):
         pot = PowerSingularPotential(kappa=1.0, p=3.0)
         assert pot.f(0.5) == pytest.approx(0.5 / 0.75 ** 2)
-        assert pot.F_at_one() == math.inf
+        assert pot.F(1.0) == math.inf
         # F = (1/2)[(1-u^2)^{-1} - 1] for p=3
         assert pot.F(0.5) == pytest.approx(0.5 * (1.0 / 0.75 - 1.0))
 
@@ -95,10 +96,16 @@ class TestPowerSingular:
         near = PowerSingularPotential(kappa=1.0, p=p).F(u)
         assert near == pytest.approx(-0.5 * np.log1p(-u * u), rel=1e-9)
 
+    @pytest.mark.parametrize("kappa, p", [(np.inf, 3.0), (1.0, np.inf),
+                                          (0.0, 3.0), (1.0, np.nan)])
+    def test_parameter_validation(self, kappa, p):
+        with pytest.raises(ValueError):
+            PowerSingularPotential(kappa=kappa, p=p)
+
     def test_weak_singularity_finite_endpoint(self):
         pot = PowerSingularPotential(kappa=1.0, p=1.5)
-        assert math.isfinite(pot.F_at_one())
-        assert pot.F_at_one() == pytest.approx(1.0)
+        assert math.isfinite(pot.F(1.0))
+        assert pot.F(1.0) == pytest.approx(1.0)
 
 
 class TestRegularized:
@@ -156,6 +163,20 @@ class TestBoundary:
         h = 1e-6
         fd = (g.G(1.0 + h) - g.G(1.0 - h)) / (2.0 * h)
         assert float(g.g(1.0)) == pytest.approx(float(fd), rel=1e-8)
+        for a in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                BoundaryNonlinearity.tanh_tilt(a)
+
+    def test_linear_evaluates_no_tanh(self, monkeypatch):
+        # a = 0: exact zeros, so linear runs do not depend on tanh or cosh
+        monkeypatch.setattr(np, "tanh", None)
+        monkeypatch.setattr(np, "cosh", None)
+        z = np.array([-3.0, -0.0, 0.25, 40.0])
+        g = BoundaryNonlinearity.linear()
+        assert g == BoundaryNonlinearity(0.0)
+        assert np.array_equal(g.g0(z), np.zeros(4))
+        assert np.array_equal(g.g(z), z + 0.0)
+        assert np.array_equal(g.G(z), 0.5 * z * z)
 
     def test_sign_condition(self):
         g = BoundaryNonlinearity.linear()
@@ -171,8 +192,6 @@ class TestSeparationCondition:
     def test_power_p3(self):
         rep = check_separation_condition(PowerSingularPotential(kappa=1.0, p=3.0))
         assert rep.satisfied
-        assert rep.p == 3.0
-        assert rep.M == pytest.approx(2.0)
 
     def test_power_p2_fails(self):
         rep = check_separation_condition(PowerSingularPotential(kappa=1.0, p=2.0))
@@ -202,6 +221,8 @@ def test_potential_from_config():
     pot = potential_from_config("power", kappa=2.0, p=4.0)
     assert pot.p == 4.0
     assert isinstance(potential_from_config("smooth"), SmoothDoubleWell)
+    assert [type(potential_from_config(kind)) for kind in POTENTIAL_KINDS] \
+        == [LogarithmicPotential, PowerSingularPotential, SmoothDoubleWell]
     # the kinds are exactly the documented config values
     for kind in ("quartic", "Logarithmic", "power-singular", "smooth-double-well"):
         with pytest.raises(ValueError):

@@ -2,12 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chdbc.diagnostics import energy
+from chdbc.diagnostics import dissipation_check, energy
+from chdbc.experiments import initial_field
 from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
 from chdbc.errors import ConfigError, NewtonDivergedError, StaleStateError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
-                              PowerSingularPotential)
+                              PowerSingularPotential, check_sign_condition)
 from chdbc.solver import (SolverConfig, State, chemical_potential_mean,
                           simulate)
 
@@ -126,6 +129,9 @@ class TestSimulateContract:
             SolverConfig(potential=LogarithmicPotential(), dt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(potential=LogarithmicPotential(), N=1)
+        for h2 in (np.nan, np.inf, np.array([0.1, -np.inf])):
+            with pytest.raises(ValueError):
+                SolverConfig(potential=LogarithmicPotential(), h2=h2)
 
 
 class TestRegularizationConsistency:
@@ -147,11 +153,51 @@ class TestMuMean:
                            dt=1e-3, h1=0.2, h2=0.1,
                            g=BoundaryNonlinearity.tanh_tilt(0.3))
         traj = simulate(iops, cfg, smooth_data(iops), T=0.01)
-        rep = chemical_potential_mean(iops, cfg, traj.final)
-        assert rep.residual < 1e-11
+        assert chemical_potential_mean(iops, cfg, traj.final) < 1e-11
 
     def test_stale_state(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
         fresh = State(t=0.0, field=smooth_data(iops))
         with pytest.raises(StaleStateError):
             chemical_potential_mean(iops, cfg, fresh)
+
+
+_domains = st.one_of(
+    st.builds(Interval, st.integers(8, 65)),
+    st.builds(lambda nx, ny: PeriodicStrip(2.0, nx, ny),
+              st.integers(4, 16), st.integers(5, 17)))
+_singular = st.one_of(
+    st.builds(lambda k1: LogarithmicPotential(kappa1=k1), st.floats(0.5, 2.0)),
+    st.builds(lambda k, p: PowerSingularPotential(kappa=k, p=p),
+              st.floats(0.5, 2.0), st.floats(1.5, 4.0)))
+_tilts = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))  # linear or tanh g
+
+
+@given(dom=_domains, pot=_singular, N=st.integers(4, 64),
+       lam_ratio=st.floats(0.0, 3.0), a=_tilts, h2_ratio=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 16), amp=st.floats(0.1, 0.6),
+       mean=st.floats(-0.3, 0.3))
+@settings(max_examples=60, deadline=None)
+def test_step_invariants_on_random_data(dom, pot, N, lam_ratio, a, h2_ratio,
+                                        seed, amp, mean):
+    """Over a few steps on either domain: bulk mass kept to rounding, no
+    dissipation-ledger violation, and the trace equal to the bulk's y0 and
+    y1 rows, read off the bulk here rather than through ops.trace_of.  lam
+    runs from 0 to three times f'(0), below and above the spinodal
+    threshold; h2 meets the boundary sign condition."""
+    ops = make_operators(dom)
+    g = BoundaryNonlinearity.tanh_tilt(a)
+    h2 = h2_ratio * (float(g.g(1.0)) - 0.05)
+    assert check_sign_condition(g, h2, 0.05)
+    cfg = SolverConfig(potential=pot, N=N, lam=lam_ratio * float(pot.df(0.0)),
+                       dt=1e-3, g=g, h2=h2)
+    f0 = initial_field(ops, seed, amp, mean)
+    traj = simulate(ops, cfg, f0, T=4e-3)
+    m0 = ops.mean(f0.bulk)
+    scale = 1.0 + float(np.max(np.abs(f0.bulk)))
+    assert max(abs(r.mass - m0) for r in traj.records) <= 1e-12 * scale
+    assert dissipation_check(traj).violations == 0
+    for s in traj.states[1:]:
+        rows = s.field.bulk.reshape(-1, ops.bulk_shape[-1])
+        ends = np.array([rows[:, 0], rows[:, -1]]).reshape(ops.trace_shape)
+        assert np.array_equal(s.field.trace, ends)

@@ -115,6 +115,18 @@ class TestCriticalFlux:
         assert crit is not None
         assert crit.K_plus > 0
 
+    @pytest.mark.parametrize("kappa1", [100.0, 1000.0])
+    def test_no_interior_bracket_is_typed(self, kappa1):
+        # the flight is still shorter than 1 where the bracket search stops
+        with pytest.raises(StiffnessFailureError, match="no interior bracket"):
+            st.critical_flux(LogarithmicPotential(kappa1=kappa1))
+
+    def test_no_saturation_bracket_is_typed(self, monkeypatch):
+        # unreachable while F >= 0, since the flight then lasts at most 1/s
+        monkeypatch.setattr(st, "time_of_flight", lambda pot, s: 2.0)
+        with pytest.raises(StiffnessFailureError, match="no saturation bracket"):
+            st.critical_flux(LogarithmicPotential(kappa1=1.5))
+
 
 class TestSolveBVP:
     def test_zero_flux(self):
