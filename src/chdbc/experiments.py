@@ -3,10 +3,11 @@ CSV outputs and a manifest that reproduces the run.
 
 Every driver takes a resolved config dict (strings, as parsed) plus an output
 directory, writes its artifacts there, and returns a small summary dict that
-the command-line layer prints one line at a time.  Sweeps optionally fan out
-to a process pool; workers rebuild their problem from the plain config dict,
-and the parent process alone writes files.  Each process builds the operators
-of a domain once.
+the command-line layer prints one line at a time.  A sweep steps all its runs
+in lockstep through one Stepper; with workers > 1 it splits them into that
+many contiguous groups, one lockstep group per pool process.  Workers rebuild
+their problem from the plain config dict, and the parent process alone writes
+files.  Each process builds the operators of a domain once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, check_sign_condition,
                          check_separation_condition, potential_from_config)
-from .solver import SolverConfig, simulate
+from .solver import SolverConfig, simulate, simulate_members
 
 __all__ = [
     "DEFAULTS", "parse_config", "resolve_config", "write_manifest",
@@ -192,6 +193,8 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
     then mean-corrected so that |u0| <= |mean| + amplitude < 1."""
     if not abs(mean) + amplitude < 1.0:  # NaN fails too
         raise ConfigError("require |experiment.mean| + experiment.amplitude < 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     strip = ops.domain.kind == "strip"
     modes = [(kx, ky) for kx in range(3) for ky in range(3) if kx or ky] \
@@ -211,12 +214,9 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
 # Drivers
 # --------------------------------------------------------------------------
 
-def _trajectory(cfg, N, h2, seed, eps, T, cadence):
-    """One run, rebuilt from the plain config dict.  N and h2 of None take
-    the config's values; eps > 0 adds eps times a fixed mean-neutral mode to
-    the initial data."""
-    ops = build_operators(cfg)
-    scfg = build_solver_config(cfg, N=N, h2=h2)
+def _initial(cfg, ops, seed, eps):
+    """The configured initial field from the seed; eps > 0 adds eps times a
+    fixed mean-neutral mode."""
     f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
                        _f(cfg, "experiment.mean"))
     if eps:
@@ -225,35 +225,42 @@ def _trajectory(cfg, N, h2, seed, eps, T, cadence):
         dv = dv - ops.mean(dv)
         dv /= np.max(np.abs(dv))
         f0 = ops.field_from_bulk(f0.bulk + eps * dv)
-    return simulate(ops, scfg, f0, T, cadence)
+    return f0
 
 
-def _run(args):
-    """_trajectory(*args).states, for a pool process: a Trajectory does not
-    pickle, since its operators hold a SuperLU."""
-    return _trajectory(*args).states
+def _lockstep(cfg, jobs, T, cadence):
+    """The snapshot States of each (N, h2, seed, eps) job, all stepped in
+    lockstep in this process.  N and h2 of None take the config's values."""
+    ops = build_operators(cfg)
+    return simulate_members(
+        ops, [build_solver_config(cfg, N=N, h2=h2) for N, h2, _, _ in jobs],
+        [_initial(cfg, ops, seed, eps) for _, _, seed, eps in jobs], T, cadence)
 
 
 def _sweep(cfg, jobs, workers, T=None, cadence=None):
-    """The snapshot States of each (N, h2, seed, eps) job, in order, run in
-    at most `workers` processes.  T defaults to experiment.T, and the
-    cadence to experiment.cadence or else every 10th step, capped by T."""
+    """The snapshot States of each (N, h2, seed, eps) job, in order, stepped
+    as at most `workers` contiguous groups of jobs, one lockstep group per
+    process.  T defaults to experiment.T, and the cadence to
+    experiment.cadence or else every 10th step, capped by T."""
     if T is None:
         T = _f(cfg, "experiment.T")
         cadence = min(_cadence(cfg) or 10.0 * build_solver_config(cfg).dt, T)
-    args = [(cfg, *job, T, cadence) for job in jobs]
-    workers = min(workers, len(args))
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_run(a) for a in args]
+        return _lockstep(cfg, jobs, T, cadence)
+    cuts = [len(jobs) * i // workers for i in range(workers + 1)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_run, args))
+        groups = ex.map(functools.partial(_lockstep, cfg, T=T, cadence=cadence),
+                        [jobs[a:b] for a, b in zip(cuts, cuts[1:])])
+        return [run for group in groups for run in group]
 
 
 def run_simulate(cfg, outdir):
     """One trajectory, with its snapshots and diagnostics table."""
-    traj = _trajectory(cfg, None, None, _i(cfg, "seed"), 0.0,
-                       _f(cfg, "experiment.T"), _cadence(cfg))
-    ops = traj.ops
+    ops = build_operators(cfg)
+    traj = simulate(ops, build_solver_config(cfg),
+                    _initial(cfg, ops, _i(cfg, "seed"), 0.0),
+                    _f(cfg, "experiment.T"), _cadence(cfg))
     os.makedirs(outdir, exist_ok=True)
     for k, st in enumerate(traj.states):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))

@@ -11,6 +11,7 @@ antiderivative picks up exact quadratic tails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,13 +194,13 @@ class RegularizedPotential:
     """
 
     base: object
-    N: int
+    N: object  # an int, or an int array of one N per node
 
     def __post_init__(self):
-        if self.N < 2:
+        if np.any(np.asarray(self.N) < 2):
             raise ValueError("regularization index N must be >= 2")
 
-    @property
+    @functools.cached_property
     def cutoff(self):
         return 1.0 - 1.0 / self.N
 

@@ -20,12 +20,20 @@ S = M + dt K M^-1 A + dt K diag(f_N'(u)).  One LU of S is kept across
 iterations and steps (chord Newton), solved transposed, and remade at the
 current iterate after an iteration that shrinks |r2| by less than
 _CONTRACTION.  P 1 = 0, so each iterate's constant mode of mu is exact.
+
+One Stepper steps k runs (members) that share ops and every setting but N
+and h2 in lockstep, with one residual evaluation per chord iteration for
+all of them.  Their vectors are stacked flat, k n long; A, P and B^T M_G
+are block diagonal, and f_N has one cutoff per node.  Each member keeps its
+own LU of S, residual norm, contraction test and warm-start mu, and stays
+frozen once it converges while the others iterate, so it follows the
+iterates of its solo run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +46,7 @@ from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
-           "simulate", "chemical_potential_mean"]
+           "simulate", "simulate_members", "chemical_potential_mean"]
 
 
 @dataclass(frozen=True)
@@ -100,84 +108,149 @@ class StepReport:
 _CONTRACTION = 0.1  # refactor once |r_new| > _CONTRACTION |r|
 
 
-class Stepper:
-    """Prebuilt matrices and the kept LU of S for one (ops, cfg) pair."""
+def _flat(arrays):
+    """The arrays end to end, flat; one array comes back as a view."""
+    if len(arrays) == 1:
+        return arrays[0].ravel()
+    return np.concatenate(arrays, axis=None)
 
-    def __init__(self, ops, cfg: SolverConfig):
-        self.ops, self.cfg = ops, cfg
-        self.reg = cfg.regularized
-        w = ops.weights
+
+def _tile(M, k):
+    """k copies of the CSR matrix M on the diagonal.  Tiling M's arrays keeps
+    each row's entries in M's order, so a member's rows of a product sum as
+    M's own do; sp.block_diag reorders them."""
+    if k == 1:
+        return M
+    shift = np.arange(k)[:, None]
+    return sp.csr_array(
+        (np.tile(M.data, k), (M.indices + M.shape[1] * shift).ravel(),
+         np.append((M.indptr[:-1] + M.nnz * shift).ravel(), k * M.nnz)),
+        shape=(k * M.shape[0], k * M.shape[1]))
+
+
+class Stepper:
+    """Prebuilt matrices and the kept LU of S of each member, for members
+    that share ops and every setting but N and h2.
+
+    cfg is one SolverConfig, or the list of the members' configs; step takes
+    and returns a State or the list of the members' States to match.
+    """
+
+    def __init__(self, ops, cfg):
+        cfgs = [cfg] if isinstance(cfg, SolverConfig) else list(cfg)
+        cfg = cfgs[0]
+        shared = [f.name for f in fields(SolverConfig)
+                  if f.name not in ("N", "h2")]
+        if any(not np.array_equal(getattr(c, name), getattr(cfg, name))
+               for c in cfgs for name in shared):
+            raise ValueError("lockstep members must agree on all but N and h2")
+        self.ops, self.cfg, self.k = ops, cfg, len(cfgs)
+        n, w = ops.n_bulk, ops.weights
+        Ns = [c.N for c in cfgs]  # one cutoff, or one per node
+        self.reg = RegularizedPotential(
+            cfg.potential, Ns[0] if len(set(Ns)) == 1 else np.repeat(Ns, n))
         ng = len(ops.boundary_weights)
         B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
-                         shape=(ng, ops.n_bulk))
+                         shape=(ng, n))
         Mg = sp.diags_array(ops.boundary_weights)
-        self.A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
-        self.BtMg = (B.T @ Mg).tocsr()
+        A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
         self.dtK = (cfg.dt * ops.K).tocsc()
-        self.P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
-        self.S0 = (sp.diags_array(w) + self.P.T @ self.A).tocsc()  # K = K^T
+        P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
+        self.S0 = (sp.diags_array(w) + P.T @ A).tocsc()  # K = K^T
         # S = S0 + dt K diag(f_N'(u)) scales column j of dt K by f_N'(u_j)
-        self.dtK_cols = np.repeat(np.arange(ops.n_bulk), np.diff(self.dtK.indptr))
-        self.lu = self.mu_out = None  # LU of S; the mu of the last step
-        self.h1, self.h2 = diagnostics.forcing_arrays(ops, cfg)
+        self.dtK_cols = np.repeat(np.arange(n), np.diff(self.dtK.indptr))
+        self.A, self.P = _tile(A, self.k), _tile(P, self.k)
+        self.BtMg = _tile((B.T @ Mg).tocsr(), self.k)
+        self.w = np.tile(w, self.k)
+        # per member: the LU of S, and the mu of its last step
+        self.lu, self.mu_out = [None] * self.k, [None] * self.k
+        h1, _ = diagnostics.forcing_arrays(ops, cfg)
+        h2s = [diagnostics.forcing_arrays(ops, c)[1] for c in cfgs]
+        self.h1, self.h2 = np.tile(h1, self.k), np.concatenate(h2s)
+        self.h_norms = [(np.linalg.norm(h1), np.linalg.norm(h2)) for h2 in h2s]
         self.w_sum = float(np.sum(w))
+        self.zero = np.zeros(n)
 
     def _residual(self, u, mu, rhs2):
-        return self.ops.weights * (mu - self.reg.f(u)) - self.A @ u - rhs2
+        r = mu - self.reg.f(u)
+        r *= self.w
+        r -= self.A @ u
+        r -= rhs2
+        return r
 
-    def step(self, state: State):
-        ops, cfg = self.ops, self.cfg
-        w = ops.weights
-        u_old, psi_old = state.field.bulk.ravel(), state.field.trace.ravel()
-        rhs2 = w * (self.h1 - cfg.lam * u_old) + self.BtMg @ (
+    def step(self, state):
+        ops, cfg, k, n = self.ops, self.cfg, self.k, self.ops.n_bulk
+        states = [state] if isinstance(state, State) else state
+        u_old = _flat([s.field.bulk for s in states])
+        psi_old = _flat([s.field.trace for s in states])
+        rhs2 = self.w * (self.h1 - cfg.lam * u_old) + self.BtMg @ (
             np.ravel(cfg.g.g0(psi_old)) - self.h2 - psi_old / cfg.dt)
-        scale = 1.0 + np.linalg.norm(w * u_old) + np.linalg.norm(self.h1) \
-            + np.linalg.norm(self.h2)
+        scale = [1.0 + np.linalg.norm(wu) + nh1 + nh2 for wu, (nh1, nh2)
+                 in zip((self.w * u_old).reshape(k, n), self.h_norms)]
 
-        # This stepper's own last mu starts u at u_old - P mu, a time
+        # A member's own last mu starts u at u_old - P mu, a time
         # extrapolation.  A foreign mu may put that u far off, so it is
         # dropped and Newton starts at u_old with mu = 0.
-        own = state.mu is not None and state.mu is self.mu_out
-        mu = state.mu.ravel().copy() if own else np.zeros_like(u_old)
+        mu = _flat([s.mu if s.mu is not None and s.mu is own else self.zero
+                    for s, own in zip(states, self.mu_out)]).copy()
         u = u_old - self.P @ mu
-        iters = factorizations = 0
+        MU = mu.reshape(k, n)  # a view: updating mu in place updates MU
+        live, done = list(range(k)), []  # members iterating, members converged
+        rnorm, iters, factorizations, it = [0.0] * k, 0, 0, 0
         while True:
-            r2 = self._residual(u, mu, rhs2)
-            if iters:  # each update's constant mode, exactly
-                c = -r2.sum() / self.w_sum  # moves r2 by c w, u not at all
-                mu += c
-                r2 += c * w
-            rnorm_new = np.linalg.norm(r2)
-            finite = np.isfinite(rnorm_new)  # NaN data, an overflowing iterate
-            if iters and not rnorm_new <= _CONTRACTION * rnorm:
-                self.lu = None
-            rnorm = rnorm_new
-            if finite and rnorm <= cfg.newton_tol * scale:
+            R = self._residual(u, mu, rhs2).reshape(k, n)
+            if it:  # each update's constant mode, exactly
+                c = R.sum(axis=1, keepdims=True) / -self.w_sum
+                if done:
+                    c[done] = 0.0  # a converged member stays as it stopped
+                MU += c  # moves r2 by c w, u not at all
+                R += c * ops.weights
+            dmu, df = [self.zero] * k, None  # a converged member's is 0
+            for m in live[:]:
+                r = R[m]
+                rnorm_new = math.sqrt(r.dot(r))
+                finite = math.isfinite(rnorm_new)  # NaN data, an overflow
+                if it and not rnorm_new <= _CONTRACTION * rnorm[m]:
+                    self.lu[m] = None
+                rnorm[m] = rnorm_new
+                if finite and rnorm_new <= cfg.newton_tol * scale[m]:
+                    live.remove(m)
+                    done.append(m)
+                    iters += it
+                    continue
+                if it >= cfg.newton_max_iter or not finite:
+                    raise NewtonDivergedError(
+                        f"Newton stalled at residual {rnorm_new:.3e}",
+                        residual=rnorm_new, iterations=it, time=states[m].t)
+                if self.lu[m] is None:  # refactor at the current iterate
+                    if df is None:
+                        df = self.reg.df(u).reshape(k, n)
+                    S = self.S0 + sp.csc_array(
+                        (self.dtK.data * df[m][self.dtK_cols],
+                         self.dtK.indices, self.dtK.indptr), shape=self.dtK.shape)
+                    try:
+                        self.lu[m] = spla.splu(S, permc_spec="MMD_AT_PLUS_A")
+                    except RuntimeError as exc:
+                        raise SingularSystemError(str(exc)) from exc
+                    factorizations += 1
+                dmu[m] = self.lu[m].solve(r, trans="T")
+            if not live:
                 break
-            if iters >= cfg.newton_max_iter or not finite:
-                raise NewtonDivergedError(
-                    f"Newton stalled at residual {rnorm:.3e}",
-                    residual=rnorm, iterations=iters, time=state.t)
-            if self.lu is None:  # refactor at the current iterate
-                S = self.S0 + sp.csc_array(
-                    (self.dtK.data * self.reg.df(u)[self.dtK_cols],
-                     self.dtK.indices, self.dtK.indptr), shape=self.dtK.shape)
-                try:
-                    self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A")
-                except RuntimeError as exc:
-                    raise SingularSystemError(str(exc)) from exc
-                factorizations += 1
-            dmu = self.lu.solve(r2, trans="T")
+            dmu = _flat(dmu)
             mu -= dmu
-            u = u + self.P @ dmu
-            iters += 1
+            u += self.P @ dmu
+            it += 1
 
-        bulk = u.reshape(ops.bulk_shape)
-        self.mu_out = mu.reshape(ops.bulk_shape)
-        return State(state.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
-                     self.mu_out, state.field.bulk.copy(),
-                     state.field.trace.copy()), \
-            StepReport(iters, float(rnorm / scale), factorizations)
+        out = []
+        for m, (s, bulk) in enumerate(zip(states, u.reshape(k, n))):
+            bulk = bulk.reshape(ops.bulk_shape)
+            self.mu_out[m] = MU[m].reshape(ops.bulk_shape)
+            out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
+                             self.mu_out[m], s.field.bulk.copy(),
+                             s.field.trace.copy()))
+        return out[0] if isinstance(state, State) else out, StepReport(
+            iters, float(max(r / sc for r, sc in zip(rnorm, scale))),
+            factorizations)
 
 
 @dataclass
@@ -206,34 +279,56 @@ def _grid_steps(name, value, dt):
     return k
 
 
+def _march(ops, cfgs, initials, T, cadence):
+    """Step the members from their initial fields to time T in lockstep,
+    yielding their States at t = 0 and at each snapshot with the report of
+    the snapshot interval (None at t = 0), its counts totalled over the
+    interval's steps.  Snapshot times are k*dt; T and the cadence must be
+    multiples of dt."""
+    dt = cfgs[0].dt
+    n_steps = _grid_steps("T", T, dt)
+    stride = _grid_steps("cadence", cadence, dt)
+    if stride > n_steps:
+        raise ConfigError("cadence must not exceed T")
+    stepper = Stepper(ops, cfgs)
+    states = [State(t=0.0, field=f.copy()) for f in initials]
+    yield [s.copy() for s in states], None
+    iters = factorizations = 0  # totals over the current snapshot interval
+    for k in range(1, n_steps + 1):
+        states, report = stepper.step(states)  # raises with the step's start time
+        for s in states:
+            s.t = k * dt
+        iters += report.newton_iters
+        factorizations += report.factorizations
+        if k % stride == 0 or k == n_steps:
+            yield [s.copy() for s in states], replace(
+                report, newton_iters=iters, factorizations=factorizations)
+            iters = factorizations = 0
+
+
 def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Trajectory:
-    """Advance from the initial field to time T, snapshotting at the cadence.
+    """Advance from the initial field to time T, snapshotting at the cadence
+    (default dt) and recording diagnostics at each snapshot after t = 0.
 
     T and the cadence must be multiples of dt; snapshot times are k*dt.  The
     initial trace may disagree with the bulk boundary values; the first
     implicit step resolves the mismatch.  Deterministic for fixed inputs.
     """
-    n_steps = _grid_steps("T", T, cfg.dt)
     cadence = cfg.dt if cadence is None else cadence
-    stride = _grid_steps("cadence", cadence, cfg.dt)
-    if stride > n_steps:
-        raise ConfigError("cadence must not exceed T")
-    stepper = Stepper(ops, cfg)
-    state = State(t=0.0, field=initial.copy())
-    states = [state.copy()]
-    records = []
-    iters = factorizations = 0  # totals over the current snapshot interval
-    for k in range(1, n_steps + 1):
-        state, report = stepper.step(state)  # raises with the step's start time
-        state.t = k * cfg.dt
-        iters += report.newton_iters
-        factorizations += report.factorizations
-        if k % stride == 0 or k == n_steps:
-            states.append(state.copy())
-            records.append(diagnostics.record(ops, cfg, state, replace(
-                report, newton_iters=iters, factorizations=factorizations)))
-            iters = factorizations = 0
+    states, records = [], []
+    for (state,), report in _march(ops, [cfg], [initial], T, cadence):
+        states.append(state)
+        if report is not None:
+            records.append(diagnostics.record(ops, cfg, state, report))
     return Trajectory(ops, cfg, states, records, cadence)
+
+
+def simulate_members(ops, cfgs, initials, T, cadence):
+    """The snapshot States of each member, as simulate would give them, with
+    all members stepped in lockstep by one Stepper and no diagnostics
+    recorded.  The members share ops and all settings but N and h2."""
+    runs = zip(*(states for states, _ in _march(ops, cfgs, initials, T, cadence)))
+    return [list(run) for run in runs]
 
 
 def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> float:

@@ -37,8 +37,7 @@ from .errors import StiffnessFailureError
 __all__ = [
     "StationaryProblem", "ShootingResult", "CriticalFlux", "BVPSolution",
     "shoot", "exit_kind", "time_of_flight", "critical_flux", "solve_bvp",
-    "classify",
-    "variational_equilibrium_check", "first_integral_drift",
+    "classify", "first_integral_drift",
 ]
 
 _Y_SWITCH = 1.0 - 1e-6  # hand over from the ODE to the quadrature here
@@ -332,17 +331,3 @@ def classify(potential, K):
     if crit is None or K <= crit.K_plus:
         return "Classical"
     return "VariationalOnly"
-
-
-def variational_equilibrium_check(potential, x, y):
-    """L^2 residual of y'' - f(y) = <y'' - f(y)> on the region |y| <= 0.999,
-    by centered finite differences."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = x[1] - x[0]
-    ypp = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h ** 2
-    yi = y[1:-1]
-    mask = (np.abs(yi) <= 0.999) & (np.abs(y[2:]) < 1.0) & (np.abs(y[:-2]) < 1.0)
-    r = ypp[mask] - potential.f(yi[mask])
-    r = r - np.mean(r)
-    return float(np.sqrt(h * np.sum(r * r)))

@@ -125,6 +125,20 @@ class TestExitCodes:
             if command == "converge-n":
                 assert "experiment.n_levels" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "lipschitz", "separation"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command, where):
+        # numpy's generators take no negative seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 16\nexperiment.T = 0.01\n"
+                       + ("seed = -1\n" if where == "config" else ""))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        rc = main([command, "--config", str(cfg), *flag,
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+
     @pytest.mark.parametrize("command, key, value", [
         ("converge-n", "experiment.T", "0.02"),
         ("converge-n", "experiment.cadence", "0.01"),
@@ -279,7 +293,7 @@ class TestSweepDrivers:
                                  "experiment.amplitude": "0.3"})
         times = (0.04, 0.1, 0.16)
         stride = 2  # the gcd of the 4, 10 and 16 steps to the times
-        states = ex._run((cfg, 8, None, 0, 0.0, 0.16, stride * 1e-2))
+        (states,) = ex._lockstep(cfg, [(8, None, 0, 0.0)], 0.16, stride * 1e-2)
         fields = {t: states[round(t / 1e-2) // stride].field for t in times}
         ops = ex.build_operators(cfg)
         scfg = ex.build_solver_config(cfg, N=8)

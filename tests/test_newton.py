@@ -257,7 +257,7 @@ class TestRefactorRule:
         stepper = Stepper(ops, cfg)
         newton = state
         for _ in range(100):
-            stepper.lu = None
+            stepper.lu = [None]
             newton, report = stepper.step(newton)
             assert report.factorizations == report.newton_iters
         assert np.max(np.abs(chord.field.bulk - newton.field.bulk)) <= 1e-9
@@ -321,3 +321,102 @@ def test_count_columns_total_over_interval(tmp_path):
                      for c in ("newton_iters", "newton_factorizations")])
     assert sums[0] == sums[1]
     assert sums[0][1] >= 1
+
+
+_QUENCH = {"domain.n": "33", "domain.a": "-4.0", "domain.b": "4.0",
+           "solver.lam": "6.0", "solver.dt": "1e-2",
+           "experiment.amplitude": "0.85", "experiment.mean": "0.05"}
+_SMALL = {"domain.n": "33", "solver.lam": "2.0", "solver.dt": "1e-2"}
+# the sweeps' shapes: settings, then (N, h2, seed, eps) per member, as
+# experiments._sweep takes them
+_SWEEPS = {
+    "n-ladder": (_QUENCH, [(4 * 2 ** k, None, 0, 0.0) for k in range(6)]),
+    "strip-h2": ({"domain.kind": "strip", "domain.nx": "8", "domain.ny": "9",
+                  "boundary.g": "tanh", "solver.lam": "2.0",
+                  "solver.dt": "1e-2"},
+                 [(None, h2, 1, 0.0) for h2 in (0.2, -0.4, 1.0)]),
+    "lipschitz-eps": (_SMALL, [(None, None, 0, eps)
+                               for eps in (0.0, 1e-2, 1e-3, 1e-4)]),
+    "decay-seeds": (_SMALL, [(None, None, seed, 0.0) for seed in range(4)]),
+}
+
+
+def _sweep_members(settings, jobs):
+    cfg = ex.resolve_config(settings)
+    ops = ex.build_operators(cfg)
+    return (ops, [ex.build_solver_config(cfg, N=N, h2=h2) for N, h2, _, _ in jobs],
+            [ex._initial(cfg, ops, seed, eps) for _, _, seed, eps in jobs])
+
+
+class TestLockstep:
+    """Members stepped together follow their solo runs bit for bit."""
+
+    @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+    def test_members_match_solo_runs(self, sweep):
+        ops, cfgs, fields = _sweep_members(*_SWEEPS[sweep])
+        T, dt = 0.2, cfgs[0].dt
+        solo = [solver.simulate(ops, c, f, T) for c, f in zip(cfgs, fields)]
+        runs = solver.simulate_members(ops, cfgs, fields, T, 5 * dt)
+        for traj, run in zip(solo, runs):
+            assert [s.t for s in run] == list(traj.times[::5])
+            for a, b in zip(traj.states[::5], run):
+                assert np.array_equal(a.field.bulk, b.field.bulk)
+                assert np.array_equal(a.field.trace, b.field.trace)
+                assert (a.mu is None) == (b.mu is None)
+                assert a.mu is None or np.array_equal(a.mu, b.mu)
+        # the report totals over members what the solo runs count
+        stepper = Stepper(ops, cfgs)
+        states = [State(0.0, f.copy()) for f in fields]
+        iters = factorizations = 0
+        for _ in range(round(T / dt)):
+            states, report = stepper.step(states)
+            iters += report.newton_iters
+            factorizations += report.factorizations
+        assert iters == sum(r.newton_iters for t in solo for r in t.records)
+        assert factorizations == sum(r.newton_factorizations
+                                     for t in solo for r in t.records)
+        assert factorizations >= len(cfgs)
+        for traj, state in zip(solo, states):
+            assert np.array_equal(traj.final.field.bulk, state.field.bulk)
+            assert np.array_equal(traj.final.mu, state.mu)
+
+    def test_one_member_is_the_solo_step(self):
+        # a list of one member steps as the bare State does
+        ops, cfg, state = _criterion_4()
+        (new,), report = Stepper(ops, [cfg]).step([state])
+        ref, ref_report = Stepper(ops, cfg).step(state)
+        assert np.array_equal(new.field.bulk, ref.field.bulk)
+        assert np.array_equal(new.mu, ref.mu)
+        assert report == ref_report
+
+    @pytest.mark.parametrize("change", [{"dt": 2e-2}, {"lam": 5.0},
+                                        {"newton_tol": 1e-8}])
+    def test_members_must_agree(self, change):
+        ops, cfg, _ = _criterion_4()
+        Stepper(ops, [cfg, replace(cfg, N=64, h2=0.3)])  # N and h2 may differ
+        with pytest.raises(ValueError, match="agree"):
+            Stepper(ops, [cfg, replace(cfg, **change)])
+
+    def test_stalled_member_raises_its_solo_error(self):
+        # at newton_max_iter = 7 the N = 4 run of this quench converges at
+        # every step, and the N = 8 run stalls at t = 0.07
+        ops, cfgs, fields = _sweep_members(
+            {**_QUENCH, "solver.newton_max_iter": "7"},
+            [(N, None, 0, 0.0) for N in (4, 8)])
+        solver.simulate(ops, cfgs[0], fields[0], 0.5)
+        with pytest.raises(NewtonDivergedError) as solo:
+            solver.simulate(ops, cfgs[1], fields[1], 0.5)
+        with pytest.raises(NewtonDivergedError) as both:
+            solver.simulate_members(ops, cfgs, fields, 0.5, 0.1)
+        assert solo.value.time > 0.0
+        assert str(both.value) == str(solo.value)
+        for attr in ("residual", "iterations", "time"):
+            assert getattr(both.value, attr) == getattr(solo.value, attr)
+
+    def test_stalled_member_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _QUENCH.items())
+                       + "solver.newton_max_iter = 7\nexperiment.n_levels = 1\n")
+        assert main(["converge-n", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("solver failure:")
