@@ -254,13 +254,19 @@ class _OperatorsBase:
         return float(np.sqrt(self.h_minus1_norm(d) ** 2 + self.boundary_inner(dpsi, dpsi)))
 
 
+def factorize(A):
+    """SuperLU of the structurally symmetric CSC matrix A: the MMD ordering
+    of A^T + A and the symmetric mode, which prefers diagonal pivots."""
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
 def _bordered_lu(K, weights):
     m = sp.csr_array(weights.reshape(1, -1))
-    A = sp.block_array([[K, m.T], [m, None]], format="csc")
-    try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularSystemError("bordered Poisson factorization failed") from exc
+    return factorize(sp.block_array([[K, m.T], [m, None]], format="csc"))
 
 
 def make_operators(domain):

@@ -19,13 +19,18 @@ r2 = M (mu - f_N(u)) - A u - rhs2, A = K + B^T C B, has Jacobian S^T in mu,
 S = M + dt K M^-1 A + dt K diag(f_N'(u)).  One LU of S is kept across
 iterations and steps (chord Newton), solved transposed, and remade at the
 current iterate after an iteration that shrinks |r2| by less than
-_CONTRACTION.  P 1 = 0, so each iterate's constant mode of mu is exact.
+_CONTRACTION; S is structurally symmetric, so SuperLU factors it in its
+symmetric mode.  P 1 = 0, so each iterate's constant mode of mu is exact.
+Newton starts from the quadratic time extrapolation of the mus of the
+stepper's last three steps, 3 mu_n - 3 mu_n-1 + mu_n-2; after two steps
+from the linear one, 2 mu_n - mu_n-1, after one from mu_n, and from mu = 0
+on a fresh start or a State whose mu the stepper did not make.
 
 One Stepper steps k runs (members) that share ops and every setting but N
 and h2 in lockstep, with one residual evaluation per chord iteration for
 all of them.  Their vectors are stacked flat, k n long; A, P and B^T M_G
 are block diagonal, and f_N has one cutoff per node.  Each member keeps its
-own LU of S, residual norm, contraction test and warm-start mu, and stays
+own LU of S, residual norm, contraction test and mu history, and stays
 frozen once it converges while the others iterate, so it follows the
 iterates of its solo run bit for bit.
 """
@@ -37,12 +42,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import diagnostics
-from .discretization import Field
-from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
-                     StaleStateError)
+from .discretization import Field, factorize
+from .errors import ConfigError, NewtonDivergedError, StaleStateError
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
@@ -115,6 +118,16 @@ def _flat(arrays):
     return np.concatenate(arrays, axis=None)
 
 
+def _extrapolate(history):
+    """The polynomial through the mus of the last steps, oldest first, at
+    the next step: the sum of their newest backward differences."""
+    out = history[-1]
+    while len(history) > 1:
+        history = [b - a for a, b in zip(history, history[1:])]
+        out = out + history[-1]
+    return out
+
+
 def _tile(M, k):
     """k copies of the CSR matrix M on the diagonal.  Tiling M's arrays keeps
     each row's entries in M's order, so a member's rows of a product sum as
@@ -162,8 +175,8 @@ class Stepper:
         self.A, self.P = _tile(A, self.k), _tile(P, self.k)
         self.BtMg = _tile((B.T @ Mg).tocsr(), self.k)
         self.w = np.tile(w, self.k)
-        # per member: the LU of S, and the mu of its last step
-        self.lu, self.mu_out = [None] * self.k, [None] * self.k
+        # per member: the LU of S, and the mus of its last three steps
+        self.lu, self.mus = [None] * self.k, [[] for _ in range(self.k)]
         h1, _ = diagnostics.forcing_arrays(ops, cfg)
         h2s = [diagnostics.forcing_arrays(ops, c)[1] for c in cfgs]
         self.h1, self.h2 = np.tile(h1, self.k), np.concatenate(h2s)
@@ -188,11 +201,17 @@ class Stepper:
         scale = [1.0 + np.linalg.norm(wu) + nh1 + nh2 for wu, (nh1, nh2)
                  in zip((self.w * u_old).reshape(k, n), self.h_norms)]
 
-        # A member's own last mu starts u at u_old - P mu, a time
-        # extrapolation.  A foreign mu may put that u far off, so it is
-        # dropped and Newton starts at u_old with mu = 0.
-        mu = _flat([s.mu if s.mu is not None and s.mu is own else self.zero
-                    for s, own in zip(states, self.mu_out)]).copy()
+        # A member whose State carries the mu of its own last step starts
+        # Newton at the time extrapolation of its last mus, and u at
+        # u_old - P mu.  A foreign mu may put that u far off, so it is
+        # dropped with the member's history and LU: Newton starts at u_old
+        # with mu = 0, as a fresh Stepper's does.
+        for m, (s, mus) in enumerate(zip(states, self.mus)):
+            if not mus or s.mu is not mus[-1]:
+                mus.clear()
+                self.lu[m] = None
+        mu = _flat([_extrapolate(mus) if mus else self.zero
+                    for mus in self.mus]).copy()
         u = u_old - self.P @ mu
         MU = mu.reshape(k, n)  # a view: updating mu in place updates MU
         live, done = list(range(k)), []  # members iterating, members converged
@@ -228,10 +247,7 @@ class Stepper:
                     S = self.S0 + sp.csc_array(
                         (self.dtK.data * df[m][self.dtK_cols],
                          self.dtK.indices, self.dtK.indptr), shape=self.dtK.shape)
-                    try:
-                        self.lu[m] = spla.splu(S, permc_spec="MMD_AT_PLUS_A")
-                    except RuntimeError as exc:
-                        raise SingularSystemError(str(exc)) from exc
+                    self.lu[m] = factorize(S)
                     factorizations += 1
                 dmu[m] = self.lu[m].solve(r, trans="T")
             if not live:
@@ -242,11 +258,11 @@ class Stepper:
             it += 1
 
         out = []
-        for m, (s, bulk) in enumerate(zip(states, u.reshape(k, n))):
+        for s, bulk, mu_m, mus in zip(states, u.reshape(k, n), MU, self.mus):
             bulk = bulk.reshape(ops.bulk_shape)
-            self.mu_out[m] = MU[m].reshape(ops.bulk_shape)
+            mus[:] = mus[-2:] + [mu_m.reshape(ops.bulk_shape)]
             out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
-                             self.mu_out[m], s.field.bulk.copy(),
+                             mus[-1], s.field.bulk.copy(),
                              s.field.trace.copy()))
         return out[0] if isinstance(state, State) else out, StepReport(
             iters, float(max(r / sc for r, sc in zip(rnorm, scale))),

@@ -151,6 +151,36 @@ _OVERSHOOT_CASE = (
                   [0.9590625, -0.33638299, -0.74636629, 0.14854509]]))))
 
 
+def _step_scale(ops, cfg, state):
+    h1, h2 = forcing_arrays(ops, cfg)
+    return 1.0 + np.linalg.norm(ops.weights * state.field.bulk.ravel()) \
+        + np.linalg.norm(h1) + np.linalg.norm(h2)
+
+
+def _assert_matches_saddle_newton(ops, cfg, state, new):
+    """new is the step from state within 1e-9 of the step's scale of the
+    saddle reference, with mass kept and the trace of its bulk."""
+    u_ref, mu_ref = saddle_newton_step(ops, cfg, state)
+    scale = _step_scale(ops, cfg, state)
+    assert np.max(np.abs(new.field.bulk.ravel() - u_ref)) <= 1e-9 * scale
+    # mu in the units of the residual: M (mu - mu_ref)
+    assert np.max(np.abs(ops.weights * (new.mu.ravel() - mu_ref))) \
+        <= 1e-9 * scale
+    drift = abs(ops.mean(new.field.bulk) - ops.mean(state.field.bulk))
+    assert drift <= 1e-12 * scale
+    assert np.array_equal(new.field.trace, ops.trace_of(new.field.bulk))
+
+
+def _assert_solves_saddle_system(ops, cfg, state, new):
+    """new solves the saddle system of the step from state: the first
+    equation to round-off, the second to the Newton tolerance."""
+    r1, r2, _ = saddle_residuals(ops, cfg, state)
+    u, mu = new.field.bulk.ravel(), new.mu.ravel()
+    scale = _step_scale(ops, cfg, state)
+    assert np.max(np.abs(r1(u, mu))) <= 64 * np.finfo(float).eps * scale
+    assert np.linalg.norm(r2(u, mu)) <= cfg.newton_tol * scale
+
+
 class TestChordStepAgainstSaddleNewton:
     @given(step_cases())
     @example(_OVERSHOOT_CASE)
@@ -158,19 +188,9 @@ class TestChordStepAgainstSaddleNewton:
     def test_one_step(self, case):
         ops, cfg, state = case
         new, report = Stepper(ops, cfg).step(state)
-        u_ref, mu_ref = saddle_newton_step(ops, cfg, state)
-        h1, h2 = forcing_arrays(ops, cfg)
-        scale = 1.0 + np.linalg.norm(ops.weights * state.field.bulk.ravel()) \
-            + np.linalg.norm(h1) + np.linalg.norm(h2)
         # a state that already solves its step takes no iteration
         assert report.factorizations >= 1 or report.newton_iters == 0
-        assert np.max(np.abs(new.field.bulk.ravel() - u_ref)) <= 1e-9 * scale
-        # mu in the units of the residual: M (mu - mu_ref)
-        assert np.max(np.abs(ops.weights * (new.mu.ravel() - mu_ref))) \
-            <= 1e-9 * scale
-        drift = abs(ops.mean(new.field.bulk) - ops.mean(state.field.bulk))
-        assert drift <= 1e-12 * scale
-        assert np.array_equal(new.field.trace, ops.trace_of(new.field.bulk))
+        _assert_matches_saddle_newton(ops, cfg, state, new)
 
     def test_state_that_solves_its_step(self):
         # with zero field and forcing, u = 0, mu = 0 solves the step: the
@@ -185,25 +205,43 @@ class TestChordStepAgainstSaddleNewton:
 
 
 class TestSolvedEquations:
-    """The returned state solves the step's saddle system itself: the first
-    equation to round-off, the second to the Newton tolerance."""
+    """The returned state solves the step's saddle system itself."""
 
     @given(step_cases())
     @settings(max_examples=80, deadline=None)
     def test_saddle_residuals(self, case):
         ops, cfg, state = case
         new, _ = Stepper(ops, cfg).step(state)
-        r1, r2, _ = saddle_residuals(ops, cfg, state)
-        u, mu = new.field.bulk.ravel(), new.mu.ravel()
-        w, u_old = ops.weights, state.field.bulk.ravel()
-        h1, h2 = forcing_arrays(ops, cfg)
-        scale = 1.0 + np.linalg.norm(w * u_old) + np.linalg.norm(h1) \
-            + np.linalg.norm(h2)
-        assert np.max(np.abs(r1(u, mu))) <= 64 * np.finfo(float).eps * scale
-        assert np.linalg.norm(r2(u, mu)) <= cfg.newton_tol * scale
+        _assert_solves_saddle_system(ops, cfg, state, new)
 
 
 class TestWarmStart:
+    @given(step_cases(), st.integers(3, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_started_step(self, case, n_steps):
+        # the last of 3-4 steps of one Stepper starts from the extrapolated
+        # mu of its earlier steps and a kept LU, and still solves its step
+        ops, cfg, state = case
+        stepper = Stepper(ops, cfg)
+        for _ in range(n_steps - 1):
+            state, _ = stepper.step(state)
+        new, _ = stepper.step(state)
+        _assert_matches_saddle_newton(ops, cfg, state, new)
+        _assert_solves_saddle_system(ops, cfg, state, new)
+
+    def test_foreign_state_steps_as_a_fresh_stepper(self):
+        # a copied State after several own steps drops the history and the
+        # kept LU: the step is a fresh Stepper's, bit for bit
+        ops, cfg, state = _criterion_4()
+        stepper = Stepper(ops, cfg)
+        for _ in range(5):
+            state, _ = stepper.step(state)
+        new, report = stepper.step(state.copy())
+        ref, ref_report = Stepper(ops, cfg).step(state.copy())
+        assert np.array_equal(new.field.bulk, ref.field.bulk)
+        assert np.array_equal(new.mu, ref.mu)
+        assert report == ref_report
+
     def test_own_mu_warm_starts(self):
         # the stepper's own last mu predicts u; the same mu in a copied
         # State is foreign, and Newton starts at u_old instead
@@ -398,10 +436,10 @@ class TestLockstep:
             Stepper(ops, [cfg, replace(cfg, **change)])
 
     def test_stalled_member_raises_its_solo_error(self):
-        # at newton_max_iter = 7 the N = 4 run of this quench converges at
-        # every step, and the N = 8 run stalls at t = 0.07
+        # at newton_max_iter = 6 the N = 4 run of this quench converges at
+        # every step, and the N = 8 run stalls at t = 0.13
         ops, cfgs, fields = _sweep_members(
-            {**_QUENCH, "solver.newton_max_iter": "7"},
+            {**_QUENCH, "solver.newton_max_iter": "6"},
             [(N, None, 0, 0.0) for N in (4, 8)])
         solver.simulate(ops, cfgs[0], fields[0], 0.5)
         with pytest.raises(NewtonDivergedError) as solo:
@@ -416,7 +454,7 @@ class TestLockstep:
     def test_stalled_member_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in _QUENCH.items())
-                       + "solver.newton_max_iter = 7\nexperiment.n_levels = 1\n")
+                       + "solver.newton_max_iter = 6\nexperiment.n_levels = 1\n")
         assert main(["converge-n", "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("solver failure:")
