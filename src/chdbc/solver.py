@@ -16,23 +16,27 @@ M_G, K_G their boundary counterparts, C = M_G/dt + K_G + M_G):
 Newton runs on mu alone: u = u_old - P mu, P = dt M^-1 K, solves the first
 equation, and u moves by increments P dmu, so it is rounded once per step.
 r2 = M (mu - f_N(u)) - A u - rhs2, A = K + B^T C B, has Jacobian S^T in mu,
-S = M + dt K M^-1 A + dt K diag(f_N'(u)).  One LU of S is kept across
-iterations and steps (chord Newton), solved transposed, and remade at the
-current iterate after an iteration that shrinks |r2| by less than
-_CONTRACTION; S is structurally symmetric, so SuperLU factors it in its
-symmetric mode.  P 1 = 0, so each iterate's constant mode of mu is exact.
+S = M + dt K M^-1 A + dt K diag(f_N'(u)), solved transposed with an LU of S
+chosen by S's half-bandwidth b.  When b^2 <= n (every interval: S is
+pentadiagonal, b = 2), LAPACK's band LU costs about one sparse solve, so S
+is factored at every iterate (Newton).  Otherwise (the periodic strip, whose
+wrap-around couplings make b about n), SuperLU's LU, in its symmetric mode,
+costs tens of solves, so one is kept across iterations and steps (chord
+Newton) and remade at the current iterate after an iteration that shrinks
+|r2| by less than _CONTRACTION.  P 1 = 0, so each iterate's constant mode of
+mu is exact.
 Newton starts from the quadratic time extrapolation of the mus of the
 stepper's last three steps, 3 mu_n - 3 mu_n-1 + mu_n-2; after two steps
 from the linear one, 2 mu_n - mu_n-1, after one from mu_n, and from mu = 0
 on a fresh start or a State whose mu the stepper did not make.
 
 One Stepper steps k runs (members) that share ops and every setting but N
-and h2 in lockstep, with one residual evaluation per chord iteration for
+and h2 in lockstep, with one residual evaluation per Newton iteration for
 all of them.  Their vectors are stacked flat, k n long; A, P and B^T M_G
-are block diagonal, and f_N has one cutoff per node.  Each member keeps its
-own LU of S, residual norm, contraction test and mu history, and stays
-frozen once it converges while the others iterate, so it follows the
-iterates of its solo run bit for bit.
+are block diagonal, and f_N has one cutoff per node.  Each member factors
+its own n x n block of S and keeps its own LU, residual norm, contraction
+test and mu history, and stays frozen once it converges while the others
+iterate, so it follows the iterates of its solo run bit for bit.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from . import diagnostics
 from .discretization import Field, factorize
-from .errors import ConfigError, NewtonDivergedError, StaleStateError
+from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
+                     StaleStateError)
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
@@ -128,6 +134,29 @@ def _extrapolate(history):
     return out
 
 
+def _band(A, b):
+    """The sparse matrix A in dgbtrf's storage for b sub- and superdiagonals:
+    A[i, j] at [2b + i - j, j], the first b rows left for the LU's fill."""
+    A = A.tocoo()
+    ab = np.zeros((3 * b + 1, A.shape[1]), order="F")
+    ab[2 * b + A.row - A.col, A.col] = A.data
+    return ab
+
+
+class _BandLU:
+    """LAPACK's LU of the band matrix in _band's storage, made in place."""
+
+    def __init__(self, ab, b):
+        self.lu, self.piv, info = lapack.dgbtrf(ab, b, b, overwrite_ab=True)
+        if info > 0:
+            raise SingularSystemError(f"band LU: zero pivot in column {info}")
+        self.b = b
+
+    def solve(self, r, trans="N"):
+        return lapack.dgbtrs(self.lu, self.b, self.b, r, self.piv,
+                             trans=int(trans == "T"))[0]
+
+
 def _tile(M, k):
     """k copies of the CSR matrix M on the diagonal.  Tiling M's arrays keeps
     each row's entries in M's order, so a member's rows of a product sum as
@@ -142,7 +171,7 @@ def _tile(M, k):
 
 
 class Stepper:
-    """Prebuilt matrices and the kept LU of S of each member, for members
+    """Prebuilt matrices and the LU of S of each member, for members
     that share ops and every setting but N and h2.
 
     cfg is one SolverConfig, or the list of the members' configs; step takes
@@ -172,6 +201,11 @@ class Stepper:
         self.S0 = (sp.diags_array(w) + P.T @ A).tocsc()  # K = K^T
         # S = S0 + dt K diag(f_N'(u)) scales column j of dt K by f_N'(u_j)
         self.dtK_cols = np.repeat(np.arange(n), np.diff(self.dtK.indptr))
+        # S0 and dt K in band storage, when S's half-bandwidth b allows
+        b = max(int(np.max(np.abs(X.row - X.col)))
+                for X in (self.S0.tocoo(), self.dtK.tocoo()))
+        self.band = (_band(self.S0, b), _band(self.dtK, b), b) \
+            if b * b <= n else None
         self.A, self.P = _tile(A, self.k), _tile(P, self.k)
         self.BtMg = _tile((B.T @ Mg).tocsr(), self.k)
         self.w = np.tile(w, self.k)
@@ -229,7 +263,8 @@ class Stepper:
                 r = R[m]
                 rnorm_new = math.sqrt(r.dot(r))
                 finite = math.isfinite(rnorm_new)  # NaN data, an overflow
-                if it and not rnorm_new <= _CONTRACTION * rnorm[m]:
+                if self.band is not None or (
+                        it and not rnorm_new <= _CONTRACTION * rnorm[m]):
                     self.lu[m] = None
                 rnorm[m] = rnorm_new
                 if finite and rnorm_new <= cfg.newton_tol * scale[m]:
@@ -244,10 +279,15 @@ class Stepper:
                 if self.lu[m] is None:  # refactor at the current iterate
                     if df is None:
                         df = self.reg.df(u).reshape(k, n)
-                    S = self.S0 + sp.csc_array(
-                        (self.dtK.data * df[m][self.dtK_cols],
-                         self.dtK.indices, self.dtK.indptr), shape=self.dtK.shape)
-                    self.lu[m] = factorize(S)
+                    if self.band is None:
+                        S = self.S0 + sp.csc_array(
+                            (self.dtK.data * df[m][self.dtK_cols],
+                             self.dtK.indices, self.dtK.indptr),
+                            shape=self.dtK.shape)
+                        self.lu[m] = factorize(S)
+                    else:
+                        ab0, abK, b = self.band
+                        self.lu[m] = _BandLU(ab0 + abK * df[m], b)
                     factorizations += 1
                 dmu[m] = self.lu[m].solve(r, trans="T")
             if not live:

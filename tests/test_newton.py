@@ -1,6 +1,7 @@
-"""The chord Newton step on mu (kept LU of S, solved transposed) against a
+"""The Newton step on mu (LU of S, solved transposed: a band LU at every
+iterate on the interval, a kept SuperLU on the strip) against a
 saddle-point Newton reference and the saddle residuals themselves, its warm
-start, its refactor rule and its failure paths."""
+start, its refactor rules and its failure paths."""
 
 import csv
 from dataclasses import replace
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from chdbc import experiments as ex
 from chdbc import solver
 from chdbc.cli import main
-from chdbc.diagnostics import forcing_arrays
+from chdbc.diagnostics import energy, forcing_arrays
 from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
-from chdbc.errors import NewtonDivergedError
+from chdbc.errors import NewtonDivergedError, SingularSystemError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, RegularizedPotential,
                               SmoothDoubleWell)
@@ -220,7 +221,8 @@ class TestWarmStart:
     @settings(max_examples=40, deadline=None)
     def test_warm_started_step(self, case, n_steps):
         # the last of 3-4 steps of one Stepper starts from the extrapolated
-        # mu of its earlier steps and a kept LU, and still solves its step
+        # mu of its earlier steps (and on the strip a kept LU), and still
+        # solves its step
         ops, cfg, state = case
         stepper = Stepper(ops, cfg)
         for _ in range(n_steps - 1):
@@ -230,17 +232,17 @@ class TestWarmStart:
         _assert_solves_saddle_system(ops, cfg, state, new)
 
     def test_foreign_state_steps_as_a_fresh_stepper(self):
-        # a copied State after several own steps drops the history and the
-        # kept LU: the step is a fresh Stepper's, bit for bit
-        ops, cfg, state = _criterion_4()
-        stepper = Stepper(ops, cfg)
-        for _ in range(5):
-            state, _ = stepper.step(state)
-        new, report = stepper.step(state.copy())
-        ref, ref_report = Stepper(ops, cfg).step(state.copy())
-        assert np.array_equal(new.field.bulk, ref.field.bulk)
-        assert np.array_equal(new.mu, ref.mu)
-        assert report == ref_report
+        # a copied State after several own steps drops the history and, on
+        # the strip, the kept LU: the step is a fresh Stepper's, bit for bit
+        for ops, cfg, state in (_criterion_4(), _strip_quench()):
+            stepper = Stepper(ops, cfg)
+            for _ in range(5):
+                state, _ = stepper.step(state)
+            new, report = stepper.step(state.copy())
+            ref, ref_report = Stepper(ops, cfg).step(state.copy())
+            assert np.array_equal(new.field.bulk, ref.field.bulk)
+            assert np.array_equal(new.mu, ref.mu)
+            assert report == ref_report
 
     def test_own_mu_warm_starts(self):
         # the stepper's own last mu predicts u; the same mu in a copied
@@ -280,10 +282,24 @@ def _criterion_4():
         State(0.0, ex.initial_field(ops, 0, 0.85, 0.05))
 
 
+def _strip_quench():
+    # deeper than criterion 4's quench, so that the kept LU goes stale now
+    # and then
+    cfg = ex.resolve_config({
+        "domain.kind": "strip", "domain.nx": "8", "domain.ny": "9",
+        "solver.lam": "10.0", "solver.dt": "5e-2",
+        "experiment.amplitude": "0.85", "experiment.mean": "0.05"}, seed=0)
+    ops = ex.build_operators(cfg)
+    return ops, ex.build_solver_config(cfg, N=64), \
+        State(0.0, ex.initial_field(ops, 0, 0.85, 0.05))
+
+
 class TestRefactorRule:
     def test_refactors_and_matches_newton(self, monkeypatch):
-        ops, cfg, state = _criterion_4()
+        # the strip's S has half-bandwidth about n: one SuperLU LU is kept
+        ops, cfg, state = _strip_quench()
         stepper = Stepper(ops, cfg)
+        assert stepper.band is None
         chord, factorizations = state, 0
         for _ in range(100):
             chord, report = stepper.step(chord)
@@ -301,6 +317,32 @@ class TestRefactorRule:
         assert np.max(np.abs(chord.field.bulk - newton.field.bulk)) <= 1e-9
         assert np.max(np.abs(chord.mu - newton.mu)) <= 1e-9
 
+    def test_band_newton_matches_chord(self):
+        # the interval's S is pentadiagonal: a band LU at every iterate
+        ops, cfg, state = _criterion_4()
+        stepper = Stepper(ops, cfg)
+        assert stepper.band[2] == 2
+        newton = state
+        for _ in range(100):
+            newton, report = stepper.step(newton)
+            assert report.factorizations == report.newton_iters
+
+        stepper = Stepper(ops, cfg)
+        stepper.band = None  # SuperLU's chord path, the reference
+        chord = state
+        for _ in range(100):
+            chord, _ = stepper.step(chord)
+        assert np.max(np.abs(chord.field.bulk - newton.field.bulk)) <= 1e-9
+        assert np.max(np.abs(chord.mu - newton.mu)) <= 1e-9
+
+    def test_singular_band_lu_raises(self):
+        ops, cfg, state = _criterion_4()
+        stepper = Stepper(ops, cfg)
+        for ab in stepper.band[:2]:
+            ab[:] = 0.0
+        with pytest.raises(SingularSystemError):
+            stepper.step(state)
+
 
 class TestNoLineSearch:
     def test_max_iter_one_raises(self):
@@ -313,6 +355,22 @@ class TestNoLineSearch:
             solver.simulate(ops, one, state.field, T=0.01)
         assert info.value.iterations == 1
         assert info.value.time == 0.0
+
+    @pytest.mark.parametrize("N", [4, 10 ** 8])
+    @pytest.mark.parametrize("dt", [1e-3, 5e-2])
+    def test_stiff_corners(self, N, dt):
+        # the extremes of N and dt on criterion 4's quench: Newton with no
+        # line search converges at every one of 40 steps, keeps the mass
+        # and never raises the energy
+        ops, cfg, state = _criterion_4()
+        cfg = replace(cfg, N=N, dt=dt)
+        traj = solver.simulate(ops, cfg, state.field, T=40 * dt)
+        m0 = ops.mean(state.field.bulk)
+        E = [energy(ops, cfg, s.field).total for s in traj.states]
+        for s in traj.states:
+            assert abs(ops.mean(s.field.bulk) - m0) < 1e-13
+        assert all(E[k + 1] <= E[k] + 1e-10 * (1.0 + abs(E[k]))
+                   for k in range(len(E) - 1))
 
     def test_cli_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -364,6 +422,9 @@ def test_count_columns_total_over_interval(tmp_path):
 _QUENCH = {"domain.n": "33", "domain.a": "-4.0", "domain.b": "4.0",
            "solver.lam": "6.0", "solver.dt": "1e-2",
            "experiment.amplitude": "0.85", "experiment.mean": "0.05"}
+# the N = 4 run of this quench converges at every step, the N = 64 run
+# stalls at t = 0.2
+_STALL = {**_QUENCH, "solver.dt": "5e-2", "solver.newton_max_iter": "3"}
 _SMALL = {"domain.n": "33", "solver.lam": "2.0", "solver.dt": "1e-2"}
 # the sweeps' shapes: settings, then (N, h2, seed, eps) per member, as
 # experiments._sweep takes them
@@ -436,16 +497,13 @@ class TestLockstep:
             Stepper(ops, [cfg, replace(cfg, **change)])
 
     def test_stalled_member_raises_its_solo_error(self):
-        # at newton_max_iter = 6 the N = 4 run of this quench converges at
-        # every step, and the N = 8 run stalls at t = 0.13
         ops, cfgs, fields = _sweep_members(
-            {**_QUENCH, "solver.newton_max_iter": "6"},
-            [(N, None, 0, 0.0) for N in (4, 8)])
-        solver.simulate(ops, cfgs[0], fields[0], 0.5)
+            _STALL, [(N, None, 0, 0.0) for N in (4, 64)])
+        solver.simulate(ops, cfgs[0], fields[0], 1.0)
         with pytest.raises(NewtonDivergedError) as solo:
-            solver.simulate(ops, cfgs[1], fields[1], 0.5)
+            solver.simulate(ops, cfgs[1], fields[1], 1.0)
         with pytest.raises(NewtonDivergedError) as both:
-            solver.simulate_members(ops, cfgs, fields, 0.5, 0.1)
+            solver.simulate_members(ops, cfgs, fields, 1.0, 0.1)
         assert solo.value.time > 0.0
         assert str(both.value) == str(solo.value)
         for attr in ("residual", "iterations", "time"):
@@ -453,8 +511,8 @@ class TestLockstep:
 
     def test_stalled_member_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _QUENCH.items())
-                       + "solver.newton_max_iter = 6\nexperiment.n_levels = 1\n")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _STALL.items())
+                       + "experiment.n_levels = 4\n")  # N = 4, ..., 64
         assert main(["converge-n", "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("solver failure:")
