@@ -1,7 +1,8 @@
 """Odd stationary profiles and the critical boundary flux.
 
 The stationary problem y'' = f(y) on (-1, 1) with outward slope
-y'(+-1) = K is solved by shooting from the midpoint.  For the
+y'(+-1) = K is solved from the midpoint through the first integral's
+flight map x(y) = int_0^y dv / sqrt(s^2 + 2 F(v)).  For the
 logarithmic potential there is a finite critical slope K_plus: below it
 a classical profile meets the slope exactly, above it the profile
 saturates at the pure phases before reaching the boundary and the slope
@@ -37,8 +38,7 @@ def main():
     print("\nboundary-value problem at three flux levels:")
     for K in (0.5 * crit.K_plus, 0.99 * crit.K_plus, 2.0 * crit.K_plus):
         sol = solve_bvp(StationaryProblem(log, K))
-        tag = classify(log, K)
-        print(f"  K = {K:7.4f}: {sol.kind:16s} classify -> {tag:15s} "
+        print(f"  K = {K:7.4f}: {classify(log, K):15s} "
               f"slope defect {sol.defect:.4f}")
 
     # sanity: the shooting integrator conserves the first integral
@@ -46,6 +46,12 @@ def main():
     print(f"\nfirst-integral drift at s = 1.5: "
           f"{first_integral_drift(log, res):.2e}")
     print(f"saturation point of that shot: x = {res.x_hit:.6f}")
+
+    print("\nstiffer logarithmic potentials: s_star falls off exponentially")
+    for kappa1 in (100.0, 1000.0):
+        crit = critical_flux(LogarithmicPotential(kappa1=kappa1))
+        print(f"  kappa1 = {kappa1:6.0f}: s_star = {crit.s_star:.4e}, "
+              f"K_plus = {crit.K_plus:.6f}")
 
     pw = PowerSingularPotential(p=3.0)
     print(f"\npower potential (p=3): critical flux is "

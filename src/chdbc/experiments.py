@@ -405,7 +405,7 @@ def run_stationary(cfg, outdir):
                zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
                    sol.profile.yp.tolist()))
     summary = {"classification": stationary.classify(pot, K), "K": K,
-               "s": sol.s, "kind": sol.kind, "defect": sol.defect}
+               "s": sol.s, "defect": sol.defect}
     crit = stationary.critical_flux(pot)
     if crit is not None:
         summary["s_star"] = crit.s_star

@@ -1,14 +1,14 @@
 """The 1D singular boundary-value problem y'' = f(y), y'(+-1) = K.
 
-Odd solutions are built by shooting from y(0) = 0, y'(0) = s.  The first
-integral (1/2) y'^2 - F(y) = (1/2) s^2 turns the singular approach of
-|y| -> 1 into a regular quadrature x(y) = int dv / sqrt(s^2 + 2 F(v)), which
-is used both as an independent oracle for the shooting integrator and to
-continue profiles into the stiff tail.  The quadrature is a composite
-16-point Gauss-Legendre rule on 128 equal panels on each side of a split at
-v = 0.999; above the split the substitution v = 1 - w^2 removes the endpoint
-behaviour of the integrand; a quadrature costs one or two array evaluations
-of F.
+Odd solutions are shot from y(0) = 0, y'(0) = s.  The first integral
+(1/2) y'^2 - F(y) = (1/2) s^2 turns the singular approach of |y| -> 1 into a
+regular flight map x(y) = int_0^y dv / sqrt(s^2 + 2 F(v)), which gives the
+time of flight, the critical flux, the classical slope and, inverted, the
+profile.  Its composite 16-point Gauss-Legendre rule grades panels
+geometrically from a quarter of the width of the integrand's peak at v = 0
+(about s / sqrt(F''(0))) up to 0.5, then takes equal panels up to v = 0.999,
+and equal panels in w, v = 1 - w^2, above.  An ODE shot runs only to give
+raw samples for first_integral_drift.
 
 When F(1) is finite there is a critical outward slope: s_star is the initial
 slope whose profile saturates exactly at the endpoint, and
@@ -18,9 +18,9 @@ condition is met only in the variational sense, with defect K - K_plus.
 critical_flux is cached per potential.
 
 Below K_plus the classical slope comes from one root find in Y = y(1), with
-s^2 = K^2 - 2 F(Y) from the first integral, and the profile from one shot.
-How a shot leaves [0, 1] (exit_kind) follows from its time of flight x1
-alone, so a slope sweep needs no shots.
+s^2 = K^2 - 2 F(Y) from the first integral.  How a shot leaves [0, 1]
+(exit_kind) follows from its time of flight x1 alone, so a slope sweep needs
+no shots.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ __all__ = [
     "classify", "first_integral_drift",
 ]
 
-_Y_SWITCH = 1.0 - 1e-6  # hand over from the ODE to the quadrature here
-_Y_EVENT = 1.0 - 1e-12
+_Y_CLAMP = 1.0 - 1e-12  # the ODE right-hand side reads f no closer to 1
 _V_SPLIT = 0.999  # v = 1 - w^2 above this level
-_PANELS = 128
+_W_SPLIT = math.sqrt(1.0 - _V_SPLIT)
 
 
 # Patchable by name; scipy.integrate and scipy.optimize load on first call only.
@@ -63,15 +62,66 @@ def brentq(*args, **kwargs):
 
 
 @functools.cache
-def _unit_rule():
-    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
-    [0, 1] with _PANELS equal panels (built on first use, not at import)."""
-    t, w = np.polynomial.legendre.leggauss(16)
-    left = np.arange(_PANELS)[:, None] / _PANELS
-    nodes = (left + 0.5 * (t + 1.0) / _PANELS).ravel()
-    weights = np.tile(0.5 * w / _PANELS, _PANELS)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _gauss(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1] (built on first
+    use, not at import)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _panels(potential, s, a, b, n=16):
+    """n-point Gauss integrals of 1 / sqrt(s^2 + 2 F(v)) from a to b (arrays of
+    levels), in w with v = 1 - w^2 where a is above _V_SPLIT."""
+    t, wt = _gauss(n)
+    top = a >= _V_SPLIT
+    lo = np.where(top, np.sqrt(1.0 - b), a)
+    hi = np.where(top, np.sqrt(1.0 - a), b)
+    u = lo[..., None] + (hi - lo)[..., None] * t
+    top = top[..., None]
+    with np.errstate(over="ignore"):  # a node where F overflows weighs nothing
+        g = np.where(top, 2.0 * u, 1.0) / np.sqrt(
+            s * s + 2.0 * potential.F(np.where(top, 1.0 - u * u, u)))
+    return (hi - lo) * (g @ wt)
+
+
+def _flight(potential, s, y=1.0):
+    """The flight map of slope s > 0 up to level y, as (panel edges, x at each
+    edge).  F(v) ~ c v^2 near 0, c ~ 4 F(0.5), so the integrand peaks there
+    with width s / sqrt(2 c): panels double from a quarter of that up to 0.5,
+    then 64 equal panels reach _V_SPLIT and 128 equal ones in w the end."""
+    a0 = 0.25 * s / math.sqrt(8.0 * float(potential.F(0.5)))
+    graded = 0.5 ** np.arange(math.ceil(-math.log2(a0)), 1, -1)
+    edges = np.concatenate([[0.0], graded, np.linspace(0.5, _V_SPLIT, 65),
+                            1.0 - np.linspace(_W_SPLIT, 0.0, 129)[1:] ** 2])
+    edges = np.append(edges[edges < y], y)
+    x = np.cumsum(_panels(potential, s, edges[:-1], edges[1:]))
+    return edges, np.concatenate([[0.0], x])
+
+
+def _x_at(potential, s, flight, y):
+    """x(y) for levels y: the table up to y's panel, plus one Gauss rule on
+    the rest of that panel."""
+    edges, x = flight
+    k = np.minimum(np.searchsorted(edges, y, side="right"), edges.size - 1) - 1
+    return x[k] + _panels(potential, s, edges[k], y)
+
+
+def _y_at(potential, s, flight, x):
+    """Levels y where the flight reaches x < x(1): linear interpolation in the
+    table, then Newton steps with dx/dy = 1 / sqrt(s^2 + 2 F(y)), which stay
+    below the root as x(y) is concave.  On a panel [a, 2a] the guess misses by
+    < a/10 and Newton's constant f / (2 (s^2 + 2 F)) is ~ 1/(2a), so the error
+    falls as 0.03^(2^n): four steps reach rounding.  x follows each step by
+    an 8-point rule over the step, which is short next to the distance to the
+    integrand's singularities."""
+    newton = lambda y, x_y: np.clip(
+        y - (x_y - x) * np.sqrt(s * s + 2.0 * potential.F(y)), 0.0, 1.0)
+    y = np.interp(x, flight[1], flight[0])
+    x_y = _x_at(potential, s, flight, y)
+    for _ in range(3):
+        y, y_old = newton(y, x_y), y
+        x_y = x_y + _panels(potential, s, y_old, y, 8)
+    return newton(y, x_y)
 
 
 @dataclass(frozen=True)
@@ -102,47 +152,9 @@ def _rhs(potential):
     f = potential._f  # the clamp keeps |y| < 1, so f's range check is moot
 
     def rhs(_x, z):
-        y = min(max(z[0], -_Y_EVENT), _Y_EVENT)
+        y = min(max(z[0], -_Y_CLAMP), _Y_CLAMP)
         return [z[1], float(f(y))]
     return rhs
-
-
-def _switch_level(potential, s):
-    """Where to hand the integration over to the quadrature.
-
-    With F bounded the ODE can run almost to the endpoint.  When F blows up,
-    integrating deep into the singular layer trades first-integral accuracy
-    for nothing (the quadrature is exact there), so stop once F reaches a
-    moderate multiple of the shot energy.
-    """
-    if math.isfinite(float(potential.F(1.0))):
-        return _Y_SWITCH
-    F_cap = 100.0 * (1.0 + s * s)
-    if float(potential.F(_Y_SWITCH)) <= F_cap:
-        return _Y_SWITCH
-    return brentq(lambda v: float(potential.F(v)) - F_cap, 0.0, _Y_SWITCH,
-                  xtol=1e-14)
-
-
-def _tail_quadrature(potential, s, y_from, y_to):
-    """x-distance spent between y_from and y_to, via the first integral.
-
-    Below _V_SPLIT the rule runs in v; above it in w, with v = 1 - w^2.
-    """
-    nodes, weights = _unit_rule()
-    split = min(max(y_from, _V_SPLIT), y_to)
-    w_lo, w_hi = math.sqrt(1.0 - y_to), math.sqrt(1.0 - split)
-    val = 0.0
-    with np.errstate(over="ignore"):  # a node where F overflows weighs nothing
-        if split > y_from:
-            v = y_from + (split - y_from) * nodes
-            val += (split - y_from) * weights @ (
-                1.0 / np.sqrt(s * s + 2.0 * potential.F(v)))
-        if w_hi > w_lo:
-            w = w_lo + (w_hi - w_lo) * nodes
-            val += (w_hi - w_lo) * weights @ (
-                2.0 * w / np.sqrt(s * s + 2.0 * potential.F(1.0 - w * w)))
-    return float(val)
 
 
 def exit_kind(x1):
@@ -162,12 +174,12 @@ def time_of_flight(potential, s):
         raise ValueError("s must be >= 0")
     if s == 0.0:
         return math.inf
-    return _tail_quadrature(potential, s, 0.0, 1.0)
+    return float(_flight(potential, s)[1][-1])
 
 
 def shoot(potential, s) -> ShootingResult:
-    """Integrate y'' = f(y) from y(0)=0, y'(0)=s and mirror by oddness, on
-    2001 profile points over [-1, 1]."""
+    """The odd profile of y'' = f(y), y(0) = 0, y'(0) = s on 2001 points over
+    [-1, 1], from the flight map, with raw ODE samples beside it."""
     if s < 0.0:
         raise ValueError("initial slope s must be >= 0")
     half = np.linspace(0.0, 1.0, 1001)
@@ -177,50 +189,36 @@ def shoot(potential, s) -> ShootingResult:
         return ShootingResult(s, x, z, np.zeros_like(x) + 0.0, "interior", None,
                               half, np.zeros_like(half), np.zeros_like(half))
 
-    y_switch = _switch_level(potential, s)
-    event = lambda _x, z: z[0] - y_switch
-    event.terminal = True
-    event.direction = 1.0
-    sol = solve_ivp(_rhs(potential), (0.0, 1.0), [0.0, s], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True, events=[event],
-                    max_step=0.05)
+    flight = _flight(potential, s)
+    x1 = float(flight[1][-1])
+    kind = exit_kind(x1)
+    x_hit = min(x1, 1.0) if kind == "saturated" else None
+    flying = half < (x_hit or math.inf)
+    y_half = np.ones_like(half)
+    y_half[flying] = _y_at(potential, s, flight, half[flying])
+    with np.errstate(over="ignore"):
+        yp_half = np.sqrt(s * s + 2.0 * potential.F(y_half))
+
+    # Raw ODE samples up to where the map puts y = 1 - 1e-6, or, when F blows
+    # up, where F reaches 100 (1 + s^2): deeper in, the ODE only drifts.
+    x_stop = float(_x_at(potential, s, flight, 1.0 - 1e-6))
+    if not math.isfinite(float(potential.F(1.0))):
+        F_edges = potential.F(flight[0][:-1])
+        x_stop = min(x_stop, float(np.interp(100.0 * (1.0 + s * s), F_edges,
+                                             flight[1][:-1])))
+    sol = solve_ivp(_rhs(potential), (0.0, min(x_stop, 1.0)), [0.0, s],
+                    method="DOP853", rtol=1e-11, atol=1e-13, max_step=0.05)
     if sol.status < 0:
         raise StiffnessFailureError(sol.message)
 
-    e = 0.5 * s * s
-    if sol.t_events[0].size:
-        x_switch = float(sol.t_events[0][0])
-        x_hit = x_switch + _tail_quadrature(potential, s, y_switch, 1.0)
-        saturated = exit_kind(x_hit) == "saturated"
-        x_hit = min(x_hit, 1.0)
-    else:
-        x_switch = 1.0
-        x_hit = None
-        saturated = False
-
-    ode = half <= x_switch
-    y_half = np.ones_like(half)
-    y_half[ode] = sol.sol(half[ode])[0]
-    for i in np.flatnonzero(~ode):
-        if not saturated or half[i] < x_hit:
-            # invert the quadrature map on the stiff tail
-            y_half[i] = brentq(
-                lambda v: x_switch + _tail_quadrature(potential, s, y_switch, v)
-                - half[i], y_switch, 1.0 - 1e-15, xtol=1e-14)
-    with np.errstate(over="ignore"):
-        yp_half = np.sqrt(2.0 * e + 2.0 * potential.F(np.minimum(y_half, 1.0)))
     x = np.concatenate([-half[::-1], half[1:]])
     y = np.concatenate([-y_half[::-1], y_half[1:]])
     yp = np.concatenate([yp_half[::-1], yp_half[1:]])
-    return ShootingResult(s, x, y, yp, "saturated" if saturated else "interior",
-                          x_hit if saturated else None,
-                          sol.t, sol.y[0], sol.y[1])
+    return ShootingResult(s, x, y, yp, kind, x_hit, sol.t, sol.y[0], sol.y[1])
 
 
 def first_integral_drift(potential, result: ShootingResult):
     """max |(1/2) y'^2 - F(y) - (1/2) s^2| along the raw ODE samples."""
-    if result.ode_x.size == 0:
-        return 0.0
     F = potential.F(np.clip(result.ode_y, -1.0, 1.0))
     drift = 0.5 * result.ode_yp ** 2 - F - 0.5 * result.s ** 2
     return float(np.max(np.abs(drift)))
@@ -240,36 +238,30 @@ def critical_flux(potential) -> CriticalFlux | None:
     F1 = float(potential.F(1.0))
     if not math.isfinite(F1):
         return None
-    g = lambda s: time_of_flight(potential, s) - 1.0
-    s_lo, s_hi = 1e-6, 1.0
-    while g(s_hi) > 0.0:
-        s_hi *= 2.0
-        if s_hi > 1e6:
-            raise StiffnessFailureError("no saturation bracket: the flight "
-                                        "stays above 1 up to s = 1e6")
-    while g(s_lo) < 0.0:
-        s_lo *= 0.5
-        if s_lo < 1e-12:
-            raise StiffnessFailureError("no interior bracket: the flight "
-                                        "stays below 1 down to s = 1e-12")
-    s_star = brentq(g, s_lo, s_hi, xtol=1e-12, rtol=8.9e-16)
+    # in log s, as s_star falls off exponentially with kappa1; at the floor
+    # s^2 is still a normal float
+    g = lambda u: time_of_flight(potential, math.exp(u)) - 1.0
+    lo, hi = math.log(1e-100), math.log(1e6)
+    if g(hi) > 0.0:
+        raise StiffnessFailureError("no saturation bracket: the flight "
+                                    "stays above 1 up to s = 1e6")
+    if g(lo) < 0.0:
+        raise StiffnessFailureError("no interior bracket: the flight "
+                                    "stays below 1 down to s = 1e-100")
+    s_star = math.exp(brentq(g, lo, hi, xtol=1e-15))
     return CriticalFlux(float(s_star), math.sqrt(s_star * s_star + 2.0 * F1))
 
 
 @dataclass
 class BVPSolution:
-    kind: str  # "classical" | "variational-only"
     s: float
     profile: ShootingResult
     defect: float  # K - y'(1) of the returned profile (0 in the classical case)
 
 
 def _boundary_state(potential, s):
-    """(y(1), y'(1)) for an interior shot, through the quadrature map."""
-    if s == 0.0:
-        return 0.0, 0.0
-    Y = brentq(lambda v: _tail_quadrature(potential, s, 0.0, v) - 1.0,
-               1e-15, 1.0 - 1e-15, xtol=1e-15)
+    """(y(1), y'(1)) for an interior shot (s > 0), through the flight map."""
+    Y = float(_y_at(potential, s, _flight(potential, s), 1.0))
     return Y, math.sqrt(s * s + 2.0 * float(potential.F(Y)))
 
 
@@ -283,12 +275,13 @@ def _classical_slope(potential, K):
     """
     if not K * K >= sys.float_info.min:  # s^2 would lose its digits
         raise StiffnessFailureError(f"K = {K} is too small: K^2 underflows")
+    x = lambda s, Y: float(_flight(potential, s, Y)[1][-1])
 
     def excess(Y):
         s2 = K * K - 2.0 * float(potential.F(Y))
         if s2 <= 0.0:
             return 1.0
-        return _tail_quadrature(potential, math.sqrt(s2), 0.0, Y) - 1.0
+        return x(math.sqrt(s2), Y) - 1.0
 
     # s^2 + 2 F(v) <= K^2 on [0, Y], so x(Y) >= Y / K: the root lies below K,
     # and excess(2K) >= 1.  The bracket starts there, not at 1, for small K.
@@ -299,29 +292,30 @@ def _classical_slope(potential, K):
         Y = 1.0  # K = K_plus up to rounding: the critical profile
     else:
         raise StiffnessFailureError(f"y(1) for K = {K} rounds to 1")
-    # s from the first integral carries f(Y) times the rounding of Y, which
-    # as Y -> 1 swamps the rounding of s; one secant step on x(Y; s) = 1 at
-    # this Y takes s to the precision of the flight instead
-    s = math.sqrt(K * K - 2.0 * float(potential.F(Y)))
-    ds = 1e-7 * s
-    x0 = _tail_quadrature(potential, s, 0.0, Y)
-    x1 = _tail_quadrature(potential, s + ds, 0.0, Y)
-    return s - (x0 - 1.0) * ds / (x1 - x0)
+    # s from the first integral carries f(Y) times the rounding of Y, and for
+    # stiff F s^2 sinks below the rounding of K^2.  Two secant steps on
+    # x(Y; s) = 1 in log s, where x is near linear, take s to the precision
+    # of the flight; the second is needed as their slope holds ~8 digits.
+    s = math.sqrt(max(K * K - 2.0 * float(potential.F(Y)),
+                      K * K * sys.float_info.epsilon))
+    x0 = x(s, Y)
+    slope = (x(s * math.exp(1e-7), Y) - x0) / 1e-7
+    s *= math.exp((1.0 - x0) / slope)
+    return s * math.exp((1.0 - x(s, Y)) / slope)
 
 
 def solve_bvp(problem: StationaryProblem) -> BVPSolution:
     """Classical odd profile with y'(1) = K when one exists; otherwise the
-    saturated profile shot with s_star, flagged variational-only."""
+    saturated profile shot with s_star, with defect K - K_plus > 0."""
     pot, K = problem.potential, problem.K
     if K == 0.0:
-        return BVPSolution("classical", 0.0, shoot(pot, 0.0), 0.0)
+        return BVPSolution(0.0, shoot(pot, 0.0), 0.0)
     crit = critical_flux(pot)
     if crit is not None and K > crit.K_plus:
-        prof = shoot(pot, crit.s_star)
-        return BVPSolution("variational-only", crit.s_star, prof,
-                           K - crit.K_plus)
+        s = crit.s_star
+        return BVPSolution(s, shoot(pot, s), K - crit.K_plus)
     s = _classical_slope(pot, K)
-    return BVPSolution("classical", s, shoot(pot, s), 0.0)
+    return BVPSolution(s, shoot(pot, s), 0.0)
 
 
 def classify(potential, K):

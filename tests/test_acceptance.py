@@ -128,7 +128,7 @@ def test_criterion_6_stationary_critical_flux():
         # solver must return the saturated profile with the matching defect
         K_s = math.sqrt(s * s + 2.0 * float(pot.F(1.0)))
         sol = st.solve_bvp(st.StationaryProblem(pot, K_s))
-        ok &= sol.kind == "variational-only"
+        ok &= st.classify(pot, K_s) == "VariationalOnly"
         ok &= abs(sol.defect - (K_s - crit.K_plus)) <= 1e-6
     # classical BVP leg below critical closes the triangle with shoot
     for frac in (0.5, 0.9):

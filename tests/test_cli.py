@@ -221,13 +221,25 @@ class TestExitCodes:
         assert "solver failure" in capsys.readouterr().err
 
     def test_stationary_flux_out_of_bracket_is_3(self, tmp_path, capsys):
-        # the computed flight of kappa1 = 100 stays below 1 for every s tried
+        # kappa1 = 100 puts s_star near 2e-5, inside the bracket of log s
         cfg = tmp_path / "k.cfg"
         cfg.write_text("potential.kappa1 = 100\n")
         rc = main(["stationary", "--config", str(cfg), "--K", "1.0",
                    "--outdir", str(tmp_path / "o")])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("solver failure:")
+        assert rc == 0
+        assert "classification: Classical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kappa1, K, verdict", [
+        (100, 30.0, "VariationalOnly"), (1000, 1.0, "Classical"),
+        (1000, 100.0, "VariationalOnly")])
+    def test_stationary_stiff_potential_is_0(self, tmp_path, capsys, kappa1,
+                                             K, verdict):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"potential.kappa1 = {kappa1}\n")
+        rc = main(["stationary", "--config", str(cfg), "--K", str(K),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 0
+        assert f"classification: {verdict}" in capsys.readouterr().out
 
     def test_stationary_tiny_flux_is_linearized(self, tmp_path, capsys):
         # f'(0) = 2: the profile is K sinh(sqrt2 x) / (sqrt2 cosh sqrt2)

@@ -116,10 +116,12 @@ class TestCriticalFlux:
         assert crit.K_plus > 0
 
     @pytest.mark.parametrize("kappa1", [100.0, 1000.0])
-    def test_no_interior_bracket_is_typed(self, kappa1):
-        # the flight is still shorter than 1 where the bracket search stops
+    def test_no_interior_bracket_is_typed(self, kappa1, monkeypatch):
+        # the flight is shorter than 1 even at the bracket's floor; uncached,
+        # since these potentials' s_star is found elsewhere
+        monkeypatch.setattr(st, "time_of_flight", lambda pot, s: 0.5)
         with pytest.raises(StiffnessFailureError, match="no interior bracket"):
-            st.critical_flux(LogarithmicPotential(kappa1=kappa1))
+            st.critical_flux.__wrapped__(LogarithmicPotential(kappa1=kappa1))
 
     def test_no_saturation_bracket_is_typed(self, monkeypatch):
         # unreachable while F >= 0, since the flight then lasts at most 1/s
@@ -131,21 +133,20 @@ class TestCriticalFlux:
 class TestSolveBVP:
     def test_zero_flux(self):
         sol = st.solve_bvp(st.StationaryProblem(LOG, 0.0))
-        assert sol.kind == "classical"
+        assert sol.defect == 0.0  # classical
         assert np.all(sol.profile.y == 0.0)
 
     def test_classical_matches_flux(self):
         crit = st.critical_flux(LOG)
         K = 0.5 * crit.K_plus
         sol = st.solve_bvp(st.StationaryProblem(LOG, K))
-        assert sol.kind == "classical"
         assert sol.defect == 0.0
         assert sol.profile.yp[-1] == pytest.approx(K, abs=1e-6)
 
     def test_variational_above_critical(self):
         crit = st.critical_flux(LOG)
         sol = st.solve_bvp(st.StationaryProblem(LOG, 2.0 * crit.K_plus))
-        assert sol.kind == "variational-only"
+        assert st.classify(LOG, 2.0 * crit.K_plus) == "VariationalOnly"
         assert sol.s == pytest.approx(crit.s_star, abs=1e-10)
         assert sol.defect == pytest.approx(crit.K_plus, abs=1e-9)
         assert sol.profile.exit == "saturated"
@@ -153,7 +154,7 @@ class TestSolveBVP:
     def test_strong_singularity_always_classical(self):
         pot = PowerSingularPotential(p=3.0)
         sol = st.solve_bvp(st.StationaryProblem(pot, 6.0))
-        assert sol.kind == "classical"
+        assert sol.defect == 0.0  # classical
         assert sol.profile.yp[-1] == pytest.approx(6.0, abs=1e-6)
 
     def test_negative_k_rejected(self):
@@ -248,7 +249,8 @@ class TestGaussQuadratureAgainstQuad:
         assume(a != b)
         y_from, y_to = min(a, b), max(a, b)
         ref = _quad_oracle(pot, s, y_from, y_to)
-        assert st._tail_quadrature(pot, s, y_from, y_to) == pytest.approx(
+        x = st._x_at(pot, s, st._flight(pot, s), np.array([y_from, y_to]))
+        assert x[1] - x[0] == pytest.approx(
             ref, rel=0.0, abs=1e-12 + 1e-10 * abs(ref))
 
     @settings(max_examples=25, deadline=None)
@@ -261,6 +263,56 @@ class TestGaussQuadratureAgainstQuad:
         got_Y, got_slope = st._boundary_state(pot, s)
         assert got_Y == pytest.approx(Y, abs=1e-12)
         assert got_slope == pytest.approx(slope, abs=1e-12)
+
+
+def _quad_flight(pot, s, y=1.0):
+    """x(y) by adaptive quad, with break points spread over the peak of
+    1 / sqrt(s^2 + 2 F(v)) at v = 0, of width s / sqrt(F''(0))."""
+    width = s / math.sqrt(float(pot.df(0.0)))
+    points = [width * 10.0 ** k for k in range(5) if width * 10.0 ** k < y]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(lambda v: 1.0 / math.sqrt(s * s + 2.0 * float(pot.F(v))),
+                    0.0, y, points=points or None, epsabs=0.0, epsrel=1e-13,
+                    limit=1000)[0]
+
+
+class TestStiffPotentials:
+    """Large kappa1: the flight's peak at v = 0 is far narrower than a panel
+    of an equal-panel rule, and s_star falls to 1e-5 (kappa1 = 100) and 1e-18
+    (kappa1 = 1000)."""
+
+    @pytest.mark.parametrize("s", [1e-1, 1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("kappa1", [1.0, 50.0, 100.0, 1000.0])
+    def test_time_of_flight_matches_quad(self, kappa1, s):
+        pot = LogarithmicPotential(kappa1=kappa1)
+        assert st.time_of_flight(pot, s) == pytest.approx(
+            _quad_flight(pot, s), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa1", [100.0, 1000.0])
+    def test_critical_flux(self, kappa1):
+        pot = LogarithmicPotential(kappa1=kappa1)
+        crit = st.critical_flux(pot)
+        assert crit.K_plus ** 2 == pytest.approx(
+            crit.s_star ** 2 + 2.0 * float(pot.F(1.0)), rel=1e-12)
+        assert st.time_of_flight(pot, crit.s_star) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_saturated_profile(self):
+        pot = LogarithmicPotential(kappa1=100.0)
+        crit = st.critical_flux(pot)
+        K = 2.0 * crit.K_plus
+        prof = st.solve_bvp(st.StationaryProblem(pot, K)).profile
+        assert prof.exit == "saturated"
+        assert -prof.y[0] == prof.y[-1] == 1.0
+        residual = 0.5 * prof.yp ** 2 - pot.F(prof.y) - 0.5 * prof.s ** 2
+        assert np.max(np.abs(residual)) <= 1e-10
+        assert st.first_integral_drift(pot, prof) <= 1e-8 * (1.0 + prof.s ** 2)
+        # the profile inverts the flight: x = x(y) wherever y < 1
+        for x, y in list(zip(prof.x, prof.y))[1000::50]:
+            if y < 1.0:
+                assert x == pytest.approx(_quad_flight(pot, prof.s, y),
+                                          abs=1e-10)
 
 
 _SWEEP_POTENTIALS = [LogarithmicPotential(), LogarithmicPotential(kappa0=0.3),
@@ -325,7 +377,7 @@ class TestClassicalSlope:
         K = r * (crit.K_plus if crit is not None
                  else math.sqrt(2.0 * float(pot.F(0.999))))
         sol = st.solve_bvp(st.StationaryProblem(pot, K))
-        assert sol.kind == "classical"
+        assert sol.defect == 0.0  # classical
         assert sol.s == pytest.approx(_nested_slope(pot, K), rel=1e-12)
         # y'(1) = K at s to 1e-10 K or, where y'(1) is too steep in s for
         # that (y(1) near 1), by a change of sign across s (1 -+ 1e-12)
@@ -352,7 +404,7 @@ class TestClassicalSlope:
         crit = st.critical_flux(LOG)
         for K in (crit.K_plus, crit.K_plus * (1.0 - 1e-14)):
             sol = st.solve_bvp(st.StationaryProblem(LOG, K))
-            assert sol.kind == "classical"
+            assert sol.defect == 0.0  # classical
             assert sol.s == pytest.approx(crit.s_star, rel=1e-12)
 
 
