@@ -25,7 +25,7 @@ from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, check_sign_condition,
                          check_separation_condition, potential_from_config)
-from .solver import SolverConfig, simulate, simulate_members
+from .solver import SolverConfig, cadence_times, simulate, simulate_members
 
 __all__ = [
     "DEFAULTS", "parse_config", "resolve_config", "write_manifest",
@@ -228,31 +228,37 @@ def _initial(cfg, ops, seed, eps):
     return f0
 
 
-def _lockstep(cfg, jobs, T, cadence):
-    """The snapshot States of each (N, h2, seed, eps) job, all stepped in
-    lockstep in this process.  N and h2 of None take the config's values."""
+def _lockstep(cfg, jobs, times):
+    """The States at t = 0 and at the snapshot times of each (N, h2, seed,
+    eps) job, all stepped in lockstep in this process.  N and h2 of None
+    take the config's values."""
     ops = build_operators(cfg)
     return simulate_members(
         ops, [build_solver_config(cfg, N=N, h2=h2) for N, h2, _, _ in jobs],
-        [_initial(cfg, ops, seed, eps) for _, _, seed, eps in jobs], T, cadence)
+        [_initial(cfg, ops, seed, eps) for _, _, seed, eps in jobs], times)
 
 
-def _sweep(cfg, jobs, workers, T=None, cadence=None):
-    """The snapshot States of each (N, h2, seed, eps) job, in order, stepped
-    as at most `workers` contiguous groups of jobs, one lockstep group per
-    process.  T defaults to experiment.T, and the cadence to
-    experiment.cadence or else every 10th step, capped by T."""
-    if T is None:
-        T = _f(cfg, "experiment.T")
-        cadence = min(_cadence(cfg) or 10.0 * build_solver_config(cfg).dt, T)
+def _sweep(cfg, jobs, workers, times):
+    """The States of each (N, h2, seed, eps) job, in order, stepped as at
+    most `workers` contiguous groups of jobs, one lockstep group per
+    process."""
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return _lockstep(cfg, jobs, T, cadence)
+        return _lockstep(cfg, jobs, times)
     cuts = [len(jobs) * i // workers for i in range(workers + 1)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        groups = ex.map(functools.partial(_lockstep, cfg, T=T, cadence=cadence),
+        groups = ex.map(functools.partial(_lockstep, cfg, times=times),
                         [jobs[a:b] for a, b in zip(cuts, cuts[1:])])
         return [run for group in groups for run in group]
+
+
+def _sweep_times(cfg):
+    """The snapshot times of a sweep: to experiment.T at experiment.cadence,
+    or, when that is unset, at every 10th step, capped by T."""
+    T, dt = _f(cfg, "experiment.T"), build_solver_config(cfg).dt
+    cadence = _cadence(cfg)
+    return cadence_times(T, min(10.0 * dt, T) if cadence is None else cadence,
+                         dt)
 
 
 def run_simulate(cfg, outdir):
@@ -284,15 +290,11 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
         raise ConfigError(f"experiment.n_levels must be >= 1, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
     ops = build_operators(cfg)
-    dt = build_solver_config(cfg, N=Ns[0]).dt
-    # Snapshot only on the coarsest grid that holds every requested time.
-    steps = [round(t / dt) for t in times]
-    stride = math.gcd(*steps)
     jobs = [(N, None, _i(cfg, "seed"), 0.0) for N in Ns]
-    runs = dict(zip(Ns, _sweep(cfg, jobs, workers, max(times), stride * dt)))
-    rows = [(t, N, ops.phi_w_distance(runs[N][k // stride].field,
-                                      runs[2 * N][k // stride].field))
-            for t, k in zip(times, steps) for N in Ns[:-1]]
+    runs = dict(zip(Ns, _sweep(cfg, jobs, workers, times)))
+    rows = [(t, N, ops.phi_w_distance(runs[N][j + 1].field,
+                                      runs[2 * N][j + 1].field))
+            for j, t in enumerate(times) for N in Ns[:-1]]
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "converge_n.csv"), ["t", "N", "phi_w_diff"],
                rows)
@@ -320,7 +322,7 @@ def run_lipschitz(cfg, outdir, workers=1):
     ops = build_operators(cfg)
     base, *perturbed = _sweep(
         cfg, [(None, None, _i(cfg, "seed"), eps) for eps in [0.0] + eps_list],
-        workers)
+        workers, _sweep_times(cfg))
     ts = [sb.t for sb in base]
     rows, fitted_C, fitted_K, ratios = [], {}, {}, {}
     for eps, run in zip(eps_list, perturbed):
@@ -343,7 +345,7 @@ def _final_margins(cfg, sweep, workers):
     ops = build_operators(cfg)
     scfgs = [build_solver_config(cfg, N=N, h2=h2) for N, h2 in sweep]
     runs = _sweep(cfg, [(N, h2, _i(cfg, "seed"), 0.0) for N, h2 in sweep],
-                  workers)
+                  workers, _sweep_times(cfg))
     return [(1.0 - float(np.max(np.abs(run[-1].field.bulk))),
              1.0 - float(np.max(np.abs(run[-1].field.trace))),
              diagnostics.trace_mismatch(ops, scfg, run[-1]))
@@ -427,7 +429,7 @@ def run_decay(cfg, outdir, workers=1):
     if n_ens < 2:
         raise ConfigError(f"experiment.ensemble must be >= 2, got {n_ens}")
     runs = _sweep(cfg, [(None, None, _i(cfg, "seed") + k, 0.0)
-                        for k in range(n_ens)], workers)
+                        for k in range(n_ens)], workers, _sweep_times(cfg))
     rep = diagnostics.decay_experiment(build_operators(cfg),
                                        build_solver_config(cfg), runs)
     os.makedirs(outdir, exist_ok=True)

@@ -55,7 +55,8 @@ from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
-           "simulate", "simulate_members", "chemical_potential_mean"]
+           "cadence_times", "simulate", "simulate_members",
+           "chemical_potential_mean"]
 
 
 @dataclass(frozen=True)
@@ -335,55 +336,71 @@ def _grid_steps(name, value, dt):
     return k
 
 
-def _march(ops, cfgs, initials, T, cadence):
-    """Step the members from their initial fields to time T in lockstep,
-    yielding their States at t = 0 and at each snapshot with the report of
-    the snapshot interval (None at t = 0), its counts totalled over the
-    interval's steps.  Snapshot times are k*dt; T and the cadence must be
-    multiples of dt."""
-    dt = cfgs[0].dt
+def cadence_times(T, cadence, dt):
+    """The snapshot times of a run to T at the cadence: k*dt at each
+    multiple of the cadence below T, then T.  This is the one place where T
+    and a cadence become snapshot times; both must be multiples of dt, with
+    0 < cadence <= T."""
     n_steps = _grid_steps("T", T, dt)
     stride = _grid_steps("cadence", cadence, dt)
     if stride > n_steps:
         raise ConfigError("cadence must not exceed T")
+    return [k * dt for k in [*range(stride, n_steps, stride), n_steps]]
+
+
+def _march(ops, cfgs, initials, times):
+    """Step the members from their initial fields to the last of the
+    snapshot times in lockstep, yielding their States at t = 0 and at each
+    snapshot time with the report of the snapshot interval (None at t = 0),
+    its counts totalled over the interval's steps.
+
+    The times come from cadence_times or a driver's fixed list; here, and
+    only here, each becomes a number of dt steps, so each must be a multiple
+    of dt, and they must increase.  A State's t is k*dt."""
+    dt = cfgs[0].dt
+    steps = [_grid_steps("t", t, dt) for t in times]
+    if not steps or any(a >= b for a, b in zip(steps, steps[1:])):
+        raise ConfigError(f"snapshot times must increase, got {list(times)!r}")
     stepper = Stepper(ops, cfgs)
     states = [State(t=0.0, field=f.copy()) for f in initials]
     yield [s.copy() for s in states], None
-    iters = factorizations = 0  # totals over the current snapshot interval
-    for k in range(1, n_steps + 1):
-        states, report = stepper.step(states)  # raises with the step's start time
-        for s in states:
-            s.t = k * dt
-        iters += report.newton_iters
-        factorizations += report.factorizations
-        if k % stride == 0 or k == n_steps:
-            yield [s.copy() for s in states], replace(
-                report, newton_iters=iters, factorizations=factorizations)
-            iters = factorizations = 0
+    k = 0
+    for stop in steps:
+        iters = factorizations = 0  # totals over this snapshot interval
+        for k in range(k + 1, stop + 1):
+            states, report = stepper.step(states)  # raises with its start time
+            for s in states:
+                s.t = k * dt
+            iters += report.newton_iters
+            factorizations += report.factorizations
+        yield [s.copy() for s in states], replace(
+            report, newton_iters=iters, factorizations=factorizations)
 
 
 def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Trajectory:
     """Advance from the initial field to time T, snapshotting at the cadence
     (default dt) and recording diagnostics at each snapshot after t = 0.
 
-    T and the cadence must be multiples of dt; snapshot times are k*dt.  The
+    cadence_times decides the snapshot times, and _march their steps.  The
     initial trace may disagree with the bulk boundary values; the first
     implicit step resolves the mismatch.  Deterministic for fixed inputs.
     """
     cadence = cfg.dt if cadence is None else cadence
     states, records = [], []
-    for (state,), report in _march(ops, [cfg], [initial], T, cadence):
+    for (state,), report in _march(ops, [cfg], [initial],
+                                   cadence_times(T, cadence, cfg.dt)):
         states.append(state)
         if report is not None:
             records.append(diagnostics.record(ops, cfg, state, report))
     return Trajectory(ops, cfg, states, records, cadence)
 
 
-def simulate_members(ops, cfgs, initials, T, cadence):
-    """The snapshot States of each member, as simulate would give them, with
-    all members stepped in lockstep by one Stepper and no diagnostics
-    recorded.  The members share ops and all settings but N and h2."""
-    runs = zip(*(states for states, _ in _march(ops, cfgs, initials, T, cadence)))
+def simulate_members(ops, cfgs, initials, times):
+    """The States of each member at t = 0 and at each snapshot time, as
+    simulate would give them, with all members stepped in lockstep by one
+    Stepper and no diagnostics recorded.  The members share ops and all
+    settings but N and h2."""
+    runs = zip(*(states for states, _ in _march(ops, cfgs, initials, times)))
     return [list(run) for run in runs]
 
 

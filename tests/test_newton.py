@@ -455,7 +455,8 @@ class TestLockstep:
         ops, cfgs, fields = _sweep_members(*_SWEEPS[sweep])
         T, dt = 0.2, cfgs[0].dt
         solo = [solver.simulate(ops, c, f, T) for c, f in zip(cfgs, fields)]
-        runs = solver.simulate_members(ops, cfgs, fields, T, 5 * dt)
+        runs = solver.simulate_members(ops, cfgs, fields,
+                                       solver.cadence_times(T, 5 * dt, dt))
         for traj, run in zip(solo, runs):
             assert [s.t for s in run] == list(traj.times[::5])
             for a, b in zip(traj.states[::5], run):
@@ -503,7 +504,8 @@ class TestLockstep:
         with pytest.raises(NewtonDivergedError) as solo:
             solver.simulate(ops, cfgs[1], fields[1], 1.0)
         with pytest.raises(NewtonDivergedError) as both:
-            solver.simulate_members(ops, cfgs, fields, 1.0, 0.1)
+            solver.simulate_members(ops, cfgs, fields,
+                                    solver.cadence_times(1.0, 0.1, cfgs[0].dt))
         assert solo.value.time > 0.0
         assert str(both.value) == str(solo.value)
         for attr in ("residual", "iterations", "time"):
