@@ -27,7 +27,7 @@ __all__ = [
     "forcing_arrays", "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
     "dissipation_check", "DissipationReport",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
-    "trace_mismatch",
+    "margins", "trace_mismatch",
     "decay_experiment", "DecayReport", "exponential_fit",
     "records_to_csv",
 ]
@@ -90,23 +90,24 @@ class DiagnosticsRecord:
     newton_factorizations: int  # total over the same steps
 
 
+def margins(fld):
+    """The separation margins (1 - max|u|, 1 - max|psi|) of a field."""
+    return tuple(float(1.0 - np.max(np.abs(v))) for v in (fld.bulk, fld.trace))
+
+
 def record(ops, cfg, state, report) -> DiagnosticsRecord:
     u = state.field.bulk.ravel()
-    psi = state.field.trace.ravel()
-    reg = cfg.regularized
-    mu_mean = ops.inner(state.mu, np.ones(ops.n_bulk)) / ops.area
+    bulk_margin, boundary_margin = margins(state.field)
     return DiagnosticsRecord(
         t=state.t,
         mass=ops.mean(state.field.bulk),
         energy=energy(ops, cfg, state.field),
-        min_u=float(u.min()),
-        max_u=float(u.max()),
-        bulk_margin=float(1.0 - np.max(np.abs(u))),
-        boundary_margin=float(1.0 - np.max(np.abs(psi))),
-        f_l1=float(ops.weights @ np.abs(reg.f(u))),
+        min_u=float(u.min()), max_u=float(u.max()),
+        bulk_margin=bulk_margin, boundary_margin=boundary_margin,
+        f_l1=float(ops.weights @ np.abs(cfg.regularized.f(u))),
         newton_iters=report.newton_iters,
         newton_residual=report.residual,
-        mu_mean=float(mu_mean),
+        mu_mean=float(ops.inner(state.mu, np.ones(ops.n_bulk)) / ops.area),
         newton_factorizations=report.factorizations,
     )
 

@@ -184,8 +184,8 @@ def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
     )
 
 
-def _cadence(cfg):
-    return _f(cfg, "experiment.cadence") if cfg["experiment.cadence"] else None
+def _cadence(cfg, default=None):
+    return _f(cfg, "experiment.cadence") if cfg["experiment.cadence"] else default
 
 
 def initial_field(ops, seed, amplitude, mean) -> Field:
@@ -229,9 +229,8 @@ def _initial(cfg, ops, seed, eps):
 
 
 def _lockstep(cfg, jobs, times):
-    """The States at t = 0 and at the snapshot times of each (N, h2, seed,
-    eps) job, all stepped in lockstep in this process.  N and h2 of None
-    take the config's values."""
+    """The States at t = 0 and the snapshot times of each (N, h2, seed, eps)
+    job, stepped in lockstep here.  N and h2 of None take the config's."""
     ops = build_operators(cfg)
     return simulate_members(
         ops, [build_solver_config(cfg, N=N, h2=h2) for N, h2, _, _ in jobs],
@@ -239,9 +238,8 @@ def _lockstep(cfg, jobs, times):
 
 
 def _sweep(cfg, jobs, workers, times):
-    """The States of each (N, h2, seed, eps) job, in order, stepped as at
-    most `workers` contiguous groups of jobs, one lockstep group per
-    process."""
+    """_lockstep of the jobs, in order, as at most `workers` contiguous
+    groups of jobs, one lockstep group per process."""
     workers = min(workers, len(jobs))
     if workers <= 1:
         return _lockstep(cfg, jobs, times)
@@ -253,12 +251,9 @@ def _sweep(cfg, jobs, workers, times):
 
 
 def _sweep_times(cfg):
-    """The snapshot times of a sweep: to experiment.T at experiment.cadence,
-    or, when that is unset, at every 10th step, capped by T."""
+    """experiment.T's snapshot times; the cadence defaults to min(10 dt, T)."""
     T, dt = _f(cfg, "experiment.T"), build_solver_config(cfg).dt
-    cadence = _cadence(cfg)
-    return cadence_times(T, min(10.0 * dt, T) if cadence is None else cadence,
-                         dt)
+    return cadence_times(T, _cadence(cfg, min(10.0 * dt, T)), dt)
 
 
 def run_simulate(cfg, outdir):
@@ -292,9 +287,8 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     ops = build_operators(cfg)
     jobs = [(N, None, _i(cfg, "seed"), 0.0) for N in Ns]
     runs = dict(zip(Ns, _sweep(cfg, jobs, workers, times)))
-    rows = [(t, N, ops.phi_w_distance(runs[N][j + 1].field,
-                                      runs[2 * N][j + 1].field))
-            for j, t in enumerate(times) for N in Ns[:-1]]
+    rows = [(t, N, ops.phi_w_distance(runs[N][j].field, runs[2 * N][j].field))
+            for j, t in enumerate(times, start=1) for N in Ns[:-1]]
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "converge_n.csv"), ["t", "N", "phi_w_diff"],
                rows)
@@ -340,21 +334,20 @@ def run_lipschitz(cfg, outdir, workers=1):
             "fitted_C": fitted_C, "fitted_K": fitted_K}
 
 
-def _final_margins(cfg, sweep, workers):
-    """(bulk margin, boundary margin, trace gap) at T of each (N, h2) run."""
+def _margins(cfg, sweep, workers):
+    """Each (N, h2) run's least margins after t = 0 and its trace gap at T."""
     ops = build_operators(cfg)
-    scfgs = [build_solver_config(cfg, N=N, h2=h2) for N, h2 in sweep]
     runs = _sweep(cfg, [(N, h2, _i(cfg, "seed"), 0.0) for N, h2 in sweep],
                   workers, _sweep_times(cfg))
-    return [(1.0 - float(np.max(np.abs(run[-1].field.bulk))),
-             1.0 - float(np.max(np.abs(run[-1].field.trace))),
-             diagnostics.trace_mismatch(ops, scfg, run[-1]))
-            for scfg, run in zip(scfgs, runs)]
+    return [(*map(min, zip(*(diagnostics.margins(s.field) for s in run[1:]))),
+             diagnostics.trace_mismatch(
+                 ops, build_solver_config(cfg, N=N, h2=h2), run[-1]))
+            for (N, h2), run in zip(sweep, runs)]
 
 
 def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
-    """Boundary margins and trace gaps across the regularization sweep."""
-    margins = _final_margins(cfg, [(N, None) for N in Ns], workers)
+    """Separation margins and trace gaps across the regularization sweep."""
+    margins = _margins(cfg, [(N, None) for N in Ns], workers)
     rows = [(N, *m) for N, m in zip(Ns, margins)]
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "separation.csv"),
@@ -373,7 +366,7 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     holds = {label: check_sign_condition(g, h2, 0.05)
              for label, h2 in branches.items()}
     jobs = [(label, h2, N) for label, h2 in branches.items() for N in Ns]
-    margins = _final_margins(cfg, [(N, h2) for _, h2, N in jobs], workers)
+    margins = _margins(cfg, [(N, h2) for _, h2, N in jobs], workers)
     rows = [(label, h2, holds[label], N, bnd, gap)
             for (label, h2, N), (_, bnd, gap) in zip(jobs, margins)]
     os.makedirs(outdir, exist_ok=True)

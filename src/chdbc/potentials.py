@@ -69,8 +69,8 @@ class LogarithmicPotential:
         return self._f(u)
 
     def _f(self, u):
-        """f without the range check, for callers that keep |u| < 1."""
-        return -2.0 * self.kappa0 * u + self.kappa1 * np.log((1.0 + u) / (1.0 - u))
+        """f unchecked, for |u| < 1; atanh keeps its digits near u = 0."""
+        return 2.0 * self.kappa1 * np.arctanh(u) - 2.0 * self.kappa0 * u
 
     def df(self, u):
         u = np.asarray(u, dtype=float)

@@ -102,10 +102,9 @@ class State:
     prev_trace: np.ndarray | None = None
 
     def copy(self):
-        return State(self.t, self.field.copy(),
-                     None if self.mu is None else self.mu.copy(),
-                     None if self.prev_bulk is None else self.prev_bulk.copy(),
-                     None if self.prev_trace is None else self.prev_trace.copy())
+        return State(self.t, self.field.copy(), *(
+            None if a is None else a.copy()
+            for a in (self.mu, self.prev_bulk, self.prev_trace)))
 
 
 @dataclass(frozen=True)
@@ -337,26 +336,19 @@ def _grid_steps(name, value, dt):
 
 
 def cadence_times(T, cadence, dt):
-    """The snapshot times of a run to T at the cadence: k*dt at each
-    multiple of the cadence below T, then T.  This is the one place where T
-    and a cadence become snapshot times; both must be multiples of dt, with
-    0 < cadence <= T."""
-    n_steps = _grid_steps("T", T, dt)
-    stride = _grid_steps("cadence", cadence, dt)
-    if stride > n_steps:
+    """The snapshot times k*dt of a run to T: each multiple of the cadence
+    below T, then T, which must be multiples of dt with 0 < cadence <= T."""
+    n, stride = _grid_steps("T", T, dt), _grid_steps("cadence", cadence, dt)
+    if stride > n:
         raise ConfigError("cadence must not exceed T")
-    return [k * dt for k in [*range(stride, n_steps, stride), n_steps]]
+    return [k * dt for k in [*range(stride, n, stride), n]]
 
 
 def _march(ops, cfgs, initials, times):
-    """Step the members from their initial fields to the last of the
-    snapshot times in lockstep, yielding their States at t = 0 and at each
-    snapshot time with the report of the snapshot interval (None at t = 0),
-    its counts totalled over the interval's steps.
-
-    The times come from cadence_times or a driver's fixed list; here, and
-    only here, each becomes a number of dt steps, so each must be a multiple
-    of dt, and they must increase.  A State's t is k*dt."""
+    """Step the members in lockstep to the last of the increasing snapshot
+    times, yielding their States at t = 0 (report None) and at each time,
+    with the report of its interval, counts totalled over its steps.  Times
+    become steps here only: each must be a multiple k*dt, the State's t."""
     dt = cfgs[0].dt
     steps = [_grid_steps("t", t, dt) for t in times]
     if not steps or any(a >= b for a, b in zip(steps, steps[1:])):
@@ -364,10 +356,9 @@ def _march(ops, cfgs, initials, times):
     stepper = Stepper(ops, cfgs)
     states = [State(t=0.0, field=f.copy()) for f in initials]
     yield [s.copy() for s in states], None
-    k = 0
-    for stop in steps:
+    for start, stop in zip([0, *steps], steps):
         iters = factorizations = 0  # totals over this snapshot interval
-        for k in range(k + 1, stop + 1):
+        for k in range(start + 1, stop + 1):
             states, report = stepper.step(states)  # raises with its start time
             for s in states:
                 s.t = k * dt
@@ -381,25 +372,21 @@ def simulate(ops, cfg: SolverConfig, initial: Field, T, cadence=None) -> Traject
     """Advance from the initial field to time T, snapshotting at the cadence
     (default dt) and recording diagnostics at each snapshot after t = 0.
 
-    cadence_times decides the snapshot times, and _march their steps.  The
-    initial trace may disagree with the bulk boundary values; the first
-    implicit step resolves the mismatch.  Deterministic for fixed inputs.
+    cadence_times, the one place that turns T and a cadence into snapshot
+    times, makes the grid.  The initial trace may disagree with the bulk
+    boundary values; the first implicit step resolves the mismatch.
+    Deterministic for fixed inputs.
     """
     cadence = cfg.dt if cadence is None else cadence
-    states, records = [], []
-    for (state,), report in _march(ops, [cfg], [initial],
-                                   cadence_times(T, cadence, cfg.dt)):
-        states.append(state)
-        if report is not None:
-            records.append(diagnostics.record(ops, cfg, state, report))
-    return Trajectory(ops, cfg, states, records, cadence)
+    snaps = list(_march(ops, [cfg], [initial], cadence_times(T, cadence, cfg.dt)))
+    records = [diagnostics.record(ops, cfg, s, r) for (s,), r in snaps[1:]]
+    return Trajectory(ops, cfg, [s for (s,), _ in snaps], records, cadence)
 
 
 def simulate_members(ops, cfgs, initials, times):
-    """The States of each member at t = 0 and at each snapshot time, as
-    simulate would give them, with all members stepped in lockstep by one
-    Stepper and no diagnostics recorded.  The members share ops and all
-    settings but N and h2."""
+    """Each member's States at t = 0 and the snapshot times, as simulate gives
+    them, all stepped in lockstep by one Stepper with no diagnostics.  The
+    members share ops and all settings but N and h2."""
     runs = zip(*(states for states, _ in _march(ops, cfgs, initials, times)))
     return [list(run) for run in runs]
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chdbc import diagnostics
 from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.discretization import Interval
@@ -87,6 +88,7 @@ class TestExitCodes:
         ("potential.kind", "foo"), ("solver.dt", "-1"), ("solver.dt", "nan"),
         ("solver.N", "1"), ("domain.n", "3"), ("potential.kappa1", "-1"),
         ("experiment.T", "0.0105"), ("experiment.cadence", "0.0025"),
+        ("experiment.cadence", "0"), ("experiment.cadence", "0.2"),
         ("experiment.amplitude", "nan"), ("solver.newton_tol", "nan"),
         ("solver.newton_tol", "0"), ("solver.lam", "nan"), ("forcing.h1", "inf"),
         ("solver.newton_max_iter", "0"), ("experiment.cadence", "abc"),
@@ -102,12 +104,16 @@ class TestExitCodes:
         ("potential.kappa", "inf"), ("experiment.h2_violating", "nan")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
         # each key is read by the subcommands that use it: a potential key by
-        # stationary too
-        command = {"experiment.eps": "lipschitz", "experiment.ensemble": "decay",
-                   "experiment.n_levels": "converge-n",
-                   "experiment.h2_violating": "sign-condition"}.get(key, "simulate")
-        commands = [command, "stationary"] if key.startswith("potential.") \
-            else [command]
+        # stationary too, and the cadence by every sweep that steps to T
+        commands = {"experiment.eps": ["lipschitz"],
+                    "experiment.ensemble": ["decay"],
+                    "experiment.n_levels": ["converge-n"],
+                    "experiment.h2_violating": ["sign-condition"],
+                    "experiment.cadence": ["simulate", "lipschitz", "decay",
+                                           "separation", "sign-condition"],
+                    }.get(key, ["simulate"])
+        if key.startswith("potential."):
+            commands = commands + ["stationary"]
         # and some only where another key selects them
         context = {"domain.Lx": "domain.kind = strip\n",
                    "boundary.a": "boundary.g = tanh\n",
@@ -124,6 +130,16 @@ class TestExitCodes:
             assert err.startswith("config error:"), (command, err)
             if command == "converge-n":
                 assert "experiment.n_levels" in err
+
+    def test_converge_n_time_off_the_dt_grid_is_2(self, tmp_path, capsys):
+        # converge-n's first time, 0.1, is not a multiple of dt = 0.04
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 16\nsolver.dt = 0.04\n")
+        assert main(["converge-n", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t=0.1 ")
+        assert "experiment.T" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "lipschitz", "separation"])
     @pytest.mark.parametrize("where", ["config", "flag"])
@@ -314,6 +330,41 @@ class TestSweepDrivers:
         for t in times:
             k = round(t / 1e-2)
             assert np.array_equal(fields[t].bulk, traj.states[k].field.bulk)
+
+    def test_converge_n_rows_hold_the_states_at_their_times(self, tmp_path):
+        # each row's diff is that of the N and 2N states at the row's t
+        cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",
+                                 "experiment.amplitude": "0.3",
+                                 "experiment.n_levels": "1"})
+        ex.run_converge_n(cfg, tmp_path)
+        ops = ex.build_operators(cfg)
+        f0 = ex.initial_field(ops, 0, 0.3, 0.0)
+        runs = {N: simulate(ops, ex.build_solver_config(cfg, N=N), f0, 1.0,
+                            cadence=1e-2).states for N in (4, 8)}
+        rows = (tmp_path / "converge_n.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            t, N, diff = (float(v) for v in row.split(","))
+            (a,) = [s for s in runs[N] if s.t == t]
+            (b,) = [s for s in runs[2 * N] if s.t == t]
+            assert diff == ops.phi_w_distance(a.field, b.field)
+
+    def test_margins_are_minima_over_the_snapshots(self, tmp_path):
+        # in this quench the boundary margin dips at t = 0.1 (0.2062) below
+        # its value at T (0.2164); the trace gap is the one at T
+        cfg = ex.resolve_config({
+            "domain.n": "24", "domain.a": "-4.0", "domain.b": "4.0",
+            "solver.lam": "6.0", "solver.dt": "1e-2", "experiment.T": "0.2",
+            "experiment.amplitude": "0.85", "experiment.mean": "0.05"}, seed=0)
+        (_, bulk, bnd, gap), = ex.run_separation(cfg, tmp_path, Ns=(8,))["rows"]
+        (states,) = ex._lockstep(cfg, [(8, None, 0, 0.0)], [0.1, 0.2])
+        margins = [diagnostics.margins(s.field) for s in states[1:]]
+        assert (bulk, bnd) == tuple(map(min, zip(*margins)))
+        assert bnd < margins[-1][1] - 0.01
+        assert gap == diagnostics.trace_mismatch(
+            ex.build_operators(cfg), ex.build_solver_config(cfg), states[-1])
+        row = ex.run_sign_condition(cfg, tmp_path, Ns=(8,))["rows"][0]
+        assert row[-2:] == (bnd, gap)
 
     def test_margin_sweeps_honour_workers(self, tmp_path):
         cfg = ex.resolve_config({"solver.dt": "1e-2", "domain.n": "24",

@@ -49,6 +49,15 @@ class TestLogarithmic:
         assert np.allclose(LogarithmicPotential().F(u), series, rtol=4e-16,
                            atol=0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_f_keeps_its_digits_near_zero(self, sign):
+        # 2 atanh(u) = 2 (u + u^3/3 + u^5/5 + ...); ln((1 + u)/(1 - u))
+        # rounds to 0 below |u| = 1.1e-16
+        u = sign * np.logspace(-150, -3, 60)
+        series = 2.0 * (u + u ** 3 / 3.0 + u ** 5 / 5.0)
+        assert np.allclose(LogarithmicPotential(kappa1=1000.0).f(u),
+                           1000.0 * series, rtol=4e-16, atol=0.0)
+
     def test_antiderivative_unchanged_from_one_half(self):
         u = np.concatenate([np.linspace(0.5, 1.0, 1001)[:-1],
                             [np.nextafter(1.0, 0.0)]])

@@ -298,6 +298,18 @@ class TestStiffPotentials:
         assert st.time_of_flight(pot, crit.s_star) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_raw_samples_reach_the_wall_at_kappa1_1000(self):
+        # from s_star = 3.2e-18 the raw ODE climbs to the wall only if f
+        # keeps its digits near y = 0; else it stays at y = s x, and the
+        # drift reads 1e-32 and checks nothing
+        pot = LogarithmicPotential(kappa1=1000.0)
+        K = 2.0 * st.critical_flux(pot).K_plus
+        prof = st.solve_bvp(st.StationaryProblem(pot, K)).profile
+        top = float(np.max(prof.ode_y))
+        assert top > 0.999
+        assert st.first_integral_drift(pot, prof) <= \
+            1e-9 * (1.0 + float(pot.F(top)))
+
     def test_saturated_profile(self):
         pot = LogarithmicPotential(kappa1=100.0)
         crit = st.critical_flux(pot)
