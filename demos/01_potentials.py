@@ -55,7 +55,7 @@ def main():
         print(f"  {name}: {tag}")
 
     print("\nboundary sign condition g(-1) < h2 < g(1):")
-    g = BoundaryNonlinearity.tanh_tilt(2.0)
+    g = BoundaryNonlinearity(2.0)
     for h2 in (0.0, 0.5, 5.0):
         ok = check_sign_condition(g, h2, eps=0.05)
         print(f"  tanh nonlinearity, h2 = {h2}: {'satisfied' if ok else 'violated'}")

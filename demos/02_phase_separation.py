@@ -3,7 +3,7 @@
 A small random perturbation of a mixed state is advanced with the
 convex-splitting stepper.  Along the way we watch the structural
 invariants that make the scheme trustworthy: the bulk mass is conserved
-to rounding, the energy ledger never increases, and the trace relaxes
+to rounding, the energy never increases, and the trace relaxes
 onto the bulk boundary values after the first implicit step.
 """
 
@@ -35,7 +35,7 @@ def main():
         N=32,
         lam=6.0,
         dt=1e-2,
-        g=BoundaryNonlinearity.linear(),
+        g=BoundaryNonlinearity(),
         h1=0.0,
         h2=0.1,
     )

@@ -25,7 +25,7 @@ def main():
         N=8,
         lam=1.0,
         dt=1e-3,
-        g=BoundaryNonlinearity.linear(),
+        g=BoundaryNonlinearity(),
         h1=0.1,
         h2=0.2,
     )
@@ -41,9 +41,10 @@ def main():
 
     for window in ((0.0, 0.03), (0.03, 0.06), (0.06, 0.1)):
         rep = vi_residual(traj, window, tfs, L=L)
-        worst = rep.max_residual / max(rep.scales)
-        print(f"window {window}: max residual / scale = {worst:+.4f} "
-              f"({'inequality holds' if rep.max_residual <= 0 else 'VIOLATED'})")
+        worst = max(rep.residuals)
+        print(f"window {window}: max residual / scale = "
+              f"{worst / max(rep.scales):+.4f} "
+              f"({'inequality holds' if worst <= 0 else 'VIOLATED'})")
 
     # the residual vanishes identically when the test function is the
     # solution itself
@@ -54,7 +55,7 @@ def main():
 
     rep_big = vi_residual(traj, (0.0, 0.03), tfs, L=1.5 * L)
     print(f"sign stable under L -> 1.5 L: "
-          f"{'yes' if rep_big.max_residual <= 0 else 'no'}")
+          f"{'yes' if max(rep_big.residuals) <= 0 else 'no'}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ def strip_run():
         N=8,
         lam=1.5,
         dt=1e-2,
-        g=BoundaryNonlinearity.tanh_tilt(1.0),
+        g=BoundaryNonlinearity(1.0),
         h2=0.1,
     )
     u0 = initial_field(ops, seed=5, amplitude=0.3, mean=0.0)
@@ -45,7 +45,7 @@ def decay_run():
         N=8,
         lam=1.0,
         dt=1e-2,
-        g=BoundaryNonlinearity.linear(),
+        g=BoundaryNonlinearity(),
     )
     fields = [initial_field(ops, seed=k, amplitude=0.35, mean=0.1)
               for k in range(4)]

@@ -1,4 +1,4 @@
-"""Runtime-checkable diagnostics: energy breakdown, dissipation ledger,
+"""Runtime-checkable diagnostics: energy breakdown, the discrete energy law,
 variational-inequality residuals, boundary-trace mismatch, separation
 margins, and ensemble decay.
 
@@ -25,7 +25,7 @@ from .errors import (InadmissibleTestFunctionError, InsufficientDataError,
 
 __all__ = [
     "forcing_arrays", "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
-    "dissipation_check", "DissipationReport",
+    "dissipation_check",
     "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
     "margins", "trace_mismatch",
     "decay_experiment", "DecayReport", "exponential_fit",
@@ -126,19 +126,13 @@ def records_to_csv(records, path):
 
 
 # --------------------------------------------------------------------------
-# Dissipation ledger
+# Energy law
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DissipationReport:
-    violations: int
-    ledger: list  # rows (t0, t1, dE, dissipation_rate)
-
-
-def dissipation_check(traj) -> DissipationReport:
-    """Check the discrete energy law between consecutive snapshots:
+def dissipation_check(traj) -> int:
+    """The number of snapshot intervals that break the discrete energy law
     E(t1) - E(t0) <= -0.8 * dt * (||du/dt||^2_{H^-1} + ||dpsi/dt||^2_Gamma)
-    with the slack 1e-8 (1 + |E(t0)|), plus strict energy monotonicity.
+    or energy monotonicity, each with the slack 1e-8 (1 + |E(t0)|).
     Assumes static forcing.  The energies after the initial state are read
     from traj.records, one per later snapshot."""
     if len(traj.states) < 2:
@@ -149,7 +143,6 @@ def dissipation_check(traj) -> DissipationReport:
     energies = [energy(ops, cfg, traj.states[0].field).total] \
         + [r.energy.total for r in traj.records]
     violations = 0
-    ledger = []
     for k in range(len(traj.states) - 1):
         s0, s1 = traj.states[k], traj.states[k + 1]
         dt = s1.t - s0.t
@@ -162,8 +155,7 @@ def dissipation_check(traj) -> DissipationReport:
         excess = dE + 0.8 * dt * rate
         if excess > slack or dE > slack:
             violations += 1
-        ledger.append((s0.t, s1.t, dE, rate))
-    return DissipationReport(violations, ledger)
+    return violations
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +178,6 @@ def compute_vi_constant(ops, lam):
 @dataclass(frozen=True)
 class VIReport:
     residuals: list
-    max_residual: float
     L: float
     scales: list
 
@@ -277,7 +268,7 @@ def vi_residual(traj, window, test_functions, L=None) -> VIReport:
         scale = (t - s) * (1.0 + size) * (1.0 + abs(cfg.lam))
         residuals.append(float(total))
         scales.append(float(scale))
-    return VIReport(residuals, float(max(residuals)), float(L), scales)
+    return VIReport(residuals, float(L), scales)
 
 
 def generate_test_functions(ops, mass, count=20, seed=0, anchor=None):

@@ -159,9 +159,9 @@ def _operators(dom):
 def _boundary_g(cfg):
     name = cfg["boundary.g"]
     if name == "linear":
-        return BoundaryNonlinearity.linear()
+        return BoundaryNonlinearity()
     if name == "tanh":
-        return _build(BoundaryNonlinearity.tanh_tilt, _f(cfg, "boundary.a"))
+        return _build(BoundaryNonlinearity, _f(cfg, "boundary.a"))
     raise ConfigError(f"boundary.g must be linear or tanh, got {name!r}")
 
 
@@ -267,14 +267,13 @@ def run_simulate(cfg, outdir):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))
     diagnostics.records_to_csv(traj.records,
                                os.path.join(outdir, "diagnostics.csv"))
-    rep = diagnostics.dissipation_check(traj)
     last = traj.records[-1]
     return {
         "snapshots": len(traj.states),
         "final_time": traj.final.t,
         "final_energy": last.energy.total,
         "mass_drift": abs(last.mass - ops.mean(traj.states[0].field.bulk)),
-        "dissipation_violations": rep.violations,
+        "dissipation_violations": diagnostics.dissipation_check(traj),
     }
 
 
@@ -400,7 +399,7 @@ def run_stationary(cfg, outdir):
                zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
                    sol.profile.yp.tolist()))
     summary = {"classification": stationary.classify(pot, K), "K": K,
-               "s": sol.s, "defect": sol.defect}
+               "s": sol.profile.s, "defect": sol.defect}
     crit = stationary.critical_flux(pot)
     if crit is not None:
         summary["s_star"] = crit.s_star

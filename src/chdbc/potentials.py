@@ -253,15 +253,6 @@ class BoundaryNonlinearity:
         G = 0.5 * z * z
         return G + self.a * np.log(np.cosh(z)) if self.a else G
 
-    @classmethod
-    def linear(cls):
-        return cls()
-
-    @classmethod
-    def tanh_tilt(cls, a):
-        """g(z) = z + a*tanh(z)."""
-        return cls(a)
-
 
 def check_sign_condition(g: BoundaryNonlinearity, h2, eps):
     """True iff g(-1) + eps <= h2 <= g(1) - eps at every boundary point."""

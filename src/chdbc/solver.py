@@ -65,7 +65,7 @@ class SolverConfig:
     N: int = 8
     lam: float = 0.0
     dt: float = 1e-3
-    g: BoundaryNonlinearity = field(default_factory=BoundaryNonlinearity.linear)
+    g: BoundaryNonlinearity = field(default_factory=BoundaryNonlinearity)
     h1: object = 0.0  # scalar or bulk-shaped array
     h2: object = 0.0  # scalar or trace-shaped array
     newton_tol: float = 1e-10
@@ -97,14 +97,12 @@ class State:
     t: float
     field: Field
     mu: np.ndarray | None = None
-    # Backward-step context for mean-potential bookkeeping and diagnostics.
-    prev_bulk: np.ndarray | None = None
+    # The trace a step started from, for the boundary time derivative.
     prev_trace: np.ndarray | None = None
 
     def copy(self):
         return State(self.t, self.field.copy(), *(
-            None if a is None else a.copy()
-            for a in (self.mu, self.prev_bulk, self.prev_trace)))
+            None if a is None else a.copy() for a in (self.mu, self.prev_trace)))
 
 
 @dataclass(frozen=True)
@@ -302,8 +300,7 @@ class Stepper:
             bulk = bulk.reshape(ops.bulk_shape)
             mus[:] = mus[-2:] + [mu_m.reshape(ops.bulk_shape)]
             out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
-                             mus[-1], s.field.bulk.copy(),
-                             s.field.trace.copy()))
+                             mus[-1], s.field.trace.copy()))
         return out[0] if isinstance(state, State) else out, StepReport(
             iters, float(max(r / sc for r, sc in zip(rnorm, scale))),
             factorizations)
@@ -396,14 +393,18 @@ def chemical_potential_mean(ops, cfg: SolverConfig, state: State) -> float:
     chemical potential taken directly and through the boundary bookkeeping
     identity (surface time derivative + boundary nonlinearity - boundary
     forcing + bulk nonlinearity + bulk forcing), mirroring the splitting.
+
+    The explicit -lam u term is taken at the state's own bulk, not the bulk
+    the step started from: the step conserves bulk mass, so the two means
+    differ by round-off only, and a step that leaks mass shows as a gap.
     """
     if state.mu is None or state.prev_trace is None:
         raise StaleStateError("no step taken yet; mu is unavailable")
     direct = ops.inner(state.mu, np.ones(ops.n_bulk)) / ops.area
+    u = state.field.bulk.ravel()
     psi, psi_old = state.field.trace.ravel(), state.prev_trace.ravel()
     h1, h2 = diagnostics.forcing_arrays(ops, cfg)
-    formula = ops.mean(cfg.regularized.f(state.field.bulk.ravel())
-                       - cfg.lam * state.prev_bulk.ravel() + h1) \
+    formula = ops.mean(cfg.regularized.f(u) - cfg.lam * u + h1) \
         + ops.boundary_mean((psi - psi_old) / cfg.dt + psi
                             + np.ravel(cfg.g.g0(psi_old)) - h2)
     return abs(direct - formula) / (1.0 + abs(direct))

@@ -140,8 +140,7 @@ class ShootingResult:
     x: np.ndarray        # grid on [-1, 1]
     y: np.ndarray        # odd profile (clamped to +-1 past saturation)
     yp: np.ndarray       # slope from the first integral (inf at saturation if F(1)=inf)
-    exit: str            # "interior" | "saturated"
-    x_hit: float | None  # where |y| reaches 1, when saturated
+    x_hit: float | None  # where |y| reaches 1, when saturated; else None
     # raw ODE samples for first-integral verification
     ode_x: np.ndarray
     ode_y: np.ndarray
@@ -186,13 +185,12 @@ def shoot(potential, s) -> ShootingResult:
     if s == 0.0:
         x = np.concatenate([-half[::-1], half[1:]])
         z = np.zeros_like(x)
-        return ShootingResult(s, x, z, np.zeros_like(x) + 0.0, "interior", None,
-                              half, np.zeros_like(half), np.zeros_like(half))
+        return ShootingResult(s, x, z, np.zeros_like(x) + 0.0, None, half,
+                              np.zeros_like(half), np.zeros_like(half))
 
     flight = _flight(potential, s)
     x1 = float(flight[1][-1])
-    kind = exit_kind(x1)
-    x_hit = min(x1, 1.0) if kind == "saturated" else None
+    x_hit = min(x1, 1.0) if exit_kind(x1) == "saturated" else None
     flying = half < (x_hit or math.inf)
     y_half = np.ones_like(half)
     y_half[flying] = _y_at(potential, s, flight, half[flying])
@@ -214,7 +212,7 @@ def shoot(potential, s) -> ShootingResult:
     x = np.concatenate([-half[::-1], half[1:]])
     y = np.concatenate([-y_half[::-1], y_half[1:]])
     yp = np.concatenate([yp_half[::-1], yp_half[1:]])
-    return ShootingResult(s, x, y, yp, kind, x_hit, sol.t, sol.y[0], sol.y[1])
+    return ShootingResult(s, x, y, yp, x_hit, sol.t, sol.y[0], sol.y[1])
 
 
 def first_integral_drift(potential, result: ShootingResult):
@@ -254,8 +252,7 @@ def critical_flux(potential) -> CriticalFlux | None:
 
 @dataclass
 class BVPSolution:
-    s: float
-    profile: ShootingResult
+    profile: ShootingResult  # shot with the solution's slope profile.s
     defect: float  # K - y'(1) of the returned profile (0 in the classical case)
 
 
@@ -309,13 +306,11 @@ def solve_bvp(problem: StationaryProblem) -> BVPSolution:
     saturated profile shot with s_star, with defect K - K_plus > 0."""
     pot, K = problem.potential, problem.K
     if K == 0.0:
-        return BVPSolution(0.0, shoot(pot, 0.0), 0.0)
+        return BVPSolution(shoot(pot, 0.0), 0.0)
     crit = critical_flux(pot)
     if crit is not None and K > crit.K_plus:
-        s = crit.s_star
-        return BVPSolution(s, shoot(pot, s), K - crit.K_plus)
-    s = _classical_slope(pot, K)
-    return BVPSolution(s, shoot(pot, s), 0.0)
+        return BVPSolution(shoot(pot, crit.s_star), K - crit.K_plus)
+    return BVPSolution(shoot(pot, _classical_slope(pot, K)), 0.0)
 
 
 def classify(potential, K):

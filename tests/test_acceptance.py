@@ -135,7 +135,7 @@ def test_criterion_6_stationary_critical_flux():
         K = frac * crit.K_plus
         sol = st.solve_bvp(st.StationaryProblem(pot, K))
         ok &= abs(sol.profile.yp[-1] - K) <= 1e-6
-        ok &= abs(st.shoot(pot, sol.s).y[-1] - sol.profile.y[-1]) <= 1e-6
+        ok &= abs(st.shoot(pot, sol.profile.s).y[-1] - sol.profile.y[-1]) <= 1e-6
     ok &= st.classify(pot, 0.5 * crit.K_plus) == "Classical"
     ok &= st.classify(pot, 2.0 * crit.K_plus) == "VariationalOnly"
     _report(6, f"critical flux K+ = {crit.K_plus:.10f} pinned, triangle and "

@@ -115,8 +115,8 @@ def step_cases(draw):
         else fmin + draw(st.floats(0.01, 4.0))
     cfg = SolverConfig(
         potential=potential, N=N, lam=lam, dt=10.0 ** draw(st.floats(-4, -1)),
-        g=draw(st.sampled_from([BoundaryNonlinearity.linear(),
-                                BoundaryNonlinearity.tanh_tilt(0.3)])),
+        g=draw(st.sampled_from([BoundaryNonlinearity(),
+                                BoundaryNonlinearity(0.3)])),
         h1=_forcing(draw, rng, ops.bulk_shape),
         h2=_forcing(draw, rng, ops.trace_shape))
     mean = draw(st.floats(-0.5, 0.5))

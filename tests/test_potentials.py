@@ -162,33 +162,33 @@ class TestRegularized:
 
 class TestBoundary:
     def test_linear_default(self):
-        g = BoundaryNonlinearity.linear()
+        g = BoundaryNonlinearity()
         assert g.g(0.7) == pytest.approx(0.7)
         assert g.G(2.0) == pytest.approx(2.0)
 
-    def test_tanh_tilt(self):
-        g = BoundaryNonlinearity.tanh_tilt(0.5)
+    def test_tanh(self):
+        g = BoundaryNonlinearity(0.5)
         assert float(g.g(1.0)) == pytest.approx(1.0 + 0.5 * math.tanh(1.0))
         h = 1e-6
         fd = (g.G(1.0 + h) - g.G(1.0 - h)) / (2.0 * h)
         assert float(g.g(1.0)) == pytest.approx(float(fd), rel=1e-8)
         for a in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                BoundaryNonlinearity.tanh_tilt(a)
+                BoundaryNonlinearity(a)
 
     def test_linear_evaluates_no_tanh(self, monkeypatch):
         # a = 0: exact zeros, so linear runs do not depend on tanh or cosh
         monkeypatch.setattr(np, "tanh", None)
         monkeypatch.setattr(np, "cosh", None)
         z = np.array([-3.0, -0.0, 0.25, 40.0])
-        g = BoundaryNonlinearity.linear()
+        g = BoundaryNonlinearity()
         assert g == BoundaryNonlinearity(0.0)
         assert np.array_equal(g.g0(z), np.zeros(4))
         assert np.array_equal(g.g(z), z + 0.0)
         assert np.array_equal(g.G(z), 0.5 * z * z)
 
     def test_sign_condition(self):
-        g = BoundaryNonlinearity.linear()
+        g = BoundaryNonlinearity()
         assert check_sign_condition(g, 0.0, 0.05)
         assert check_sign_condition(g, np.array([0.5, -0.5]), 0.05)
         assert not check_sign_condition(g, 3.0, 0.05)

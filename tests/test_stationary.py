@@ -43,7 +43,7 @@ class TestShoot:
     def test_zero_slope_trivial(self):
         res = st.shoot(LOG, 0.0)
         assert np.all(res.y == 0.0)
-        assert res.exit == "interior"
+        assert res.x_hit is None
 
     def test_odd_profile(self):
         res = st.shoot(LOG, 0.4)
@@ -51,13 +51,11 @@ class TestShoot:
 
     def test_interior_below_critical(self):
         res = st.shoot(LOG, 0.5)
-        assert res.exit == "interior"
         assert res.x_hit is None
         assert np.max(np.abs(res.y)) < 1.0
 
     def test_saturated_above_critical(self):
         res = st.shoot(LOG, 1.0)
-        assert res.exit == "saturated"
         assert 0.0 < res.x_hit < 1.0
         assert res.y[-1] == 1.0
 
@@ -66,7 +64,7 @@ class TestShoot:
         s = st.critical_flux(LOG).s_star * (1.0 - 1e-7)
         res = st.shoot(LOG, s)
         Y, slope = st._boundary_state(LOG, s)
-        assert res.exit == "interior"
+        assert res.x_hit is None
         assert res.ode_x[-1] < 1.0
         assert res.y[-1] == pytest.approx(Y, abs=1e-12)
         assert res.yp[-1] == pytest.approx(slope, rel=1e-9)
@@ -147,9 +145,9 @@ class TestSolveBVP:
         crit = st.critical_flux(LOG)
         sol = st.solve_bvp(st.StationaryProblem(LOG, 2.0 * crit.K_plus))
         assert st.classify(LOG, 2.0 * crit.K_plus) == "VariationalOnly"
-        assert sol.s == pytest.approx(crit.s_star, abs=1e-10)
+        assert sol.profile.s == pytest.approx(crit.s_star, abs=1e-10)
         assert sol.defect == pytest.approx(crit.K_plus, abs=1e-9)
-        assert sol.profile.exit == "saturated"
+        assert sol.profile.x_hit is not None
 
     def test_strong_singularity_always_classical(self):
         pot = PowerSingularPotential(p=3.0)
@@ -315,7 +313,7 @@ class TestStiffPotentials:
         crit = st.critical_flux(pot)
         K = 2.0 * crit.K_plus
         prof = st.solve_bvp(st.StationaryProblem(pot, K)).profile
-        assert prof.exit == "saturated"
+        assert prof.x_hit is not None
         assert -prof.y[0] == prof.y[-1] == 1.0
         residual = 0.5 * prof.yp ** 2 - pot.F(prof.y) - 0.5 * prof.s ** 2
         assert np.max(np.abs(residual)) <= 1e-10
@@ -359,7 +357,7 @@ class TestSweepExit:
                       crit.s_star * (1.0 + 1e-8)):
                 rows += _sweep_exits(pot, f"{s!r}:{s!r}:1", tmp_path)
         for s, kind in rows:
-            assert kind == st.shoot(pot, s).exit
+            assert (kind == "saturated") == (st.shoot(pot, s).x_hit is not None)
 
 
 def _nested_slope(pot, K):
@@ -390,10 +388,10 @@ class TestClassicalSlope:
                  else math.sqrt(2.0 * float(pot.F(0.999))))
         sol = st.solve_bvp(st.StationaryProblem(pot, K))
         assert sol.defect == 0.0  # classical
-        assert sol.s == pytest.approx(_nested_slope(pot, K), rel=1e-12)
+        assert sol.profile.s == pytest.approx(_nested_slope(pot, K), rel=1e-12)
         # y'(1) = K at s to 1e-10 K or, where y'(1) is too steep in s for
         # that (y(1) near 1), by a change of sign across s (1 -+ 1e-12)
-        miss = [st._boundary_state(pot, sol.s * (1.0 + d))[1] - K
+        miss = [st._boundary_state(pot, sol.profile.s * (1.0 + d))[1] - K
                 for d in (-1e-12, 0.0, 1e-12)]
         assert abs(miss[1]) <= 1e-10 * K or miss[0] <= 0.0 <= miss[2]
 
@@ -417,7 +415,7 @@ class TestClassicalSlope:
         for K in (crit.K_plus, crit.K_plus * (1.0 - 1e-14)):
             sol = st.solve_bvp(st.StationaryProblem(LOG, K))
             assert sol.defect == 0.0  # classical
-            assert sol.s == pytest.approx(crit.s_star, rel=1e-12)
+            assert sol.profile.s == pytest.approx(crit.s_star, rel=1e-12)
 
 
 class TestScipyPatchPoints:
