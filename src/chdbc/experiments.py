@@ -190,9 +190,10 @@ def _cadence(cfg, default=None):
 
 def initial_field(ops, seed, amplitude, mean) -> Field:
     """Deterministic spinodal-like data: a few random low modes, normalized,
-    then mean-corrected so that |u0| <= |mean| + amplitude < 1."""
-    if not abs(mean) + amplitude < 1.0:  # NaN fails too
-        raise ConfigError("require |experiment.mean| + experiment.amplitude < 1")
+    then mean-corrected so that |u0| <= |mean| + |amplitude| < 1."""
+    if not abs(mean) + abs(amplitude) < 1.0:  # NaN fails too
+        raise ConfigError(
+            "require |experiment.mean| + |experiment.amplitude| < 1")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -55,7 +55,7 @@ from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
 __all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
-           "cadence_times", "simulate", "simulate_members",
+           "MAX_STEPS", "cadence_times", "simulate", "simulate_members",
            "chemical_potential_mean"]
 
 
@@ -323,12 +323,19 @@ class Trajectory:
         return self.states[-1]
 
 
+MAX_STEPS = 10 ** 9  # days of stepping at about 0.5 ms a step
+
+
 def _grid_steps(name, value, dt):
-    """The number of dt steps in value, which must be a positive multiple of dt."""
+    """The number of dt steps in value, which must be a positive multiple of
+    dt and at most MAX_STEPS of them."""
     k = round(value / dt) if math.isfinite(value / dt) else 0
     if k < 1 or abs(k * dt - value) > 1e-9 * value:
         raise ConfigError(f"{name}={value!r} is not a positive multiple of "
                           f"dt={dt!r}")
+    if k > MAX_STEPS:
+        raise ConfigError(f"{name}={value!r} takes {value / dt:.3g} steps of "
+                          f"dt={dt!r}, more than {MAX_STEPS}")
     return k
 
 

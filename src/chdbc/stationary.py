@@ -140,7 +140,7 @@ class ShootingResult:
     x: np.ndarray        # grid on [-1, 1]
     y: np.ndarray        # odd profile (clamped to +-1 past saturation)
     yp: np.ndarray       # slope from the first integral (inf at saturation if F(1)=inf)
-    x_hit: float | None  # where |y| reaches 1, when saturated; else None
+    x_hit: float | None  # where |y| reaches 1 when saturated; None if interior
     # raw ODE samples for first-integral verification
     ode_x: np.ndarray
     ode_y: np.ndarray

@@ -8,7 +8,7 @@ from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.discretization import Interval
 from chdbc.errors import ConfigError
-from chdbc.solver import simulate
+from chdbc.solver import MAX_STEPS, simulate
 
 
 class TestConfigParsing:
@@ -101,7 +101,9 @@ class TestExitCodes:
         ("domain.Lx", "-2.0"), ("domain.Lx", "0"), ("domain.Lx", "nan"),
         ("domain.Lx", "inf"), ("forcing.h2", "nan"), ("forcing.h2", "inf"),
         ("boundary.a", "nan"), ("potential.kappa1", "inf"),
-        ("potential.kappa", "inf"), ("experiment.h2_violating", "nan")])
+        ("potential.kappa", "inf"), ("experiment.h2_violating", "nan"),
+        ("experiment.T", "1e300"), ("solver.dt", "1e-300"),
+        ("experiment.amplitude", "-5"), ("experiment.amplitude", "-inf")])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value):
         # each key is read by the subcommands that use it: a potential key by
         # stationary too, and the cadence by every sweep that steps to T
@@ -130,6 +132,17 @@ class TestExitCodes:
             assert err.startswith("config error:"), (command, err)
             if command == "converge-n":
                 assert "experiment.n_levels" in err
+
+    def test_endless_decay_is_2(self, tmp_path, capsys):
+        # ten snapshots of 1e302 steps each: the step bound stops it at once
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 16\nexperiment.T = 1e300\n"
+                       "experiment.cadence = 1e299\n")
+        assert main(["decay", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: T=1e+300 ")
+        assert str(MAX_STEPS) in err
 
     def test_converge_n_time_off_the_dt_grid_is_2(self, tmp_path, capsys):
         # converge-n's first time, 0.1, is not a multiple of dt = 0.04

@@ -9,14 +9,21 @@ the committed copy under tests/data/reference/<case>/:
   and numeric cells within RTOL times the largest magnitude of their column
   in the reference (the column scale).
 
-The largest deviation per file is printed (`pytest -s` shows it).
+Two columns of diagnostics.csv hold round-off, so their scale is no scale,
+and they are checked against their invariants instead:
 
-Two columns of diagnostics.csv hold round-off, so their scale is no scale:
-`mass` (about 1e-17, the drift of a conserved mean) and `newton_residual`
-(below newton_tol by construction).  Any change of the linear algebra's
-rounding moves them past the relative gate, even when every physical column
-stays well inside it; SuperLU's symmetric mode alone moved `mass` by 0.86
-and `newton_residual` by 7e-7 of their column scales.
+- `mass` (about 1e-17, the drift of a conserved mean) within
+  1e-12 (1 + the reference's largest |min_u| or |max_u|) of the reference,
+  the bound tests/test_solver.py puts on mass drift;
+- `newton_residual` at most the case's solver.newton_tol, in both files.
+
+Gated on their column scale, any change of the linear algebra's rounding
+failed them while every physical column stayed well inside RTOL; SuperLU's
+symmetric mode alone moved `mass` by 0.86 and `newton_residual` by 7e-7 of
+their column scales.
+
+The largest deviation per file of the other columns is printed (`pytest -s`
+shows it).
 
 Regenerate the references only on purpose, and say why where the change is
 recorded, since a refreshed reference is a changed check:
@@ -34,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from chdbc.cli import main
+from chdbc.experiments import DEFAULTS
 
 REFERENCE = Path(__file__).parent / "data" / "reference"
 RTOL = 1e-9  # tied to solver.newton_tol = 1e-10; covers last-digit drift
@@ -97,9 +105,19 @@ def _manifest_lines(path):
             if not line.startswith("# code version")]
 
 
-def _compare_table(ref, out):
-    """The largest deviation over the file's numeric cells, as a fraction of
-    its column scale; fails on any structural or non-numeric difference."""
+def _round_off_gates(want, newton_tol):
+    """Checks (got, want) -> bool of diagnostics.csv's round-off columns."""
+    head = want[0]
+    u_max = max(abs(float(row[head.index(name)]))
+                for row in want[1:] for name in ("min_u", "max_u"))
+    return {"mass": lambda w, v: abs(w - v) <= 1e-12 * (1.0 + u_max),
+            "newton_residual": lambda w, v: max(w, v) <= newton_tol}
+
+
+def _compare_table(ref, out, newton_tol):
+    """The largest deviation over the file's numeric cells outside the
+    round-off columns, as a fraction of its column scale; fails on any
+    structural or non-numeric difference."""
     with open(ref, newline="") as fh:
         want = list(csv.reader(fh))
     with open(out, newline="") as fh:
@@ -107,6 +125,8 @@ def _compare_table(ref, out):
     assert got[:1] == want[:1], f"{ref.name}: header {got[:1]} != {want[:1]}"
     assert len(got) == len(want), \
         f"{ref.name}: {len(got) - 1} rows, expected {len(want) - 1}"
+    gates = _round_off_gates(want, newton_tol) \
+        if ref.name == "diagnostics.csv" else {}
     worst = 0.0
     for j in range(len(want[0])):
         column = [_number(row[j]) for row in want[1:]]
@@ -120,6 +140,10 @@ def _compare_table(ref, out):
                 assert cell == want[i - 1][j], \
                     f"{where}: {cell!r} != {want[i - 1][j]!r}"
                 continue
+            if want[0][j] in gates:
+                assert gates[want[0][j]](w, v), \
+                    f"{where}: {w!r} against {v!r} breaks its invariant"
+                continue
             dev = abs(w - v)
             assert dev <= RTOL * scale, \
                 f"{where}: {w!r} != {v!r} (scale {scale:g})"
@@ -132,6 +156,8 @@ def _compare_table(ref, out):
 def test_matches_reference(case, tmp_path):
     ref_dir = REFERENCE / case
     out_dir = tmp_path / case
+    newton_tol = float(CASES[case][1].get("solver.newton_tol",
+                                          DEFAULTS["solver.newton_tol"]))
     _run(case, out_dir)
     names = sorted(p.name for p in ref_dir.iterdir())
     assert sorted(p.name for p in out_dir.iterdir()) == names
@@ -140,9 +166,31 @@ def test_matches_reference(case, tmp_path):
             assert _manifest_lines(out_dir / name) == \
                 _manifest_lines(ref_dir / name), f"{case}/{name} differs"
         else:
-            worst = _compare_table(ref_dir / name, out_dir / name)
+            worst = _compare_table(ref_dir / name, out_dir / name, newton_tol)
             print(f"{case}/{name}: largest deviation {worst:.3g} "
                   "of the column scale")
+
+
+@pytest.mark.parametrize("column, change, passes", [
+    ("mass", 1e-15, True),  # round-off, yet 461 times the column scale
+    ("mass", 1e-10, False),
+    ("newton_residual", 1e-11, True),
+    ("newton_residual", 1e-10, False),  # the residual is then above 1e-10
+])
+def test_round_off_gates(tmp_path, column, change, passes):
+    ref = REFERENCE / "simulate-interval" / "diagnostics.csv"
+    with open(ref, newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(column)
+    rows[-1][j] = repr(float(rows[-1][j]) + change)
+    doctored = tmp_path / ref.name
+    with open(doctored, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    if passes:
+        _compare_table(ref, doctored, newton_tol=1e-10)
+    else:
+        with pytest.raises(AssertionError, match=f"column {column}: "):
+            _compare_table(ref, doctored, newton_tol=1e-10)
 
 
 def _update():
