@@ -7,6 +7,13 @@ power-type) plus a smooth cubic used only for cross-checks.  The
 regularization replaces f outside |u| <= 1 - 1/N by its first-order Taylor
 extension, which keeps it globally defined, C^1 and monotone; its
 antiderivative picks up exact quadratic tails.
+
+Each potential class writes f, f' and F once, as the unchecked cores _f,
+_df and _F, and _checked makes its public f, df and F from them: one entry
+point per function that takes u as a float array and raises DomainError
+outside the domain (|u| < 1 for f and df, |u| <= 1 for F; the smooth well
+has none).  Callers that keep u inside, as the regularization does after
+clipping, call the cores.
 """
 
 from __future__ import annotations
@@ -33,14 +40,18 @@ __all__ = [
 ]
 
 
-def _check_open_interval(u):
-    if np.any(np.abs(u) >= 1.0):
-        raise DomainError("argument must satisfy |u| < 1")
+def _checked(core, rule=None):
+    """The public method of the unchecked core (_f, _df or _F): it takes u
+    as a float array and raises DomainError where rule, "|u| < 1" or
+    "|u| <= 1", fails; with no rule, u is unbounded."""
+    outside = {"|u| < 1": np.greater_equal, "|u| <= 1": np.greater}.get(rule)
 
-
-def _check_closed_interval(u):
-    if np.any(np.abs(u) > 1.0):
-        raise DomainError("argument must satisfy |u| <= 1")
+    def method(self, u):
+        u = np.asarray(u, dtype=float)
+        if outside is not None and np.any(outside(np.abs(u), 1.0)):
+            raise DomainError(f"argument must satisfy {rule}")
+        return core(self, u)
+    return method
 
 
 @dataclass(frozen=True)
@@ -59,35 +70,16 @@ class LogarithmicPotential:
         if not 0.0 <= self.kappa0 < self.kappa1 < math.inf:  # NaN fails too
             raise ValueError("require 0 <= kappa0 < kappa1 < inf")
 
-    @property
-    def name(self):
-        return f"logarithmic(kappa0={self.kappa0:g},kappa1={self.kappa1:g})"
-
-    def f(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        return self._f(u)
-
     def _f(self, u):
         """f unchecked, for |u| < 1; atanh keeps its digits near u = 0."""
         return 2.0 * self.kappa1 * np.arctanh(u) - 2.0 * self.kappa0 * u
 
-    def df(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        return self._df(u)
-
     def _df(self, u):
         return -2.0 * self.kappa0 + 2.0 * self.kappa1 / (1.0 - u * u)
 
-    def F(self, u):
-        """Antiderivative with F(0) = 0; finite limits F(+-1) = -kappa0 + 2*kappa1*ln 2."""
-        u = np.asarray(u, dtype=float)
-        _check_closed_interval(u)
-        return self._F(u)
-
     def _F(self, u):
-        """F without the range check, for callers that keep |u| <= 1."""
+        """F unchecked, for |u| <= 1: the antiderivative with F(0) = 0 and
+        finite limits F(+-1) = -kappa0 + 2*kappa1*ln 2."""
         term = np.empty_like(u)
         # Near 0 the sum (1+u) log(1+u) + (1-u) log(1-u) cancels to u^2;
         # there the same sum is 2 u atanh(u) + log(1 - u^2), which keeps its
@@ -106,6 +98,9 @@ class LogarithmicPotential:
             )
         return -self.kappa0 * u * u + self.kappa1 * term
 
+    f, df = _checked(_f, "|u| < 1"), _checked(_df, "|u| < 1")
+    F = _checked(_F, "|u| <= 1")
+
 
 @dataclass(frozen=True)
 class PowerSingularPotential:
@@ -118,32 +113,13 @@ class PowerSingularPotential:
         if not (0.0 < self.kappa < math.inf and 1.0 < self.p < math.inf):
             raise ValueError("require finite kappa > 0 and p > 1")
 
-    @property
-    def name(self):
-        return f"power(kappa={self.kappa:g},p={self.p:g})"
-
-    def f(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        return self._f(u)
-
     def _f(self, u):
         """f without the range check, for callers that keep |u| < 1."""
         return self.kappa * u * (1.0 - u * u) ** (1.0 - self.p)
 
-    def df(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_open_interval(u)
-        return self._df(u)
-
     def _df(self, u):
         s = 1.0 - u * u
         return self.kappa * s ** (-self.p) * (1.0 + (2.0 * self.p - 3.0) * u * u)
-
-    def F(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_closed_interval(u)
-        return self._F(u)
 
     def _F(self, u):
         """F without the range check, for callers that keep |u| <= 1."""
@@ -155,32 +131,24 @@ class PowerSingularPotential:
         # the plain difference loses as p -> 2
         return self.kappa * np.expm1((2.0 - self.p) * log_s) / (2.0 * (self.p - 2.0))
 
+    f, df = _checked(_f, "|u| < 1"), _checked(_df, "|u| < 1")
+    F = _checked(_F, "|u| <= 1")
+
 
 @dataclass(frozen=True)
 class SmoothDoubleWell:
     """f(u) = u^3: regular stand-in for cross-checks only, never singular."""
 
-    @property
-    def name(self):
-        return "smooth-double-well"
-
-    def f(self, u):
-        return self._f(np.asarray(u, dtype=float))
-
     def _f(self, u):
         return u ** 3
-
-    def df(self, u):
-        return self._df(np.asarray(u, dtype=float))
 
     def _df(self, u):
         return 3.0 * u * u
 
-    def F(self, u):
-        return self._F(np.asarray(u, dtype=float))
-
     def _F(self, u):
         return 0.25 * u ** 4
+
+    f, df, F = _checked(_f), _checked(_df), _checked(_F)
 
 
 @dataclass(frozen=True)

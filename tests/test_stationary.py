@@ -328,6 +328,8 @@ class TestStiffPotentials:
 _SWEEP_POTENTIALS = [LogarithmicPotential(), LogarithmicPotential(kappa0=0.3),
                      PowerSingularPotential(p=1.5), PowerSingularPotential(p=3.0),
                      SmoothDoubleWell()]
+_SWEEP_IDS = ["logarithmic(kappa0=0,kappa1=1)", "logarithmic(kappa0=0.3,kappa1=1)",
+              "power(kappa=1,p=1.5)", "power(kappa=1,p=3)", "smooth-double-well"]
 
 
 def _sweep_exits(pot, sweep, outdir):
@@ -345,7 +347,7 @@ def _sweep_exits(pot, sweep, outdir):
 
 
 class TestSweepExit:
-    @pytest.mark.parametrize("pot", _SWEEP_POTENTIALS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pot", _SWEEP_POTENTIALS, ids=_SWEEP_IDS)
     def test_exit_from_x1_matches_shot(self, pot, tmp_path):
         # the sweep's exit column comes from x1 alone; a shot must agree,
         # also within 1e-8 of the critical slope
