@@ -446,22 +446,36 @@ _RUNNERS = {
     "decay": run_decay,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
-# Keys a driver does not read, since it sets their values itself.
-_UNREAD = {"converge-n": ("experiment.T", "experiment.cadence", "solver.N"),
-           "separation": ("solver.N",), "sign-condition": ("solver.N",)}
+# The keys a setting's value leaves unread: a driver that sets their values
+# itself, or the parameters of a kind the config did not select.
+_UNREAD = {
+    ("experiment.kind", "converge-n"): ("experiment.T", "experiment.cadence",
+                                        "solver.N"),
+    ("experiment.kind", "separation"): ("solver.N",),
+    ("experiment.kind", "sign-condition"): ("solver.N",),
+    ("domain.kind", "interval"): ("domain.Lx", "domain.nx", "domain.ny"),
+    ("domain.kind", "strip"): ("domain.n", "domain.a", "domain.b"),
+    ("potential.kind", "logarithmic"): ("potential.kappa", "potential.p"),
+    ("potential.kind", "power"): ("potential.kappa0", "potential.kappa1"),
+    ("potential.kind", "smooth"): ("potential.kappa0", "potential.kappa1",
+                                   "potential.kappa", "potential.p"),
+    ("boundary.g", "linear"): ("boundary.a",),
+}
 
 
 def run_experiment(cfg, outdir, **options):
     """Dispatch on experiment.kind, passing the driver its options (workers,
     for the sweeps); writes the manifest first so that a crashed run still
-    documents what was attempted.  A key the driver does not read must be
+    documents what was attempted.  A key the config leaves unread must be
     left at its default, compared parsed, so that a manifest still replays."""
-    kind = cfg["experiment.kind"]
-    for key in _UNREAD.get(kind, ()):
-        value, default = cfg[key], DEFAULTS[key]
-        if value != default and (not value or not default
-                                 or _f(cfg, key) != float(default)):
-            raise ConfigError(f"{kind} does not read {key}; leave it out or "
-                              f"at its default {default!r}")
+    for (setting, choice), keys in _UNREAD.items():
+        if cfg[setting] != choice:
+            continue
+        for key in keys:
+            value, default = cfg[key], DEFAULTS[key]
+            if value != default and (not value or not default
+                                     or _f(cfg, key) != float(default)):
+                raise ConfigError(f"{setting} = {choice} does not read {key}; "
+                                  f"leave it out or at its default {default!r}")
     write_manifest(cfg, outdir)
-    return _RUNNERS[kind](cfg, outdir, **options)
+    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, **options)

@@ -212,7 +212,9 @@ class Stepper:
         h1, _ = diagnostics.forcing_arrays(ops, cfg)
         h2s = [diagnostics.forcing_arrays(ops, c)[1] for c in cfgs]
         self.h1, self.h2 = np.tile(h1, self.k), np.concatenate(h2s)
-        self.h_norms = [(np.linalg.norm(h1), np.linalg.norm(h2)) for h2 in h2s]
+        with np.errstate(over="ignore"):  # an overflow is an inf scale
+            self.h_norms = [(np.linalg.norm(h1), np.linalg.norm(h2))
+                            for h2 in h2s]
         self.w_sum = float(np.sum(w))
         self.zero = np.zeros(n)
 
@@ -223,6 +225,9 @@ class Stepper:
         r -= rhs2
         return r
 
+    # Overflow makes an inf or NaN norm, which fails Newton below; the
+    # warnings numpy would print are dropped with it.
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, state):
         ops, cfg, k, n = self.ops, self.cfg, self.k, self.ops.n_bulk
         states = [state] if isinstance(state, State) else state
@@ -260,7 +265,8 @@ class Stepper:
             for m in live[:]:
                 r = R[m]
                 rnorm_new = math.sqrt(r.dot(r))
-                finite = math.isfinite(rnorm_new)  # NaN data, an overflow
+                # NaN data, an overflow in the residual or in its scale
+                finite = math.isfinite(rnorm_new) and math.isfinite(scale[m])
                 if self.band is not None or (
                         it and not rnorm_new <= _CONTRACTION * rnorm[m]):
                     self.lu[m] = None

@@ -123,8 +123,10 @@ class TestExitCodes:
         for command in commands:
             # converge-n rejects an experiment.T it does not read
             T = "" if command == "converge-n" else "experiment.T = 0.01\n"
+            # the strip does not read domain.n
+            size = "" if "strip" in context else "domain.n = 16\n"
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"domain.n = 16\n{T}{context}{key} = {value}\n")
+            cfg.write_text(f"{size}{T}{context}{key} = {value}\n")
             rc = main([command, "--config", str(cfg),
                        "--outdir", str(tmp_path / "o")])
             assert rc == 2, command
@@ -132,6 +134,25 @@ class TestExitCodes:
             assert err.startswith("config error:"), (command, err)
             if command == "converge-n":
                 assert "experiment.n_levels" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("boundary.a", "nan"), ("boundary.a", "abc"), ("boundary.a", "0.3"),
+        ("potential.p", "nan"), ("potential.kappa0", "nan"),
+        ("domain.Lx", "nan"), ("domain.a", "nan")])
+    def test_unselected_kind_key_is_2(self, tmp_path, capsys, key, value):
+        # a key of a kind the config did not select (the default linear g,
+        # logarithmic potential and interval, or the one set here) is never
+        # read, so it must stay at its default, as a driver's unread key must
+        context = {"potential.kappa0": "potential.kind = power\n",
+                   "domain.a": "domain.kind = strip\n"}.get(key, "")
+        size = "" if "strip" in context else "domain.n = 16\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{size}experiment.T = 0.01\n{context}{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert key in err
 
     def test_endless_decay_is_2(self, tmp_path, capsys):
         # ten snapshots of 1e302 steps each: the step bound stops it at once

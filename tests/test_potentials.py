@@ -215,6 +215,15 @@ class TestSeparationCondition:
         rep = check_separation_condition(SmoothDoubleWell())
         assert not rep.satisfied
 
+    @pytest.mark.parametrize("pot", [
+        LogarithmicPotential(kappa1=1e11), LogarithmicPotential(kappa1=1e300),
+        LogarithmicPotential(kappa0=0.999)])
+    def test_logarithmic_fails_at_any_scale(self, pot):
+        # the sampled ratio scales with kappa1; its decay does not
+        rep = check_separation_condition(pot)
+        assert not rep.satisfied
+        assert "logarithmically" in rep.note
+
     def test_logarithmic_sample_check_raises(self):
         # an explicit check, kept under python -O, unlike an assert
         class Steep(LogarithmicPotential):
@@ -223,6 +232,21 @@ class TestSeparationCondition:
 
         with pytest.raises(ChdbcError):
             check_separation_condition(Steep())
+
+
+@pytest.mark.parametrize("cls", [LogarithmicPotential, PowerSingularPotential,
+                                 SmoothDoubleWell])
+def test_public_functions_are_class_attributes(cls):
+    # perfbench's tracer patches f, df and F where each class defines them
+    for name in ("f", "df", "F"):
+        assert callable(cls.__dict__[name])
+
+
+def test_smooth_well_is_unbounded():
+    pot = SmoothDoubleWell()
+    assert pot.f(2.0) == 8.0
+    assert pot.F(-3.0) == 20.25
+    assert pot.df(-2.0) == 12.0
 
 
 def test_potential_from_config():

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
 from chdbc.errors import ConfigError, NewtonDivergedError, StaleStateError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, check_sign_condition)
-from chdbc.solver import (SolverConfig, State, chemical_potential_mean,
-                          simulate)
+from chdbc.solver import (SolverConfig, State, Stepper,
+                          chemical_potential_mean, simulate)
 
 
 @pytest.fixture
@@ -116,6 +117,19 @@ class TestSimulateContract:
         f0.bulk[3] = np.nan
         with pytest.raises(NewtonDivergedError):
             simulate(iops, cfg, f0, T=2e-3)
+
+    def test_overflowing_scale_diverges(self):
+        # on 1001 nodes the residual of h1 = 1e155 is finite, but its norm in
+        # the convergence scale overflows; an inf scale would pass any
+        # residual at iteration 0
+        ops = make_operators(Interval(1001))
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3,
+                           h1=1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NewtonDivergedError) as info:
+                Stepper(ops, cfg).step(State(0.0, smooth_data(ops)))
+        assert info.value.iterations == 0
 
     def test_deterministic(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.0,
