@@ -134,28 +134,39 @@ def dissipation_check(traj) -> int:
     E(t1) - E(t0) <= -0.8 * dt * (||du/dt||^2_{H^-1} + ||dpsi/dt||^2_Gamma)
     or energy monotonicity, each with the slack 1e-8 (1 + |E(t0)|).
     Assumes static forcing.  The energies after the initial state are read
-    from traj.records, one per later snapshot."""
+    from traj.records, one per later snapshot; the intervals are one stack."""
     if len(traj.states) < 2:
         raise InsufficientDataError("need at least two snapshots")
     if [r.t for r in traj.records] != [s.t for s in traj.states[1:]]:
         raise InsufficientDataError("need one record per snapshot after the first")
     ops, cfg = traj.ops, traj.cfg
-    energies = [energy(ops, cfg, traj.states[0].field).total] \
-        + [r.energy.total for r in traj.records]
-    violations = 0
-    for k in range(len(traj.states) - 1):
-        s0, s1 = traj.states[k], traj.states[k + 1]
-        dt = s1.t - s0.t
-        du = (s1.field.bulk - s0.field.bulk) / dt
-        dpsi = (s1.field.trace - s0.field.trace) / dt
-        rate = ops.h_minus1_norm(du - ops.mean(du)) ** 2 \
-            + ops.boundary_inner(dpsi, dpsi)
-        dE = energies[k + 1] - energies[k]
-        slack = 1e-8 * (1.0 + abs(energies[k]))
-        excess = dE + 0.8 * dt * rate
-        if excess > slack or dE > slack:
-            violations += 1
-    return violations
+    E = np.array([energy(ops, cfg, traj.states[0].field).total]
+                 + [r.energy.total for r in traj.records])
+    dt, _, _, du, dpsi = _steps(ops, traj.states)
+    du, dpsi = du / dt[:, None], dpsi / dt[:, None]
+    rate = np.maximum(_dot(ops.weights * ops.inverse_laplacian(du), du), 0.0) \
+        + _dot(ops.boundary_weights * dpsi, dpsi)
+    dE, slack = np.diff(E), 1e-8 * (1.0 + np.abs(E[:-1]))
+    return int(np.count_nonzero((dE + 0.8 * dt * rate > slack) | (dE > slack)))
+
+
+def _steps(ops, states):
+    """One row per snapshot interval: its length, the bulk and trace at its
+    end, and their changes over it, the bulk's made mean-free."""
+    u = np.array([s.field.bulk.ravel() for s in states])
+    psi = np.array([s.field.trace.ravel() for s in states])
+    return (np.diff([s.t for s in states]), u[1:], psi[1:],
+            _mean_free(ops, np.diff(u, axis=0)), np.diff(psi, axis=0))
+
+
+def _mean_free(ops, rows):
+    return rows - (rows[..., None, :] @ ops.weights) / ops.area
+
+
+def _dot(a, b):
+    """Inner products along the last axis, one BLAS dot each, as in
+    ops.inner: equal rows give equal bits wherever they sit in a stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -182,92 +193,66 @@ class VIReport:
     scales: list
 
 
-def _as_window_fields(tf, states):
-    """Accept a static Field or a per-snapshot list of Fields."""
-    if isinstance(tf, (list, tuple)):
-        if len(tf) != len(states):
-            raise InadmissibleTestFunctionError(
-                "time-varying test function must match the window snapshots")
-        return list(tf)
-    return [tf] * len(states)
-
-
 def vi_residual(traj, window, test_functions, L=None) -> VIReport:
     """Time-integrated left-minus-right of the defining variational
-    inequality over a snapshot window, one residual per test function.
+    inequality over a snapshot window, one residual per test function: a
+    Field (static) or a list of Fields, one per window snapshot.  Residuals
+    <= 0 (up to discretization noise) mean the inequality holds; test
+    functions must carry the trajectory mass and stay inside (-1, 1).
 
-    Nonpositive residuals (up to discretization noise) mean the inequality is
-    satisfied.  Test functions must carry the trajectory mass and stay
-    strictly inside (-1, 1).
-
-    Costs two inverse Laplacians per window step and one per distinct
-    test-function field (a static test function is one field), not one per
-    (test function, step) pair.
+    Each term is a row-wise inner product over the stacked window steps, a
+    static test function one row broadcast over them.  Costs two inverse
+    Laplacians per window step and one per distinct test-function field,
+    one solve per stack.
     """
     ops, cfg = traj.ops, traj.cfg
     s, t = window
-    idx = [k for k, st in enumerate(traj.states) if s - 1e-12 <= st.t <= t + 1e-12]
-    if len(idx) < 2:
+    states = [st for st in traj.states if s - 1e-12 <= st.t <= t + 1e-12]
+    if len(states) < 2:
         raise InsufficientDataError("window must contain at least two snapshots")
-    states = [traj.states[k] for k in idx]
     if L is None:
         L = compute_vi_constant(ops, cfg.lam)
-    mass = ops.mean(states[0].field.bulk)
-    reg = cfg.regularized
+    # In the time pairings the 1/dtau of the differences and the dtau of the
+    # rectangle rule cancel.
+    dtau, u, psi, du, dpsi = _steps(ops, states)
+    w, w_gamma = ops.weights, ops.boundary_weights
+    u_bar = _mean_free(ops, u)
+    uAu = _dot(w * ops.inverse_laplacian(u_bar), u_bar)
+    wAdu, wdpsi = w * ops.inverse_laplacian(du), w_gamma * dpsi
     h1, h2 = forcing_arrays(ops, cfg)
-
-    # Per-step data shared by every test function.  In the time pairings the
-    # 1/dtau of the differences and the dtau of the rectangle rule cancel.
-    # ||d_bar||^2_{H^-1} of d_bar = u_bar - v_bar is expanded as
-    # (A u_bar, u_bar) - 2 (A v_bar, u_bar) + (A v_bar, v_bar), so each step
-    # and each distinct test-function field needs its own solve only.
-    steps = []
-    for s0, s1 in zip(states, states[1:]):
-        u = s1.field.bulk.ravel()
-        du = u - s0.field.bulk.ravel()
-        u_bar = u - ops.mean(u)
-        psi = s1.field.trace.ravel()
-        steps.append((s1.t - s0.t, u, u_bar,
-                      ops.inner(ops.inverse_laplacian(u_bar), u_bar), psi,
-                      ops.inverse_laplacian(du - ops.mean(du)),
-                      (s1.field.trace - s0.field.trace).ravel(),
-                      np.ravel(cfg.g.g(psi))))
-
-    solved = {}  # id of a test-function field -> (A v_bar, (A v_bar, v_bar))
+    g_psi = w_gamma * (cfg.g.g(psi) - h2)
+    mass = ops.mean(states[0].field.bulk)
     residuals, scales = [], []
     for tf in test_functions:
-        vs = _as_window_fields(tf, states)
-        for v in vs:
-            if np.max(np.abs(v.bulk)) >= 1.0 or np.max(np.abs(v.trace)) >= 1.0:
-                raise InadmissibleTestFunctionError("test function reaches +-1")
-            if abs(ops.mean(v.bulk) - mass) > 1e-8 * (1.0 + abs(mass)):
-                raise InadmissibleTestFunctionError("test function mean mismatch")
-        total = 0.0
-        size = 0.0
-        for (dtau, u, u_bar, uAu, psi, Adu, dpsi, g_psi), v in zip(steps, vs[1:]):
-            vb = v.bulk.ravel()
-            vt = v.trace.ravel()
-            if id(v) not in solved:
-                v_bar = vb - ops.mean(vb)
-                Av = ops.inverse_laplacian(v_bar)
-                solved[id(v)] = Av, ops.inner(Av, v_bar)
-            Av, vAv = solved[id(v)]
-            diff = u - vb
-            diff_t = psi - vt
-            total += ops.inner(Adu, diff) + ops.boundary_inner(dpsi, diff_t)
-            # B(v, u - v) + (f_N(v), u - v) minus the right-hand side, with
-            # L (A v_bar, d_bar) - L (u, A d_bar) = -L ||d_bar||^2_{H^-1}.
-            rate = (float(vb @ (ops.K @ diff)) - cfg.lam * ops.inner(vb, diff)
-                    - L * (uAu - 2.0 * ops.inner(Av, u_bar) + vAv)
-                    + float(vt @ (ops.K_gamma @ diff_t))
-                    + ops.inner(reg.f(vb) + h1, diff)
-                    + ops.boundary_inner(g_psi - h2, diff_t))
-            total += dtau * rate
-            size = max(size, np.sqrt(ops.inner(diff, diff))
-                       + np.sqrt(ops.boundary_inner(diff_t, diff_t)))
-        scale = (t - s) * (1.0 + size) * (1.0 + abs(cfg.lam))
-        residuals.append(float(total))
-        scales.append(float(scale))
+        static = not isinstance(tf, (list, tuple))
+        if not static and len(tf) != len(states):
+            raise InadmissibleTestFunctionError(
+                "time-varying test function must match the window snapshots")
+        vb = np.array([v.bulk.ravel() for v in ([tf] if static else tf)])
+        vt = np.array([v.trace.ravel() for v in ([tf] if static else tf)])
+        if np.max(np.abs(vb)) >= 1.0 or np.max(np.abs(vt)) >= 1.0:
+            raise InadmissibleTestFunctionError("test function reaches +-1")
+        if np.any(np.abs(vb @ w / ops.area - mass) > 1e-8 * (1.0 + abs(mass))):
+            raise InadmissibleTestFunctionError("test function mean mismatch")
+        if not static:  # its fields at the step ends
+            vb, vt = vb[1:], vt[1:]
+        v_bar = _mean_free(ops, vb)
+        wAv = w * ops.inverse_laplacian(v_bar)
+        # ||d_bar||^2_{H^-1} of d_bar = u_bar - v_bar as (A u_bar, u_bar) -
+        # 2 (A v_bar, u_bar) + (A v_bar, v_bar): one dot for all three, so
+        # v = u cancels to exactly 0.
+        dAd = uAu - 2.0 * _dot(wAv, u_bar) + _dot(wAv, v_bar)
+        diff, diff_t = u - vb, psi - vt
+        # B(v, d) + (f_N(v), d) minus the right-hand side, d = u - v, with
+        # L (A v_bar, d_bar) - L (u, A d_bar) = -L ||d_bar||^2_{H^-1}; K and
+        # K_gamma are symmetric, so v K d = (K v) d.
+        c = (ops.K @ vb.T).T + w * (cfg.regularized.f(vb) + h1 - cfg.lam * vb)
+        rate = (_dot(c, diff) + _dot((ops.K_gamma @ vt.T).T + g_psi, diff_t)
+                - L * dAd)
+        total = _dot(wAdu, diff) + _dot(wdpsi, diff_t) + dtau * rate
+        size = np.sqrt(_dot(w * diff, diff)) + np.sqrt(_dot(w_gamma * diff_t, diff_t))
+        residuals.append(float(np.sum(total)))
+        scales.append((t - s) * (1.0 + float(np.max(size))) * (1.0 + abs(cfg.lam)))
     return VIReport(residuals, float(L), scales)
 
 

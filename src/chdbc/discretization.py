@@ -224,19 +224,22 @@ class _OperatorsBase:
         return np.add.outer(kx, _neumann_eigenvalues(ny, hy)).ravel()
 
     def inverse_laplacian(self, r):
-        """Solve -Lap w = r with Neumann data and zero mean.
+        """Solve -Lap w = r with Neumann data and zero mean, for one field or
+        each of a stack along a leading axis, in one LU solve.  A field's
+        solution has the same bits in any stack (one dot per contiguous row).
 
-        Requires mean(r) ~ 0; returns the zero-mean solution.
+        Requires mean ~ 0 of each field; returns the zero-mean solutions.
         """
         r = np.asarray(r, dtype=float)
-        flat = np.ravel(r)
-        nrm = np.linalg.norm(flat)
+        rows = r.reshape(-1, self.n_bulk)
         # absolute floor so that all-roundoff inputs (norm ~ eps) pass
-        if abs(self.mean(r)) * self.area > max(1e-8 * nrm, 1e-14):
+        if np.any(np.abs(rows @ self.weights)
+                  > np.maximum(1e-8 * np.linalg.norm(rows, axis=1), 1e-14)):
             raise NonZeroMeanError("inverse Laplacian requires zero-mean input")
-        w = self._poisson_lu.solve(np.concatenate([self.weights * flat, [0.0]]))[:-1]
-        w -= (self.weights @ w) / self.area
-        return w.reshape(np.shape(r))
+        b = np.vstack([(self.weights * rows).T, np.zeros(len(rows))])
+        w = np.ascontiguousarray(self._poisson_lu.solve(b)[:-1].T)
+        w -= (w[:, None] @ self.weights) / self.area  # one dot per field
+        return w.reshape(r.shape)
 
     def h_minus1_norm(self, r):
         """|| r ||_{H^-1}: (A r, r)^(1/2) on zero-mean r."""

@@ -72,6 +72,26 @@ class TestDissipation:
                             traj.records[:-1] + [raised], 5e-3)
         assert dg.dissipation_check(broken) == 1
 
+    def test_counts_a_too_slow_decay(self, iops):
+        """Energies that fall by 0.5 instead of at least 0.8 dt times the
+        dissipation rate, here computed one interval at a time, break the
+        law on those intervals though the energy still decreases."""
+        traj = run(iops, cadence=5e-3)
+        E = dg.energy(iops, traj.cfg, traj.states[0].field).total
+        records = []
+        for k, (s0, s1) in enumerate(zip(traj.states, traj.states[1:])):
+            dt = s1.t - s0.t
+            du = (s1.field.bulk - s0.field.bulk) / dt
+            dpsi = (s1.field.trace - s0.field.trace) / dt
+            rate = iops.h_minus1_norm(du - iops.mean(du)) ** 2 \
+                + iops.boundary_inner(dpsi, dpsi)
+            E -= (0.5 if k in (1, 4, 7) else 1.0) * dt * rate
+            r = traj.records[k]
+            records.append(replace(r, energy=replace(
+                r.energy, forcing=r.energy.forcing + E - r.energy.total)))
+        broken = Trajectory(iops, traj.cfg, traj.states, records, 5e-3)
+        assert dg.dissipation_check(broken) == 3
+
     def test_records_must_match_snapshots(self, iops):
         traj = run(iops, cadence=5e-3)
         for records in ([], traj.records[:-1], traj.records[::-1]):
@@ -259,6 +279,31 @@ def test_vi_residual_matches_three_solve_reference(domain):
         ref = _vi_reference(traj, window, tfs, L)
         for r, r_ref, sc in zip(rep.residuals, ref, rep.scales):
             assert abs(r - r_ref) <= 1e-12 * sc
+
+
+@pytest.mark.parametrize("domain", [Interval(33), PeriodicStrip(2.0, 8, 9)])
+def test_vi_residual_detects_a_wrong_trajectory(domain):
+    """The converse of nonpositivity.  Test functions u_k +- 1e-2 phi near
+    the run read <= 0 on the true run, and clearly > 0 for one sign on the
+    same states relabelled with h2 = 1.0 instead of 0.2 (about +5.8e-3 and
+    +1.2e-2 of the scale).  phi, the mean-free cosine_mode(0, 2), has a
+    nonzero boundary mean, so the scalar h2 enters; modes (0, 1) and (1, 1)
+    would cancel it.  At +-1e-3 the true interval run reads +2.7e-6."""
+    ops = make_operators(domain)
+    cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.5,
+                       dt=1e-3, h1=0.1, h2=0.2, g=BoundaryNonlinearity(0.3))
+    traj = simulate(ops, cfg, initial_field(ops, 4, 0.4, 0.1), T=0.03,
+                    cadence=3e-3)
+    phi = ops.cosine_mode(0, 2)
+    phi = phi - ops.mean(phi)
+    tfs = [[ops.field_from_bulk(st.field.bulk + sign * 1e-2 * phi)
+            for st in traj.states] for sign in (1.0, -1.0)]
+    true = dg.vi_residual(traj, (0.0, 0.03), tfs)
+    assert all(r <= 1e-6 * sc for r, sc in zip(true.residuals, true.scales))
+    relabelled = Trajectory(ops, replace(cfg, h2=1.0), traj.states,
+                            traj.records, 3e-3)
+    wrong = dg.vi_residual(relabelled, (0.0, 0.03), tfs)
+    assert any(r > 1e-3 * sc for r, sc in zip(wrong.residuals, wrong.scales))
 
 
 class TestTraceMismatch:

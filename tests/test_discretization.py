@@ -86,6 +86,38 @@ class TestInverseLaplacian:
         with pytest.raises(NonZeroMeanError):
             iops.inverse_laplacian(np.ones(iops.n_bulk))
 
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_stack_matches_single_solves(self, iops, sops, m):
+        rng = np.random.default_rng(3)
+        for ops in (iops, sops):
+            r = rng.standard_normal((m, ops.n_bulk))
+            r -= (r @ ops.weights)[:, None] / ops.area
+            r = r.reshape(m, *ops.bulk_shape)
+            w = ops.inverse_laplacian(r)
+            assert w.shape == r.shape
+            for wk, rk in zip(w, r):
+                single = ops.inverse_laplacian(rk)
+                assert np.linalg.norm(wk - single) \
+                    <= 1e-14 * np.linalg.norm(single)
+
+    def test_one_field_stack_is_bitwise_the_field(self, iops, sops):
+        rng = np.random.default_rng(4)
+        for ops in (iops, sops):
+            r = rng.standard_normal(ops.bulk_shape)
+            r -= ops.mean(r)
+            assert np.array_equal(ops.inverse_laplacian(r[None])[0],
+                                  ops.inverse_laplacian(r))
+
+    def test_stack_rejects_one_nonzero_mean_row(self, iops, sops):
+        rng = np.random.default_rng(5)
+        for ops in (iops, sops):
+            r = rng.standard_normal((5, ops.n_bulk))
+            r -= (r @ ops.weights)[:, None] / ops.area
+            ops.inverse_laplacian(r)
+            r[2] += 0.1
+            with pytest.raises(NonZeroMeanError):
+                ops.inverse_laplacian(r)
+
     def test_h_minus1_eigenvalue(self, iops):
         # [DERIVED] first Neumann eigenfunction: ||v||^2_{H^-1} = ||v||^2 / lam
         # = 4/pi^2 since the eigenvalue is pi^2/4 and ||v||^2 = 1
