@@ -152,7 +152,7 @@ def dissipation_check(traj) -> int:
 
 def _steps(ops, states):
     """One row per snapshot interval: its length, the bulk and trace at its
-    end, and their changes over it, the bulk's made mean-free."""
+    end, and their changes over it, the bulk's with its mean removed."""
     u = np.array([s.field.bulk.ravel() for s in states])
     psi = np.array([s.field.trace.ravel() for s in states])
     return (np.diff([s.t for s in states]), u[1:], psi[1:],

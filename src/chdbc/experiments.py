@@ -453,6 +453,8 @@ _UNREAD = {
                                         "solver.N"),
     ("experiment.kind", "separation"): ("solver.N",),
     ("experiment.kind", "sign-condition"): ("solver.N",),
+    ("experiment.kind", "stationary"): tuple(k for k in DEFAULTS
+                                             if k.startswith("domain.")),
     ("domain.kind", "interval"): ("domain.Lx", "domain.nx", "domain.ny"),
     ("domain.kind", "strip"): ("domain.n", "domain.a", "domain.b"),
     ("potential.kind", "logarithmic"): ("potential.kappa", "potential.p"),
@@ -473,8 +475,11 @@ def run_experiment(cfg, outdir, **options):
             continue
         for key in keys:
             value, default = cfg[key], DEFAULTS[key]
-            if value != default and (not value or not default
-                                     or _f(cfg, key) != float(default)):
+            try:
+                at_default = float(value) == float(default)
+            except ValueError:  # text, such as a kind or an empty cadence
+                at_default = value == default
+            if not at_default:
                 raise ConfigError(f"{setting} = {choice} does not read {key}; "
                                   f"leave it out or at its default {default!r}")
     write_manifest(cfg, outdir)

@@ -278,7 +278,9 @@ class Stepper:
                     continue
                 if it >= cfg.newton_max_iter or not finite:
                     raise NewtonDivergedError(
-                        f"Newton stalled at residual {rnorm_new:.3e}",
+                        f"Newton stalled at residual {rnorm_new:.3e}"
+                        if math.isfinite(scale[m]) else "Newton's convergence "
+                        f"scale is {scale[m]} at residual {rnorm_new:.3e}",
                         residual=rnorm_new, iterations=it, time=states[m].t)
                 if self.lu[m] is None:  # refactor at the current iterate
                     if df is None:

@@ -123,8 +123,9 @@ class TestExitCodes:
         for command in commands:
             # converge-n rejects an experiment.T it does not read
             T = "" if command == "converge-n" else "experiment.T = 0.01\n"
-            # the strip does not read domain.n
-            size = "" if "strip" in context else "domain.n = 16\n"
+            # neither the strip nor stationary reads domain.n
+            size = "" if "strip" in context or command == "stationary" \
+                else "domain.n = 16\n"
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{size}{T}{context}{key} = {value}\n")
             rc = main([command, "--config", str(cfg),
@@ -203,6 +204,28 @@ class TestExitCodes:
                      "--outdir", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_stationary_domain_key_is_2(self, tmp_path, capsys):
+        # stationary solves on [0, 1] and reads no domain key; a kind that
+        # does not exist and a nan size used to pass into the manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.kind = disk\ndomain.n = nan\n")
+        assert main(["stationary", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.kind = stationary "
+                              "does not read domain.kind;"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_stationary_manifest_replays(self, tmp_path):
+        # the manifest lists every domain key at its default, and the seed
+        assert main(["stationary", "--K", "1.0", "--seed", "1",
+                     "--outdir", str(tmp_path / "a")]) == 0
+        assert main(["stationary", "--config",
+                     str(tmp_path / "a" / "manifest.txt"),
+                     "--outdir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "stationary_profile.csv").read_bytes() == \
+            (tmp_path / "b" / "stationary_profile.csv").read_bytes()
 
     def test_unread_key_at_its_default_replays(self, tmp_path):
         # compared parsed: 0.10 is the default T, and a manifest lists all keys

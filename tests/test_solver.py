@@ -130,6 +130,9 @@ class TestSimulateContract:
             with pytest.raises(NewtonDivergedError) as info:
                 Stepper(ops, cfg).step(State(0.0, smooth_data(ops)))
         assert info.value.iterations == 0
+        # named as what it is, not as a stall
+        assert str(info.value).startswith("Newton's convergence scale is inf ")
+        assert np.isfinite(info.value.residual) and info.value.time == 0.0
 
     def test_deterministic(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=1.0,
