@@ -37,10 +37,8 @@ def build_parser():
                            help="processes for the independent runs of a sweep")
         if name == "stationary":
             p.add_argument("--potential", choices=POTENTIAL_KINDS)
-            p.add_argument("--K", type=float, default=None,
-                           help="outward boundary slope")
-            p.add_argument("--sweep", default=None,
-                           help="s_min:s_max:steps initial-slope sweep")
+            p.add_argument("--K", type=float, help="outward boundary slope")
+            p.add_argument("--sweep", help="s_min:s_max:steps initial-slope sweep")
     return parser
 
 
@@ -57,13 +55,10 @@ def _load(args):
     if kind != args.command:
         raise ConfigError(f"the config's experiment.kind is {kind!r}, but the "
                           f"subcommand is {args.command!r}")
-    if args.command == "stationary":
-        if args.potential is not None:
-            overrides["potential.kind"] = args.potential
-        if args.K is not None:
-            overrides["experiment.K"] = repr(args.K)
-        if args.sweep is not None:
-            overrides["experiment.sweep"] = args.sweep
+    for flag, key in (("potential", "potential.kind"), ("K", "experiment.K"),
+                      ("sweep", "experiment.sweep")):  # stationary's flags
+        if getattr(args, flag, None) is not None:
+            overrides[key] = str(getattr(args, flag))
     return experiments.resolve_config(overrides, seed=args.seed)
 
 

@@ -230,9 +230,10 @@ def vi_residual(traj, window, test_functions, L=None) -> VIReport:
                 "time-varying test function must match the window snapshots")
         vb = np.array([v.bulk.ravel() for v in ([tf] if static else tf)])
         vt = np.array([v.trace.ravel() for v in ([tf] if static else tf)])
-        if np.max(np.abs(vb)) >= 1.0 or np.max(np.abs(vt)) >= 1.0:
-            raise InadmissibleTestFunctionError("test function reaches +-1")
-        if np.any(np.abs(vb @ w / ops.area - mass) > 1e-8 * (1.0 + abs(mass))):
+        if not (np.max(np.abs(vb)) < 1.0 and np.max(np.abs(vt)) < 1.0):
+            raise InadmissibleTestFunctionError(
+                "test function reaches +-1 or is not finite")
+        if not np.all(np.abs(vb @ w / ops.area - mass) <= 1e-8 * (1.0 + abs(mass))):
             raise InadmissibleTestFunctionError("test function mean mismatch")
         if not static:  # its fields at the step ends
             vb, vt = vb[1:], vt[1:]

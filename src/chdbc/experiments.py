@@ -165,14 +165,18 @@ def _boundary_g(cfg):
     raise ConfigError(f"boundary.g must be linear or tanh, got {name!r}")
 
 
+def _potential(cfg):
+    """The configured potential, from the parameters its kind reads."""
+    kind = cfg["potential.kind"]
+    return _build(potential_from_config, kind, **{
+        key.split(".")[1]: _f(cfg, key)
+        for key in _READS.get(("potential.kind", kind), ())})
+
+
 def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
-    pot = _build(
-        potential_from_config, cfg["potential.kind"],
-        kappa0=_f(cfg, "potential.kappa0"), kappa1=_f(cfg, "potential.kappa1"),
-        kappa=_f(cfg, "potential.kappa"), p=_f(cfg, "potential.p"))
     return _build(
         SolverConfig,
-        potential=pot,
+        potential=_potential(cfg),
         N=int(N if N is not None else _i(cfg, "solver.N")),
         lam=_f(cfg, "solver.lam"),
         dt=_f(cfg, "solver.dt"),
@@ -251,9 +255,9 @@ def _sweep(cfg, jobs, workers, times):
         return [run for group in groups for run in group]
 
 
-def _sweep_times(cfg):
+def _sweep_times(cfg, N=None):
     """experiment.T's snapshot times; the cadence defaults to min(10 dt, T)."""
-    T, dt = _f(cfg, "experiment.T"), build_solver_config(cfg).dt
+    T, dt = _f(cfg, "experiment.T"), build_solver_config(cfg, N=N).dt
     return cadence_times(T, _cadence(cfg, min(10.0 * dt, T)), dt)
 
 
@@ -338,7 +342,7 @@ def _margins(cfg, sweep, workers):
     """Each (N, h2) run's least margins after t = 0 and its trace gap at T."""
     ops = build_operators(cfg)
     runs = _sweep(cfg, [(N, h2, _i(cfg, "seed"), 0.0) for N, h2 in sweep],
-                  workers, _sweep_times(cfg))
+                  workers, _sweep_times(cfg, sweep[0][0]))
     return [(*map(min, zip(*(diagnostics.margins(s.field) for s in run[1:]))),
              diagnostics.trace_mismatch(
                  ops, build_solver_config(cfg, N=N, h2=h2), run[-1]))
@@ -352,7 +356,7 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "separation.csv"),
                ["N", "bulk_margin", "boundary_margin", "trace_gap"], rows)
-    cond = check_separation_condition(build_solver_config(cfg).potential)
+    cond = check_separation_condition(_potential(cfg))
     return {"rows": rows, "condition_satisfied": cond.satisfied,
             "note": cond.note}
 
@@ -379,7 +383,7 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 def run_stationary(cfg, outdir):
     """One boundary-value solve and an optional slope sweep, run in this
     process."""
-    pot = build_solver_config(cfg).potential
+    pot = _potential(cfg)
     K = _f(cfg, "experiment.K")
     problem = _build(stationary.StationaryProblem, pot, K)
     sweep = cfg["experiment.sweep"]
@@ -446,41 +450,53 @@ _RUNNERS = {
     "decay": run_decay,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
-# The keys a setting's value leaves unread: a driver that sets their values
-# itself, or the parameters of a kind the config did not select.
-_UNREAD = {
-    ("experiment.kind", "converge-n"): ("experiment.T", "experiment.cadence",
-                                        "solver.N"),
-    ("experiment.kind", "separation"): ("solver.N",),
-    ("experiment.kind", "sign-condition"): ("solver.N",),
-    ("experiment.kind", "stationary"): tuple(k for k in DEFAULTS
-                                             if k.startswith("domain.")),
-    ("domain.kind", "interval"): ("domain.Lx", "domain.nx", "domain.ny"),
-    ("domain.kind", "strip"): ("domain.n", "domain.a", "domain.b"),
-    ("potential.kind", "logarithmic"): ("potential.kappa", "potential.p"),
-    ("potential.kind", "power"): ("potential.kappa0", "potential.kappa1"),
-    ("potential.kind", "smooth"): ("potential.kappa0", "potential.kappa1",
-                                   "potential.kappa", "potential.p"),
-    ("boundary.g", "linear"): ("boundary.a",),
+# The keys each choice makes a run read (a stationary run's seed only goes
+# into its manifest): its experiment kind, then each kind that the run reads.
+_STEPPING = ("domain.kind", "potential.kind", "boundary.g", "seed",
+             "experiment.amplitude", "experiment.mean",
+             *(k for k in DEFAULTS if k.startswith(("solver.", "forcing."))))
+_N_SWEPT = tuple(key for key in _STEPPING if key != "solver.N")
+_TO_T = ("experiment.T", "experiment.cadence")
+_READS = {
+    ("experiment.kind", "simulate"): _STEPPING + _TO_T,
+    ("experiment.kind", "converge-n"): _N_SWEPT + ("experiment.n_levels",),
+    ("experiment.kind", "lipschitz"): _STEPPING + _TO_T + ("experiment.eps",),
+    ("experiment.kind", "separation"): _N_SWEPT + _TO_T,
+    ("experiment.kind", "sign-condition"): _N_SWEPT + _TO_T + (
+        "experiment.h2_violating",),
+    ("experiment.kind", "stationary"): ("potential.kind", "experiment.K",
+                                        "experiment.sweep", "seed"),
+    ("experiment.kind", "decay"): _STEPPING + _TO_T + ("experiment.ensemble",),
+    ("domain.kind", "interval"): ("domain.n", "domain.a", "domain.b"),
+    ("domain.kind", "strip"): ("domain.Lx", "domain.nx", "domain.ny"),
+    ("potential.kind", "logarithmic"): ("potential.kappa0", "potential.kappa1"),
+    ("potential.kind", "power"): ("potential.kappa", "potential.p"),
+    ("potential.kind", "smooth"): (),
+    ("boundary.g", "linear"): (),
+    ("boundary.g", "tanh"): ("boundary.a",),
 }
 
 
 def run_experiment(cfg, outdir, **options):
     """Dispatch on experiment.kind, passing the driver its options (workers,
     for the sweeps); writes the manifest first so that a crashed run still
-    documents what was attempted.  A key the config leaves unread must be
-    left at its default, compared parsed, so that a manifest still replays."""
-    for (setting, choice), keys in _UNREAD.items():
-        if cfg[setting] != choice:
-            continue
-        for key in keys:
-            value, default = cfg[key], DEFAULTS[key]
-            try:
-                at_default = float(value) == float(default)
-            except ValueError:  # text, such as a kind or an empty cadence
-                at_default = value == default
-            if not at_default:
-                raise ConfigError(f"{setting} = {choice} does not read {key}; "
-                                  f"leave it out or at its default {default!r}")
+    documents what was attempted.  A key the run does not read must be left
+    at its default, compared parsed, so that a manifest still replays.  A
+    kind not in _READS reads every kind's parameters: its builder names it."""
+    reads = {"experiment.kind"}
+    for (setting, choice), keys in _READS.items():
+        if setting in reads and (cfg[setting] == choice
+                                 or (setting, cfg[setting]) not in _READS):
+            reads.update(keys)
+    for key, default in DEFAULTS.items():
+        try:
+            at_default = float(cfg[key]) == float(default)
+        except ValueError:  # text, such as a kind or an empty cadence
+            at_default = cfg[key] == default
+        if not (at_default or key in reads):
+            setting = next((s for (s, _), keys in _READS.items()
+                            if s in reads and key in keys), "experiment.kind")
+            raise ConfigError(f"{setting} = {cfg[setting]} does not read {key}; "
+                              f"leave it out or at its default {default!r}")
     write_manifest(cfg, outdir)
     return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, **options)

@@ -262,16 +262,14 @@ def check_separation_condition(spec) -> SeparationConditionReport:
     return SeparationConditionReport(False, "not a singular potential")
 
 
-# The kinds potential_from_config accepts: the CLI's --potential choices.
-POTENTIAL_KINDS = ("logarithmic", "power", "smooth")
+# The kinds potential_from_config accepts, the CLI's --potential choices, and
+# the class of each.
+POTENTIAL_KINDS = {"logarithmic": LogarithmicPotential,
+                   "power": PowerSingularPotential, "smooth": SmoothDoubleWell}
 
 
-def potential_from_config(kind, *, kappa0=0.0, kappa1=1.0, kappa=1.0, p=3.0):
-    """Map config keys potential.kind etc. onto a potential object."""
-    if kind == "logarithmic":
-        return LogarithmicPotential(kappa0=kappa0, kappa1=kappa1)
-    if kind == "power":
-        return PowerSingularPotential(kappa=kappa, p=p)
-    if kind == "smooth":
-        return SmoothDoubleWell()
-    raise ValueError(f"unknown potential kind: {kind!r}")
+def potential_from_config(kind, **params):
+    """The potential of config kind potential.kind, from its own parameters."""
+    if kind not in POTENTIAL_KINDS:
+        raise ValueError(f"unknown potential kind: {kind!r}")
+    return POTENTIAL_KINDS[kind](**params)

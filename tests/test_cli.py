@@ -53,6 +53,29 @@ class TestManifest:
         assert __version__ in open(path).read()
 
 
+# Each subcommand's keys that no run of it reads at the default kinds (the
+# interval, the logarithmic potential and the linear g), written out apart
+# from experiments._READS: the other kinds' parameters, the other drivers'
+# own keys, and the keys a driver sets itself or never uses.
+_OWN = {"converge-n": "experiment.n_levels", "lipschitz": "experiment.eps",
+        "sign-condition": "experiment.h2_violating",
+        "stationary": "experiment.K experiment.sweep",
+        "decay": "experiment.ensemble"}
+_UNUSED = {"converge-n": "solver.N experiment.T experiment.cadence",
+           "separation": "solver.N", "sign-condition": "solver.N",
+           "stationary": "domain.kind domain.n domain.a domain.b solver.N "
+                         "solver.lam solver.dt solver.newton_tol "
+                         "solver.newton_max_iter boundary.g forcing.h1 "
+                         "forcing.h2 experiment.T experiment.cadence "
+                         "experiment.amplitude experiment.mean"}
+_UNREAD_AT_DEFAULT_KINDS = {
+    command: [key for key in ex.DEFAULTS if key in " ".join([
+        "domain.Lx domain.nx domain.ny potential.kappa potential.p boundary.a",
+        _UNUSED.get(command, ""),
+        *(own for other, own in _OWN.items() if other != command)]).split()]
+    for command in ex.EXPERIMENT_KINDS}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -121,8 +144,9 @@ class TestExitCodes:
                    "boundary.a": "boundary.g = tanh\n",
                    "potential.kappa": "potential.kind = power\n"}.get(key, "")
         for command in commands:
-            # converge-n rejects an experiment.T it does not read
-            T = "" if command == "converge-n" else "experiment.T = 0.01\n"
+            # converge-n and stationary reject an experiment.T they do not read
+            T = "" if command in ("converge-n", "stationary") \
+                else "experiment.T = 0.01\n"
             # neither the strip nor stationary reads domain.n
             size = "" if "strip" in context or command == "stationary" \
                 else "domain.n = 16\n"
@@ -133,6 +157,7 @@ class TestExitCodes:
             assert rc == 2, command
             err = capsys.readouterr().err
             assert err.startswith("config error:"), (command, err)
+            assert "does not read" not in err, (command, err)
             if command == "converge-n":
                 assert "experiment.n_levels" in err
 
@@ -195,15 +220,36 @@ class TestExitCodes:
         ("converge-n", "experiment.cadence", "0.01"),
         ("converge-n", "solver.N", "64"),
         ("separation", "solver.N", "64"),
-        ("sign-condition", "solver.N", "16")])
+        ("sign-condition", "solver.N", "16")] + [
+        (command, key, "7") for command, keys in _UNREAD_AT_DEFAULT_KINDS.items()
+        for key in keys])
     def test_unread_key_is_2(self, tmp_path, capsys, command, key, value):
-        # the driver sets these itself, so a value for one would be ignored
+        # a driver that sets a key itself, or never uses it, would ignore it
+        size = "" if command == "stationary" \
+            else "domain.n = 33\nsolver.dt = 1e-2\n"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.n = 33\nsolver.dt = 1e-2\n{key} = {value}\n")
+        cfg.write_text(f"{size}{key} = {value}\n")
         assert main([command, "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        ("domain.kind = disk\ndomain.n = 16\n",
+         "domain.kind must be interval or strip, got 'disk'"),
+        ("potential.kind = foo\npotential.kappa1 = 2\n",
+         "unknown potential kind: 'foo'"),
+        ("boundary.g = cubic\nboundary.a = 0.3\n",
+         "boundary.g must be linear or tanh, got 'cubic'")],
+        ids=["domain", "potential", "boundary"])
+    def test_unknown_kind_keeps_its_error(self, tmp_path, capsys, settings,
+                                          message):
+        # the run names the unknown kind, not the parameter set beside it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment.T = 0.01\n{settings}")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_stationary_domain_key_is_2(self, tmp_path, capsys):
         # stationary solves on [0, 1] and reads no domain key; a kind that
@@ -517,3 +563,46 @@ class TestInitialField:
         f1 = ex.initial_field(ops, 0, 0.4, 0.0)
         f2 = ex.initial_field(ops, 1, 0.4, 0.0)
         assert not np.array_equal(f1.bulk, f2.bulk)
+
+
+class _Recording(dict):
+    """A config that notes each key looked up in it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kinds", [
+    {}, {"domain.kind": "strip", "potential.kind": "power", "boundary.g": "tanh"},
+    {"potential.kind": "smooth"}], ids=["interval-logarithmic-linear",
+                                        "strip-power-tanh", "smooth"])
+@pytest.mark.parametrize("command", ex.EXPERIMENT_KINDS)
+def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
+    """The keys a driver looks up on a tiny run are exactly the keys that
+    run_experiment lets a config set off its default (less experiment.kind,
+    which it reads to dispatch, and the seed a stationary manifest records)."""
+    if command == "stationary":  # a domain and boundary law of its own
+        kinds = {k: v for k, v in kinds.items() if k == "potential.kind"}
+    cfg = _Recording(ex.resolve_config({
+        **kinds, "experiment.kind": command, "domain.n": "8", "domain.nx": "8",
+        "domain.ny": "9", "solver.dt": "0.05", "experiment.T": "0.1",
+        "experiment.eps": "1e-2", "experiment.ensemble": "2",
+        "experiment.n_levels": "1"}))
+    ex._RUNNERS[command](cfg, str(tmp_path / "o"))
+    monkeypatch.setitem(ex._RUNNERS, command, lambda cfg, outdir: {})
+    monkeypatch.setattr(ex, "write_manifest", lambda cfg, outdir: None)
+    base = ex.resolve_config({**kinds, "experiment.kind": command})
+    settable = set()
+    for key in [key for key in ex.DEFAULTS if key != "experiment.kind"]:
+        try:
+            ex.run_experiment({**base, key: "7"}, str(tmp_path / "p"))
+            settable.add(key)
+        except ConfigError as exc:
+            assert f"does not read {key};" in str(exc)
+    assert settable == cfg.read | ({"seed"} if command == "stationary"
+                                   else set())

@@ -306,6 +306,21 @@ def test_vi_residual_detects_a_wrong_trajectory(domain):
     assert any(r > 1e-3 * sc for r, sc in zip(wrong.residuals, wrong.scales))
 
 
+@pytest.mark.parametrize("domain", [Interval(33), PeriodicStrip(2.0, 8, 9)])
+@pytest.mark.parametrize("part", ["bulk", "trace"])
+def test_vi_residual_rejects_a_non_finite_test_function(domain, part):
+    """A NaN node compares False with the bound and the mass alike; it used
+    to pass both admissibility checks and come back as residuals=[nan]."""
+    ops = make_operators(domain)
+    cfg = SolverConfig(potential=LogarithmicPotential(), dt=1e-3)
+    traj = simulate(ops, cfg, initial_field(ops, 1, 0.4, 0.1), T=3e-3)
+    tf = ops.field_from_bulk(np.full(ops.bulk_shape,
+                                     ops.mean(traj.states[0].field.bulk)))
+    getattr(tf, part).flat[0] = np.nan
+    with pytest.raises(InadmissibleTestFunctionError, match="not finite"):
+        dg.vi_residual(traj, (0.0, 3e-3), [tf])
+
+
 class TestTraceMismatch:
     def test_small_in_classical_regime(self, iops):
         traj = run(iops, T=0.05)

@@ -254,6 +254,9 @@ def test_potential_from_config():
     pot = potential_from_config("power", kappa=2.0, p=4.0)
     assert pot.p == 4.0
     assert isinstance(potential_from_config("smooth"), SmoothDoubleWell)
+    # a parameter of another kind is refused, not ignored
+    with pytest.raises(TypeError):
+        potential_from_config("logarithmic", p=4.0)
     assert [type(potential_from_config(kind)) for kind in POTENTIAL_KINDS] \
         == [LogarithmicPotential, PowerSingularPotential, SmoothDoubleWell]
     # the kinds are exactly the documented config values
