@@ -11,7 +11,6 @@ import sys
 from . import __version__, experiments
 from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
                      StiffnessFailureError)
-from .potentials import POTENTIAL_KINDS
 
 
 def _at_least_one(text):
@@ -27,7 +26,7 @@ def build_parser():
         description="phase-field bulk/surface experiment runner")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in experiments.EXPERIMENT_KINDS:
+    for name in experiments.KINDS["experiment.kind"]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--outdir", default="out", help="output directory")
@@ -36,7 +35,8 @@ def build_parser():
             p.add_argument("--workers", type=_at_least_one, default=1,
                            help="processes for the independent runs of a sweep")
         if name == "stationary":
-            p.add_argument("--potential", choices=POTENTIAL_KINDS)
+            p.add_argument("--potential",
+                           choices=experiments.KINDS["potential.kind"])
             p.add_argument("--K", type=float, help="outward boundary slope")
             p.add_argument("--sweep", help="s_min:s_max:steps initial-slope sweep")
     return parser
@@ -52,14 +52,15 @@ def _load(args):
             raise ConfigError(f"cannot read config: {exc}") from exc
         overrides = experiments.parse_config(text)
     kind = overrides.setdefault("experiment.kind", args.command)
-    if kind != args.command:
-        raise ConfigError(f"the config's experiment.kind is {kind!r}, but the "
-                          f"subcommand is {args.command!r}")
     for flag, key in (("potential", "potential.kind"), ("K", "experiment.K"),
                       ("sweep", "experiment.sweep")):  # stationary's flags
         if getattr(args, flag, None) is not None:
             overrides[key] = str(getattr(args, flag))
-    return experiments.resolve_config(overrides, seed=args.seed)
+    cfg = experiments.resolve_config(overrides, seed=args.seed)
+    if kind != args.command:  # a known kind: resolve_config names others
+        raise ConfigError(f"the config's experiment.kind is {kind!r}, but the "
+                          f"subcommand is {args.command!r}")
+    return cfg
 
 
 def main(argv=None):

@@ -23,12 +23,13 @@ from . import diagnostics, stationary
 from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
                              make_operators, write_rows)
 from .errors import ConfigError
-from .potentials import (BoundaryNonlinearity, check_sign_condition,
-                         check_separation_condition, potential_from_config)
+from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
+                         PowerSingularPotential, SmoothDoubleWell,
+                         check_sign_condition, check_separation_condition)
 from .solver import SolverConfig, cadence_times, simulate, simulate_members
 
 __all__ = [
-    "DEFAULTS", "parse_config", "resolve_config", "write_manifest",
+    "DEFAULTS", "KINDS", "parse_config", "resolve_config", "write_manifest",
     "build_operators", "build_solver_config", "initial_field",
     "run_simulate", "run_converge_n", "run_lipschitz", "run_separation",
     "run_sign_condition", "run_stationary", "run_decay", "run_experiment",
@@ -73,7 +74,8 @@ DEFAULTS = {
 
 
 def parse_config(text) -> dict:
-    """Flat key = value lines; # starts a comment; unknown keys are an error."""
+    """Flat key = value lines; # starts a comment; a key that is unknown or
+    set twice is an error."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,6 +86,8 @@ def parse_config(text) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         out[key] = val
     return out
 
@@ -93,25 +97,18 @@ def resolve_config(overrides=None, seed=None) -> dict:
     cfg.update(overrides or {})
     if seed is not None:
         cfg["seed"] = str(int(seed))
-    kind = cfg["experiment.kind"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, "
-                          f"got {kind!r}")
+    _row(cfg, "experiment.kind")
     return cfg
 
 
-def _f(cfg, key):
+def _num(cfg, key):
+    """cfg[key] as an int if its default is one, else as a float."""
+    typ = int if DEFAULTS[key].isdigit() else float
     try:
-        return float(cfg[key])
+        return typ(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {cfg[key]!r}") from exc
-
-
-def _i(cfg, key):
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {cfg[key]!r}") from exc
+        what = "an integer" if typ is int else "a number"
+        raise ConfigError(f"{key}: not {what}: {cfg[key]!r}") from exc
 
 
 def write_manifest(cfg, outdir):
@@ -135,17 +132,25 @@ def _build(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _row(cfg, setting):
+    """The (driver or class, keys it reads) row of cfg's kind of setting."""
+    kinds = KINDS[setting]
+    if cfg[setting] not in kinds:
+        *others, last = kinds
+        raise ConfigError(f"{setting} must be {', '.join(others)} or {last}, "
+                          f"got {cfg[setting]!r}")
+    return kinds[cfg[setting]]
+
+
+def _make(cfg, setting):
+    """The domain, potential or boundary law of cfg's kind of setting, from
+    the keys that kind reads, each passed by the name after its dot."""
+    make, keys = _row(cfg, setting)
+    return _build(make, **{key.split(".")[1]: _num(cfg, key) for key in keys})
+
+
 def build_operators(cfg):
-    kind = cfg["domain.kind"]
-    if kind == "interval":
-        dom = _build(Interval, _i(cfg, "domain.n"), _f(cfg, "domain.a"),
-                     _f(cfg, "domain.b"))
-    elif kind == "strip":
-        dom = _build(PeriodicStrip, _f(cfg, "domain.Lx"), _i(cfg, "domain.nx"),
-                     _i(cfg, "domain.ny"))
-    else:
-        raise ConfigError(f"domain.kind must be interval or strip, got {kind!r}")
-    return _operators(dom)
+    return _operators(_make(cfg, "domain.kind"))
 
 
 @functools.lru_cache(maxsize=8)
@@ -156,40 +161,23 @@ def _operators(dom):
     return make_operators(dom)
 
 
-def _boundary_g(cfg):
-    name = cfg["boundary.g"]
-    if name == "linear":
-        return BoundaryNonlinearity()
-    if name == "tanh":
-        return _build(BoundaryNonlinearity, _f(cfg, "boundary.a"))
-    raise ConfigError(f"boundary.g must be linear or tanh, got {name!r}")
-
-
-def _potential(cfg):
-    """The configured potential, from the parameters its kind reads."""
-    kind = cfg["potential.kind"]
-    return _build(potential_from_config, kind, **{
-        key.split(".")[1]: _f(cfg, key)
-        for key in _READS.get(("potential.kind", kind), ())})
-
-
 def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
     return _build(
         SolverConfig,
-        potential=_potential(cfg),
-        N=int(N if N is not None else _i(cfg, "solver.N")),
-        lam=_f(cfg, "solver.lam"),
-        dt=_f(cfg, "solver.dt"),
-        g=_boundary_g(cfg),
-        h1=_f(cfg, "forcing.h1"),
-        h2=float(h2 if h2 is not None else _f(cfg, "forcing.h2")),
-        newton_tol=_f(cfg, "solver.newton_tol"),
-        newton_max_iter=_i(cfg, "solver.newton_max_iter"),
+        potential=_make(cfg, "potential.kind"),
+        N=int(N if N is not None else _num(cfg, "solver.N")),
+        lam=_num(cfg, "solver.lam"),
+        dt=_num(cfg, "solver.dt"),
+        g=_make(cfg, "boundary.g"),
+        h1=_num(cfg, "forcing.h1"),
+        h2=float(h2 if h2 is not None else _num(cfg, "forcing.h2")),
+        newton_tol=_num(cfg, "solver.newton_tol"),
+        newton_max_iter=_num(cfg, "solver.newton_max_iter"),
     )
 
 
 def _cadence(cfg, default=None):
-    return _f(cfg, "experiment.cadence") if cfg["experiment.cadence"] else default
+    return _num(cfg, "experiment.cadence") if cfg["experiment.cadence"] else default
 
 
 def initial_field(ops, seed, amplitude, mean) -> Field:
@@ -222,8 +210,8 @@ def initial_field(ops, seed, amplitude, mean) -> Field:
 def _initial(cfg, ops, seed, eps):
     """The configured initial field from the seed; eps > 0 adds eps times a
     fixed mean-neutral mode."""
-    f0 = initial_field(ops, seed, _f(cfg, "experiment.amplitude"),
-                       _f(cfg, "experiment.mean"))
+    f0 = initial_field(ops, seed, _num(cfg, "experiment.amplitude"),
+                       _num(cfg, "experiment.mean"))
     if eps:
         dv = ops.cosine_mode(0, 2) if ops.domain.kind == "interval" \
             else ops.cosine_mode(1, 1)
@@ -257,7 +245,7 @@ def _sweep(cfg, jobs, workers, times):
 
 def _sweep_times(cfg, N=None):
     """experiment.T's snapshot times; the cadence defaults to min(10 dt, T)."""
-    T, dt = _f(cfg, "experiment.T"), build_solver_config(cfg, N=N).dt
+    T, dt = _num(cfg, "experiment.T"), build_solver_config(cfg, N=N).dt
     return cadence_times(T, _cadence(cfg, min(10.0 * dt, T)), dt)
 
 
@@ -265,8 +253,8 @@ def run_simulate(cfg, outdir):
     """One trajectory, with its snapshots and diagnostics table."""
     ops = build_operators(cfg)
     traj = simulate(ops, build_solver_config(cfg),
-                    _initial(cfg, ops, _i(cfg, "seed"), 0.0),
-                    _f(cfg, "experiment.T"), _cadence(cfg))
+                    _initial(cfg, ops, _num(cfg, "seed"), 0.0),
+                    _num(cfg, "experiment.T"), _cadence(cfg))
     os.makedirs(outdir, exist_ok=True)
     for k, st in enumerate(traj.states):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))
@@ -284,12 +272,12 @@ def run_simulate(cfg, outdir):
 
 def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     """Cauchy table || u_N - u_2N ||_phi_w at a few times over doubling N."""
-    n_levels = _i(cfg, "experiment.n_levels")
+    n_levels = _num(cfg, "experiment.n_levels")
     if n_levels < 1:
         raise ConfigError(f"experiment.n_levels must be >= 1, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
     ops = build_operators(cfg)
-    jobs = [(N, None, _i(cfg, "seed"), 0.0) for N in Ns]
+    jobs = [(N, None, _num(cfg, "seed"), 0.0) for N in Ns]
     runs = dict(zip(Ns, _sweep(cfg, jobs, workers, times)))
     rows = [(t, N, ops.phi_w_distance(runs[N][j].field, runs[2 * N][j].field))
             for j, t in enumerate(times, start=1) for N in Ns[:-1]]
@@ -319,7 +307,7 @@ def run_lipschitz(cfg, outdir, workers=1):
         raise ConfigError(f"experiment.eps repeats a value: {raw!r}")
     ops = build_operators(cfg)
     base, *perturbed = _sweep(
-        cfg, [(None, None, _i(cfg, "seed"), eps) for eps in [0.0] + eps_list],
+        cfg, [(None, None, _num(cfg, "seed"), eps) for eps in [0.0] + eps_list],
         workers, _sweep_times(cfg))
     ts = [sb.t for sb in base]
     rows, fitted_C, fitted_K, ratios = [], {}, {}, {}
@@ -341,7 +329,7 @@ def run_lipschitz(cfg, outdir, workers=1):
 def _margins(cfg, sweep, workers):
     """Each (N, h2) run's least margins after t = 0 and its trace gap at T."""
     ops = build_operators(cfg)
-    runs = _sweep(cfg, [(N, h2, _i(cfg, "seed"), 0.0) for N, h2 in sweep],
+    runs = _sweep(cfg, [(N, h2, _num(cfg, "seed"), 0.0) for N, h2 in sweep],
                   workers, _sweep_times(cfg, sweep[0][0]))
     return [(*map(min, zip(*(diagnostics.margins(s.field) for s in run[1:]))),
              diagnostics.trace_mismatch(
@@ -356,7 +344,7 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "separation.csv"),
                ["N", "bulk_margin", "boundary_margin", "trace_gap"], rows)
-    cond = check_separation_condition(_potential(cfg))
+    cond = check_separation_condition(_make(cfg, "potential.kind"))
     return {"rows": rows, "condition_satisfied": cond.satisfied,
             "note": cond.note}
 
@@ -364,9 +352,9 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Paired sweep: h2 satisfying the boundary sign condition vs violating
     it, identical solver settings otherwise."""
-    g = _boundary_g(cfg)
-    branches = {"satisfying": _f(cfg, "forcing.h2"),
-                "violating": _f(cfg, "experiment.h2_violating")}
+    g = _make(cfg, "boundary.g")
+    branches = {"satisfying": _num(cfg, "forcing.h2"),
+                "violating": _num(cfg, "experiment.h2_violating")}
     holds = {label: check_sign_condition(g, h2, 0.05)
              for label, h2 in branches.items()}
     jobs = [(label, h2, N) for label, h2 in branches.items() for N in Ns]
@@ -383,8 +371,8 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 def run_stationary(cfg, outdir):
     """One boundary-value solve and an optional slope sweep, run in this
     process."""
-    pot = _potential(cfg)
-    K = _f(cfg, "experiment.K")
+    pot = _make(cfg, "potential.kind")
+    K = _num(cfg, "experiment.K")
     problem = _build(stationary.StationaryProblem, pot, K)
     sweep = cfg["experiment.sweep"]
     if sweep:
@@ -422,10 +410,10 @@ def run_stationary(cfg, outdir):
 def run_decay(cfg, outdir, workers=1):
     """Diameters over time of an ensemble of runs from the seeds seed,
     seed + 1, ..., all at the configured mean."""
-    n_ens = _i(cfg, "experiment.ensemble")
+    n_ens = _num(cfg, "experiment.ensemble")
     if n_ens < 2:
         raise ConfigError(f"experiment.ensemble must be >= 2, got {n_ens}")
-    runs = _sweep(cfg, [(None, None, _i(cfg, "seed") + k, 0.0)
+    runs = _sweep(cfg, [(None, None, _num(cfg, "seed") + k, 0.0)
                         for k in range(n_ens)], workers, _sweep_times(cfg))
     rep = diagnostics.decay_experiment(build_operators(cfg),
                                        build_solver_config(cfg), runs)
@@ -439,41 +427,39 @@ def run_decay(cfg, outdir, workers=1):
             "final_diameter": float(rep.phi_w_diameters[-1])}
 
 
-# The one table of drivers: experiment kinds and CLI subcommands alike.
-_RUNNERS = {
-    "simulate": run_simulate,
-    "converge-n": run_converge_n,
-    "lipschitz": run_lipschitz,
-    "separation": run_separation,
-    "sign-condition": run_sign_condition,
-    "stationary": run_stationary,
-    "decay": run_decay,
-}
-EXPERIMENT_KINDS = tuple(_RUNNERS)
-# The keys each choice makes a run read (a stationary run's seed only goes
-# into its manifest): its experiment kind, then each kind that the run reads.
+# The one table of kinds: for each setting that names a kind, each kind's
+# driver or class and the keys that kind reads.  An experiment kind reads the
+# settings whose kinds its run builds (a stationary run's seed only goes into
+# its manifest).
 _STEPPING = ("domain.kind", "potential.kind", "boundary.g", "seed",
              "experiment.amplitude", "experiment.mean",
              *(k for k in DEFAULTS if k.startswith(("solver.", "forcing."))))
 _N_SWEPT = tuple(key for key in _STEPPING if key != "solver.N")
 _TO_T = ("experiment.T", "experiment.cadence")
-_READS = {
-    ("experiment.kind", "simulate"): _STEPPING + _TO_T,
-    ("experiment.kind", "converge-n"): _N_SWEPT + ("experiment.n_levels",),
-    ("experiment.kind", "lipschitz"): _STEPPING + _TO_T + ("experiment.eps",),
-    ("experiment.kind", "separation"): _N_SWEPT + _TO_T,
-    ("experiment.kind", "sign-condition"): _N_SWEPT + _TO_T + (
-        "experiment.h2_violating",),
-    ("experiment.kind", "stationary"): ("potential.kind", "experiment.K",
-                                        "experiment.sweep", "seed"),
-    ("experiment.kind", "decay"): _STEPPING + _TO_T + ("experiment.ensemble",),
-    ("domain.kind", "interval"): ("domain.n", "domain.a", "domain.b"),
-    ("domain.kind", "strip"): ("domain.Lx", "domain.nx", "domain.ny"),
-    ("potential.kind", "logarithmic"): ("potential.kappa0", "potential.kappa1"),
-    ("potential.kind", "power"): ("potential.kappa", "potential.p"),
-    ("potential.kind", "smooth"): (),
-    ("boundary.g", "linear"): (),
-    ("boundary.g", "tanh"): ("boundary.a",),
+KINDS = {
+    "experiment.kind": {
+        "simulate": (run_simulate, _STEPPING + _TO_T),
+        "converge-n": (run_converge_n, _N_SWEPT + ("experiment.n_levels",)),
+        "lipschitz": (run_lipschitz, _STEPPING + _TO_T + ("experiment.eps",)),
+        "separation": (run_separation, _N_SWEPT + _TO_T),
+        "sign-condition": (run_sign_condition, _N_SWEPT + _TO_T + (
+            "experiment.h2_violating",)),
+        "stationary": (run_stationary, ("potential.kind", "experiment.K",
+                                        "experiment.sweep", "seed")),
+        "decay": (run_decay, _STEPPING + _TO_T + ("experiment.ensemble",)),
+    },
+    "domain.kind": {
+        "interval": (Interval, ("domain.n", "domain.a", "domain.b")),
+        "strip": (PeriodicStrip, ("domain.Lx", "domain.nx", "domain.ny")),
+    },
+    "potential.kind": {
+        "logarithmic": (LogarithmicPotential, ("potential.kappa0",
+                                               "potential.kappa1")),
+        "power": (PowerSingularPotential, ("potential.kappa", "potential.p")),
+        "smooth": (SmoothDoubleWell, ()),
+    },
+    "boundary.g": {"linear": (BoundaryNonlinearity, ()),
+                   "tanh": (BoundaryNonlinearity, ("boundary.a",))},
 }
 
 
@@ -481,22 +467,24 @@ def run_experiment(cfg, outdir, **options):
     """Dispatch on experiment.kind, passing the driver its options (workers,
     for the sweeps); writes the manifest first so that a crashed run still
     documents what was attempted.  A key the run does not read must be left
-    at its default, compared parsed, so that a manifest still replays.  A
-    kind not in _READS reads every kind's parameters: its builder names it."""
+    at its default, compared parsed, so that a manifest still replays.  An
+    unknown kind reads all of its setting's keys: _make names it."""
     reads = {"experiment.kind"}
-    for (setting, choice), keys in _READS.items():
-        if setting in reads and (cfg[setting] == choice
-                                 or (setting, cfg[setting]) not in _READS):
-            reads.update(keys)
+    for setting, kinds in KINDS.items():  # experiment.kind first
+        if setting in reads:
+            row = kinds.get(cfg[setting])
+            for _, keys in [row] if row else kinds.values():
+                reads.update(keys)
     for key, default in DEFAULTS.items():
         try:
             at_default = float(cfg[key]) == float(default)
         except ValueError:  # text, such as a kind or an empty cadence
             at_default = cfg[key] == default
         if not (at_default or key in reads):
-            setting = next((s for (s, _), keys in _READS.items()
-                            if s in reads and key in keys), "experiment.kind")
+            setting = next((s for s, kinds in KINDS.items() if s in reads and
+                            any(key in keys for _, keys in kinds.values())),
+                           "experiment.kind")
             raise ConfigError(f"{setting} = {cfg[setting]} does not read {key}; "
                               f"leave it out or at its default {default!r}")
     write_manifest(cfg, outdir)
-    return _RUNNERS[cfg["experiment.kind"]](cfg, outdir, **options)
+    return _row(cfg, "experiment.kind")[0](cfg, outdir, **options)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ChdbcError, DomainError
 
 __all__ = [
-    "POTENTIAL_KINDS",
     "LogarithmicPotential",
     "PowerSingularPotential",
     "SmoothDoubleWell",
@@ -36,7 +35,6 @@ __all__ = [
     "SeparationConditionReport",
     "check_sign_condition",
     "check_separation_condition",
-    "potential_from_config",
 ]
 
 
@@ -162,7 +160,7 @@ class RegularizedPotential:
     """
 
     base: object
-    N: object  # an int, or an int array of one N per node
+    N: object  # an int, or a float array of one N per node
 
     def __post_init__(self):
         if np.any(np.asarray(self.N) < 2):
@@ -261,15 +259,3 @@ def check_separation_condition(spec) -> SeparationConditionReport:
             False, "f(u)/u grows only logarithmically near +-1")
     return SeparationConditionReport(False, "not a singular potential")
 
-
-# The kinds potential_from_config accepts, the CLI's --potential choices, and
-# the class of each.
-POTENTIAL_KINDS = {"logarithmic": LogarithmicPotential,
-                   "power": PowerSingularPotential, "smooth": SmoothDoubleWell}
-
-
-def potential_from_config(kind, **params):
-    """The potential of config kind potential.kind, from its own parameters."""
-    if kind not in POTENTIAL_KINDS:
-        raise ValueError(f"unknown potential kind: {kind!r}")
-    return POTENTIAL_KINDS[kind](**params)

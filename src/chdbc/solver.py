@@ -186,9 +186,11 @@ class Stepper:
             raise ValueError("lockstep members must agree on all but N and h2")
         self.ops, self.cfg, self.k = ops, cfg, len(cfgs)
         n, w = ops.n_bulk, ops.weights
-        Ns = [c.N for c in cfgs]  # one cutoff, or one per node
+        # one cutoff, or one per node: floats, since an N may exceed int64
+        Ns = [c.N for c in cfgs]
         self.reg = RegularizedPotential(
-            cfg.potential, Ns[0] if len(set(Ns)) == 1 else np.repeat(Ns, n))
+            cfg.potential,
+            Ns[0] if len(set(Ns)) == 1 else np.repeat(np.array(Ns, float), n))
         ng = len(ops.boundary_weights)
         B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
                          shape=(ng, n))

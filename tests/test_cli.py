@@ -6,8 +6,10 @@ import pytest
 from chdbc import diagnostics
 from chdbc import experiments as ex
 from chdbc.cli import main
-from chdbc.discretization import Interval
+from chdbc.discretization import Interval, PeriodicStrip
 from chdbc.errors import ConfigError
+from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
+                              PowerSingularPotential, SmoothDoubleWell)
 from chdbc.solver import MAX_STEPS, simulate
 
 
@@ -20,6 +22,11 @@ class TestConfigParsing:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             ex.parse_config("solver.dx = 1\n")
+
+    def test_repeated_key(self):
+        # last-wins would run one value and hide the other
+        with pytest.raises(ConfigError, match="line 3: repeated key 'solver.dt'"):
+            ex.parse_config("solver.dt = 1e-3\nseed = 1\nsolver.dt = 1e-2\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
@@ -55,7 +62,7 @@ class TestManifest:
 
 # Each subcommand's keys that no run of it reads at the default kinds (the
 # interval, the logarithmic potential and the linear g), written out apart
-# from experiments._READS: the other kinds' parameters, the other drivers'
+# from experiments.KINDS: the other kinds' parameters, the other drivers'
 # own keys, and the keys a driver sets itself or never uses.
 _OWN = {"converge-n": "experiment.n_levels", "lipschitz": "experiment.eps",
         "sign-condition": "experiment.h2_violating",
@@ -73,7 +80,7 @@ _UNREAD_AT_DEFAULT_KINDS = {
         "domain.Lx domain.nx domain.ny potential.kappa potential.p boundary.a",
         _UNUSED.get(command, ""),
         *(own for other, own in _OWN.items() if other != command)]).split()]
-    for command in ex.EXPERIMENT_KINDS}
+    for command in ex.KINDS["experiment.kind"]}
 
 
 class TestExitCodes:
@@ -238,10 +245,13 @@ class TestExitCodes:
         ("domain.kind = disk\ndomain.n = 16\n",
          "domain.kind must be interval or strip, got 'disk'"),
         ("potential.kind = foo\npotential.kappa1 = 2\n",
-         "unknown potential kind: 'foo'"),
+         "potential.kind must be logarithmic, power or smooth, got 'foo'"),
         ("boundary.g = cubic\nboundary.a = 0.3\n",
-         "boundary.g must be linear or tanh, got 'cubic'")],
-        ids=["domain", "potential", "boundary"])
+         "boundary.g must be linear or tanh, got 'cubic'"),
+        ("experiment.kind = frobnicate\n",
+         "experiment.kind must be simulate, converge-n, lipschitz, separation,"
+         " sign-condition, stationary or decay, got 'frobnicate'")],
+        ids=["domain", "potential", "boundary", "experiment"])
     def test_unknown_kind_keeps_its_error(self, tmp_path, capsys, settings,
                                           message):
         # the run names the unknown kind, not the parameter set beside it
@@ -581,7 +591,7 @@ class _Recording(dict):
     {}, {"domain.kind": "strip", "potential.kind": "power", "boundary.g": "tanh"},
     {"potential.kind": "smooth"}], ids=["interval-logarithmic-linear",
                                         "strip-power-tanh", "smooth"])
-@pytest.mark.parametrize("command", ex.EXPERIMENT_KINDS)
+@pytest.mark.parametrize("command", list(ex.KINDS["experiment.kind"]))
 def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
     """The keys a driver looks up on a tiny run are exactly the keys that
     run_experiment lets a config set off its default (less experiment.kind,
@@ -593,8 +603,10 @@ def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
         "domain.ny": "9", "solver.dt": "0.05", "experiment.T": "0.1",
         "experiment.eps": "1e-2", "experiment.ensemble": "2",
         "experiment.n_levels": "1"}))
-    ex._RUNNERS[command](cfg, str(tmp_path / "o"))
-    monkeypatch.setitem(ex._RUNNERS, command, lambda cfg, outdir: {})
+    driver, keys = ex.KINDS["experiment.kind"][command]
+    driver(cfg, str(tmp_path / "o"))
+    monkeypatch.setitem(ex.KINDS["experiment.kind"], command,
+                        (lambda cfg, outdir: {}, keys))
     monkeypatch.setattr(ex, "write_manifest", lambda cfg, outdir: None)
     base = ex.resolve_config({**kinds, "experiment.kind": command})
     settable = set()
@@ -606,3 +618,37 @@ def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
             assert f"does not read {key};" in str(exc)
     assert settable == cfg.read | ({"seed"} if command == "stationary"
                                    else set())
+
+
+# Each kind of KINDS' domain, potential and boundary rows with the class it
+# must build, and a value off its default for each key those rows read.
+_ROW_CLASSES = {"interval": Interval, "strip": PeriodicStrip,
+                "logarithmic": LogarithmicPotential,
+                "power": PowerSingularPotential, "smooth": SmoothDoubleWell,
+                "linear": BoundaryNonlinearity, "tanh": BoundaryNonlinearity}
+_OFF_DEFAULT = {"domain.n": "9", "domain.a": "-2.0", "domain.b": "3.0",
+                "domain.Lx": "3.0", "domain.nx": "8", "domain.ny": "9",
+                "potential.kappa0": "0.5", "potential.kappa1": "2.0",
+                "potential.kappa": "2.0", "potential.p": "4.0",
+                "boundary.a": "0.25"}
+
+
+@pytest.mark.parametrize("setting, kind", [
+    (setting, kind) for setting in ("domain.kind", "potential.kind",
+                                    "boundary.g")
+    for kind in ex.KINDS[setting]])
+def test_kind_row_passes_each_key_to_its_class(setting, kind):
+    """Each key of a row reaches the built object's attribute named after
+    its dot, parsed as its default is (an int or a float)."""
+    _, keys = ex.KINDS[setting][kind]
+    cfg = ex.resolve_config({setting: kind,
+                             **{key: _OFF_DEFAULT[key] for key in keys}})
+    built = {"domain.kind": lambda: ex.build_operators(cfg).domain,
+             "potential.kind": lambda: ex.build_solver_config(cfg).potential,
+             "boundary.g": lambda: ex.build_solver_config(cfg).g}[setting]()
+    assert type(built) is _ROW_CLASSES[kind]
+    for key in keys:
+        assert _OFF_DEFAULT[key] != ex.DEFAULTS[key]
+        assert repr(getattr(built, key.split(".")[1])) == _OFF_DEFAULT[key]
+    if kind == "linear":
+        assert built.a == 0.0

@@ -489,6 +489,16 @@ class TestLockstep:
         assert np.array_equal(new.mu, ref.mu)
         assert report == ref_report
 
+    def test_member_past_int64_steps_as_its_solo_run(self):
+        # converge-n's 63rd level is N = 2**64, which no int64 holds
+        ops, cfg, state = _criterion_4()
+        cfgs = [cfg, replace(cfg, N=2**64)]
+        news, _ = Stepper(ops, cfgs).step([state.copy(), state.copy()])
+        for c, new in zip(cfgs, news):
+            ref, _ = Stepper(ops, c).step(state.copy())
+            assert np.array_equal(new.field.bulk, ref.field.bulk)
+            assert np.array_equal(new.mu, ref.mu)
+
     @pytest.mark.parametrize("change", [{"dt": 2e-2}, {"lam": 5.0},
                                         {"newton_tol": 1e-8}])
     def test_members_must_agree(self, change):

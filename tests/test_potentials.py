@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdbc.errors import ChdbcError, DomainError
-from chdbc.potentials import (POTENTIAL_KINDS, BoundaryNonlinearity,
-                              LogarithmicPotential, PowerSingularPotential,
-                              RegularizedPotential, SmoothDoubleWell,
-                              check_separation_condition, check_sign_condition,
-                              potential_from_config)
+from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
+                              PowerSingularPotential, RegularizedPotential,
+                              SmoothDoubleWell, check_separation_condition,
+                              check_sign_condition)
 
 
 class TestLogarithmic:
@@ -247,22 +246,6 @@ def test_smooth_well_is_unbounded():
     assert pot.f(2.0) == 8.0
     assert pot.F(-3.0) == 20.25
     assert pot.df(-2.0) == 12.0
-
-
-def test_potential_from_config():
-    assert isinstance(potential_from_config("logarithmic"), LogarithmicPotential)
-    pot = potential_from_config("power", kappa=2.0, p=4.0)
-    assert pot.p == 4.0
-    assert isinstance(potential_from_config("smooth"), SmoothDoubleWell)
-    # a parameter of another kind is refused, not ignored
-    with pytest.raises(TypeError):
-        potential_from_config("logarithmic", p=4.0)
-    assert [type(potential_from_config(kind)) for kind in POTENTIAL_KINDS] \
-        == [LogarithmicPotential, PowerSingularPotential, SmoothDoubleWell]
-    # the kinds are exactly the documented config values
-    for kind in ("quartic", "Logarithmic", "power-singular", "smooth-double-well"):
-        with pytest.raises(ValueError):
-            potential_from_config(kind)
 
 
 _base_potentials = st.one_of(
