@@ -10,22 +10,4 @@ Layout:
     experiments     batch drivers behind the command-line interface
 """
 
-from . import diagnostics, discretization, potentials, solver, stationary
-from .diagnostics import (
-    DiagnosticsRecord,
-    dissipation_check,
-    energy,
-    vi_residual,
-)
-from .discretization import Field, Interval, PeriodicStrip, make_operators
-from .potentials import (
-    BoundaryNonlinearity,
-    LogarithmicPotential,
-    PowerSingularPotential,
-    RegularizedPotential,
-    SmoothDoubleWell,
-)
-from .solver import SolverConfig, State, Trajectory, simulate
-from .stationary import StationaryProblem, classify, critical_flux, solve_bvp
-
 __version__ = "0.1.0"

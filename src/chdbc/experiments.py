@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from . import diagnostics, stationary
+from . import __version__, diagnostics, stationary
 from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
                              make_operators, write_rows)
 from .errors import ConfigError
@@ -113,8 +113,6 @@ def _num(cfg, key):
 
 def write_manifest(cfg, outdir):
     """The manifest is itself a valid config file reproducing the run."""
-    from . import __version__
-
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "manifest.txt")
     with open(path, "w") as fh:
@@ -467,14 +465,11 @@ def run_experiment(cfg, outdir, **options):
     """Dispatch on experiment.kind, passing the driver its options (workers,
     for the sweeps); writes the manifest first so that a crashed run still
     documents what was attempted.  A key the run does not read must be left
-    at its default, compared parsed, so that a manifest still replays.  An
-    unknown kind reads all of its setting's keys: _make names it."""
+    at its default, compared parsed, so that a manifest still replays."""
     reads = {"experiment.kind"}
-    for setting, kinds in KINDS.items():  # experiment.kind first
+    for setting in KINDS:  # experiment.kind first
         if setting in reads:
-            row = kinds.get(cfg[setting])
-            for _, keys in [row] if row else kinds.values():
-                reads.update(keys)
+            reads.update(_row(cfg, setting)[1])
     for key, default in DEFAULTS.items():
         try:
             at_default = float(cfg[key]) == float(default)

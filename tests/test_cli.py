@@ -254,12 +254,14 @@ class TestExitCodes:
         ids=["domain", "potential", "boundary", "experiment"])
     def test_unknown_kind_keeps_its_error(self, tmp_path, capsys, settings,
                                           message):
-        # the run names the unknown kind, not the parameter set beside it
+        # the run names the unknown kind, not the parameter set beside it,
+        # and rejects it before the manifest is written
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"experiment.T = 0.01\n{settings}")
         assert main(["simulate", "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_stationary_domain_key_is_2(self, tmp_path, capsys):
         # stationary solves on [0, 1] and reads no domain key; a kind that
@@ -595,7 +597,8 @@ class _Recording(dict):
 def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
     """The keys a driver looks up on a tiny run are exactly the keys that
     run_experiment lets a config set off its default (less experiment.kind,
-    which it reads to dispatch, and the seed a stationary manifest records)."""
+    which it reads to dispatch, and the seed a stationary manifest records).
+    A kind set to 7 is read if run_experiment rejects it as a kind."""
     if command == "stationary":  # a domain and boundary law of its own
         kinds = {k: v for k, v in kinds.items() if k == "potential.kind"}
     cfg = _Recording(ex.resolve_config({
@@ -613,9 +616,11 @@ def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
     for key in [key for key in ex.DEFAULTS if key != "experiment.kind"]:
         try:
             ex.run_experiment({**base, key: "7"}, str(tmp_path / "p"))
-            settable.add(key)
         except ConfigError as exc:
-            assert f"does not read {key};" in str(exc)
+            if f"does not read {key};" in str(exc):
+                continue
+            assert str(exc).startswith(f"{key} must be "), exc
+        settable.add(key)
     assert settable == cfg.read | ({"seed"} if command == "stationary"
                                    else set())
 

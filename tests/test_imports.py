@@ -1,5 +1,6 @@
 """Import cost: only the stationary solver loads scipy.integrate and
-scipy.optimize, and it loads them on first use."""
+scipy.optimize, and it loads them on first use; importing the package root,
+potentials or stationary loads no scipy module at all."""
 
 import json
 import os
@@ -35,3 +36,19 @@ def test_stationary_alone_loads_integrate_and_optimize(tmp_path):
     assert out["rc"] == 0
     assert "classification: Classical" in printed
     assert out["after"] == ["scipy.integrate", "scipy.optimize"]
+
+
+def test_root_potentials_and_stationary_load_no_scipy():
+    # the package root re-exports nothing, so these need only numpy
+    child = ("import json, sys, chdbc, chdbc.potentials, chdbc.stationary\n"
+             "print(json.dumps({'version': chdbc.__version__, 'scipy': sorted("
+             "m for m in sys.modules if m.startswith('scipy'))}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["version"]
+    assert out["scipy"] == []
