@@ -35,6 +35,7 @@ __all__ = [
     "Field",
     "make_operators",
     "write_rows",
+    "write_columns",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -282,8 +283,21 @@ def write_rows(path, header, rows):
     """One CSV table: floats (np.float64 too) as .17g, which reads back to
     the same double; every other value as str(), which is csv's default form
     for values that need no quoting (numbers, bools, identifiers)."""
+    _write_text(path, _table(header, rows))
+
+
+def write_columns(path, header, columns):
+    """write_rows' bytes for a table of float columns, in one % format."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    _write_text(path, ",".join(header) + "\r\n"
+                + row * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def _write_text(path, text):
+    """newline="" keeps the table's \\r\\n line ends."""
     with open(path, "w", newline="") as fh:
-        fh.write(_table(header, rows))
+        fh.write(text)
 
 
 def _table(header, rows):
@@ -303,10 +317,8 @@ def _table(header, rows):
 
 def field_to_csv(ops, field: Field, path):
     """One row per node (x[,y], u); the trace follows as flagged rows."""
-    text = _snapshot_template(ops.domain) % tuple(
-        np.ravel(field.bulk).tolist() + np.ravel(field.trace).tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    _write_text(path, _snapshot_template(ops.domain) % tuple(
+        np.ravel(field.bulk).tolist() + np.ravel(field.trace).tolist()))
 
 
 @functools.lru_cache(maxsize=8)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, diagnostics, stationary
 from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
-                             make_operators, write_rows)
+                             make_operators, write_columns, write_rows)
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
                          PowerSingularPotential, SmoothDoubleWell,
@@ -386,9 +386,8 @@ def run_stationary(cfg, outdir):
                               f"steps >= 1, got {sweep!r}")
     sol = stationary.solve_bvp(problem)
     os.makedirs(outdir, exist_ok=True)
-    write_rows(os.path.join(outdir, "stationary_profile.csv"), ["x", "y", "yp"],
-               zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
-                   sol.profile.yp.tolist()))
+    write_columns(os.path.join(outdir, "stationary_profile.csv"),
+                  ["x", "y", "yp"], [sol.profile.x, sol.profile.y, sol.profile.yp])
     summary = {"classification": stationary.classify(pot, K), "K": K,
                "s": sol.profile.s, "defect": sol.defect}
     crit = stationary.critical_flux(pot)

@@ -15,7 +15,8 @@ slope whose profile saturates exactly at the endpoint, and
 K_plus = sqrt(s_star^2 + 2 F(1)).  For K > K_plus no classical odd solution
 exists; the saturated profile (shot with s_star) takes over and the boundary
 condition is met only in the variational sense, with defect K - K_plus.
-critical_flux is cached per potential.
+critical_flux is cached per potential, and so is the flight's grading scale
+sqrt(8 F(0.5)); the flight's panel edges above 0.5 are a module constant.
 
 Below K_plus the classical slope comes from one root find in Y = y(1), with
 s^2 = K^2 - 2 F(Y) from the first integral.  How a shot leaves [0, 1]
@@ -42,7 +43,10 @@ __all__ = [
 
 _Y_CLAMP = 1.0 - 1e-12  # the ODE right-hand side reads f no closer to 1
 _V_SPLIT = 0.999  # v = 1 - w^2 above this level
-_W_SPLIT = math.sqrt(1.0 - _V_SPLIT)
+# _flight's edges from 0.5: 64 equal panels to _V_SPLIT, 128 equal ones in w
+_TOP_EDGES = np.concatenate([
+    np.linspace(0.5, _V_SPLIT, 65),
+    1.0 - np.linspace(math.sqrt(1.0 - _V_SPLIT), 0.0, 129)[1:] ** 2])
 
 
 # Patchable by name; scipy.integrate and scipy.optimize load on first call only.
@@ -84,15 +88,21 @@ def _panels(potential, s, a, b, n=16):
     return (hi - lo) * (g @ wt)
 
 
+@functools.cache
+def _peak_scale(potential):
+    """sqrt(8 F(0.5)), cached per potential: F(v) ~ c v^2 near 0 with
+    c ~ 4 F(0.5), so the flight's integrand peaks at v = 0 with width
+    s / sqrt(2 c) = s / _peak_scale."""
+    return math.sqrt(8.0 * float(potential.F(0.5)))
+
+
 def _flight(potential, s, y=1.0):
     """The flight map of slope s > 0 up to level y, as (panel edges, x at each
-    edge).  F(v) ~ c v^2 near 0, c ~ 4 F(0.5), so the integrand peaks there
-    with width s / sqrt(2 c): panels double from a quarter of that up to 0.5,
-    then 64 equal panels reach _V_SPLIT and 128 equal ones in w the end."""
-    a0 = 0.25 * s / math.sqrt(8.0 * float(potential.F(0.5)))
+    edge).  Panels double from a quarter of the width of the integrand's peak
+    at v = 0 up to 0.5, then _TOP_EDGES take over."""
+    a0 = 0.25 * s / _peak_scale(potential)
     graded = 0.5 ** np.arange(math.ceil(-math.log2(a0)), 1, -1)
-    edges = np.concatenate([[0.0], graded, np.linspace(0.5, _V_SPLIT, 65),
-                            1.0 - np.linspace(_W_SPLIT, 0.0, 129)[1:] ** 2])
+    edges = np.concatenate([[0.0], graded, _TOP_EDGES])
     edges = np.append(edges[edges < y], y)
     x = np.cumsum(_panels(potential, s, edges[:-1], edges[1:]))
     return edges, np.concatenate([[0.0], x])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chdbc import diagnostics
+from chdbc import diagnostics, stationary
 from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.discretization import Interval, PeriodicStrip
@@ -387,6 +387,42 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 0
         assert "VariationalOnly" in capsys.readouterr().out
+
+
+def _clear_process_caches():
+    for cached in (stationary.critical_flux, stationary._peak_scale):
+        cached.cache_clear()
+
+
+class TestRepeatedCallsInOneProcess:
+    """K_plus and the flight's grading scale are cached per potential for the
+    whole process; calls made after others must not see their leftovers."""
+
+    def _call(self, capsys, argv, outdir):
+        assert main([*argv, "--outdir", str(outdir)]) == 0
+        files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        return capsys.readouterr().out, files
+
+    def test_each_call_matches_a_first_call(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("domain.n = 9\nsolver.dt = 1e-2\n"
+                       "experiment.n_levels = 2\n")
+        calls = {"sweep": ["stationary", "--sweep", "0.2:4.0:8"],
+                 "plain": ["stationary"],
+                 "power": ["stationary", "--potential", "power", "--K", "2.5"],
+                 "converge": ["converge-n", "--workers", "1",
+                              "--config", str(cfg)]}
+        first = {}
+        for name, argv in calls.items():
+            _clear_process_caches()
+            first[name] = self._call(capsys, argv, tmp_path / f"first_{name}")
+        order = ["sweep", "plain", "power", "converge", "sweep"]
+        later = [self._call(capsys, calls[name], tmp_path / f"later_{k}")
+                 for k, name in enumerate(order)]
+        assert "stationary_sweep.csv" in first["sweep"][1]
+        assert "sweep_rows" not in later[1][0]
+        assert "stationary_sweep.csv" not in later[1][1]
+        assert later == [first[name] for name in order]
 
 
 class TestSimulateDriver:

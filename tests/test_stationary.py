@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from chdbc import experiments
 from chdbc import stationary as st
+from chdbc.discretization import write_rows
 from chdbc.errors import StiffnessFailureError
 from chdbc.potentials import (LogarithmicPotential, PowerSingularPotential,
                               SmoothDoubleWell)
@@ -418,6 +419,39 @@ class TestClassicalSlope:
             sol = st.solve_bvp(st.StationaryProblem(LOG, K))
             assert sol.defect == 0.0  # classical
             assert sol.profile.s == pytest.approx(crit.s_star, rel=1e-12)
+
+
+class TestProcessCaches:
+    def test_flight_constants_are_per_potential(self):
+        # each value bitwise as computed first in a cleared process, so no
+        # potential's flight grades its panels by another's F(0.5)
+        pots = [LogarithmicPotential(kappa1=1.0),
+                LogarithmicPotential(kappa1=100.0), PowerSingularPotential(),
+                LogarithmicPotential(kappa1=1.0)]
+        values = lambda pot: (st.time_of_flight(pot, 0.5).hex(),
+                              st._classical_slope(pot, 1.0).hex())
+        first = {}
+        for pot in pots:
+            st._peak_scale.cache_clear()
+            first[pot] = values(pot)
+        st._peak_scale.cache_clear()
+        assert [values(pot) for pot in pots] == [first[pot] for pot in pots]
+
+    @pytest.mark.parametrize("kind, pot, K", [
+        ("logarithmic", LOG, 1.0), ("logarithmic", LOG, 3.0),
+        ("power", PowerSingularPotential(), 2.5), ("logarithmic", LOG, 0.0)])
+    def test_profile_is_written_with_write_rows_bytes(self, tmp_path, kind,
+                                                      pot, K):
+        # classical, saturated, F(1) = inf and the s = 0 branch of shoot
+        cfg = experiments.resolve_config({"experiment.kind": "stationary",
+                                          "potential.kind": kind,
+                                          "experiment.K": str(K)})
+        experiments.run_stationary(cfg, tmp_path)
+        prof = st.solve_bvp(st.StationaryProblem(pot, K)).profile
+        write_rows(tmp_path / "rows.csv", ["x", "y", "yp"],
+                   zip(prof.x.tolist(), prof.y.tolist(), prof.yp.tolist()))
+        assert (tmp_path / "stationary_profile.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
 
 
 class TestScipyPatchPoints:
