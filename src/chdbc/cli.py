@@ -9,8 +9,7 @@ import argparse
 import sys
 
 from . import __version__, experiments
-from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
-                     StiffnessFailureError)
+from .errors import ChdbcError, ConfigError
 
 
 def _at_least_one(text):
@@ -72,8 +71,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonDivergedError, SingularSystemError,
-            StiffnessFailureError) as exc:
+    except ChdbcError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     for key, val in summary.items():

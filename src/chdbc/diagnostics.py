@@ -23,15 +23,6 @@ from .discretization import write_rows
 from .errors import (InadmissibleTestFunctionError, InsufficientDataError,
                      StaleStateError)
 
-__all__ = [
-    "forcing_arrays", "EnergyBreakdown", "DiagnosticsRecord", "energy", "record",
-    "dissipation_check",
-    "compute_vi_constant", "vi_residual", "VIReport", "generate_test_functions",
-    "margins", "trace_mismatch",
-    "decay_experiment", "DecayReport", "exponential_fit",
-    "records_to_csv",
-]
-
 
 def forcing_arrays(ops, cfg):
     """cfg.h1 and cfg.h2 (scalars or shaped arrays) as flat bulk and trace

@@ -29,17 +29,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import CorruptSnapshotError, NonZeroMeanError, SingularSystemError
 
-__all__ = [
-    "Interval",
-    "PeriodicStrip",
-    "Field",
-    "make_operators",
-    "write_rows",
-    "write_columns",
-    "field_to_csv",
-    "field_from_csv",
-]
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -211,11 +200,6 @@ class _OperatorsBase:
         return np.stack([bottom, top]).reshape(self.trace_shape)
 
     # --- Laplacian and its inverse --------------------------------------
-    def laplacian(self, v):
-        """Conservative Neumann Laplacian (ghost-node elimination)."""
-        flat = -(self.K @ np.ravel(v)) / self.weights
-        return flat.reshape(np.shape(v))
-
     def laplacian_eigenvalues(self):
         """Generalized eigenvalues of (K, diag(weights)), zero mode first: the
         outer sum of the periodic (Fourier) x spectrum, [0] for one column,

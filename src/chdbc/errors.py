@@ -41,7 +41,7 @@ class InadmissibleTestFunctionError(ChdbcError):
 
 class StiffnessFailureError(ChdbcError):
     """Adaptive ODE integration step size collapsed, or a stationary root
-    find has no bracket."""
+    find has no bracket or leaves the floating-point range."""
 
 
 class ConfigError(ChdbcError, ValueError):

@@ -28,13 +28,6 @@ from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
                          check_sign_condition, check_separation_condition)
 from .solver import SolverConfig, cadence_times, simulate, simulate_members
 
-__all__ = [
-    "DEFAULTS", "KINDS", "parse_config", "resolve_config", "write_manifest",
-    "build_operators", "build_solver_config", "initial_field",
-    "run_simulate", "run_converge_n", "run_lipschitz", "run_separation",
-    "run_sign_condition", "run_stationary", "run_decay", "run_experiment",
-]
-
 # Every known key with its default (as a string, the parsed form).
 DEFAULTS = {
     "domain.kind": "interval",

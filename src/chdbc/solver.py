@@ -54,10 +54,6 @@ from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
                      StaleStateError)
 from .potentials import BoundaryNonlinearity, RegularizedPotential
 
-__all__ = ["SolverConfig", "State", "StepReport", "Stepper", "Trajectory",
-           "MAX_STEPS", "cadence_times", "simulate", "simulate_members",
-           "chemical_potential_mean"]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -323,10 +319,6 @@ class Trajectory:
     states: list  # snapshots at cadence, initial state included
     records: list  # one DiagnosticsRecord per post-initial snapshot
     cadence: float
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
 
     @property
     def final(self):

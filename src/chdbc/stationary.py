@@ -35,12 +35,6 @@ import numpy as np
 
 from .errors import StiffnessFailureError
 
-__all__ = [
-    "StationaryProblem", "ShootingResult", "CriticalFlux", "BVPSolution",
-    "shoot", "exit_kind", "time_of_flight", "critical_flux", "solve_bvp",
-    "classify", "first_integral_drift",
-]
-
 _Y_CLAMP = 1.0 - 1e-12  # the ODE right-hand side reads f no closer to 1
 _V_SPLIT = 0.999  # v = 1 - w^2 above this level
 # _flight's edges from 0.5: 64 equal panels to _V_SPLIT, 128 equal ones in w
@@ -93,7 +87,11 @@ def _peak_scale(potential):
     """sqrt(8 F(0.5)), cached per potential: F(v) ~ c v^2 near 0 with
     c ~ 4 F(0.5), so the flight's integrand peaks at v = 0 with width
     s / sqrt(2 c) = s / _peak_scale."""
-    return math.sqrt(8.0 * float(potential.F(0.5)))
+    scale = math.sqrt(8.0 * float(potential.F(0.5)))
+    if scale == 0.0:
+        raise StiffnessFailureError("F(0.5) underflows to 0: the flight map "
+                                    "has no scale")
+    return scale
 
 
 def _flight(potential, s, y=1.0):
@@ -282,6 +280,8 @@ def _classical_slope(potential, K):
     """
     if not K * K >= sys.float_info.min:  # s^2 would lose its digits
         raise StiffnessFailureError(f"K = {K} is too small: K^2 underflows")
+    if K * K == math.inf:  # s^2 = K^2 - 2 F(Y) would be inf
+        raise StiffnessFailureError(f"K = {K} is too large: K^2 overflows")
     x = lambda s, Y: float(_flight(potential, s, Y)[1][-1])
 
     def excess(Y):

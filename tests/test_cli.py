@@ -7,7 +7,7 @@ from chdbc import diagnostics, stationary
 from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.discretization import Interval, PeriodicStrip
-from chdbc.errors import ConfigError
+from chdbc.errors import ConfigError, DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, SmoothDoubleWell)
 from chdbc.solver import MAX_STEPS, simulate
@@ -350,6 +350,35 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, args", [
+        ("", "--potential power --K 1.35e154"),  # K^2 overflows
+        ("potential.kappa1 = 5e-324\n", "--K 1"),  # F(0.5) underflows to 0
+    ])
+    def test_stationary_flux_out_of_range_is_3(self, tmp_path, capsys, config,
+                                               args):
+        # both used to escape from the flight map as a bare arithmetic error,
+        # a traceback and exit 1; main now returns instead of raising
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(config)
+        rc = main(["stationary", "--config", str(cfg), *args.split(),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("solver failure: ")
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (DomainError, 3, "solver failure"), (ConfigError, 2, "config error")])
+    def test_every_typed_error_has_its_exit_code(self, tmp_path, capsys,
+                                                 monkeypatch, error, code,
+                                                 prefix):
+        def driver(cfg, outdir):
+            raise error("x")
+
+        keys = ex.KINDS["experiment.kind"]["simulate"][1]
+        monkeypatch.setitem(ex.KINDS["experiment.kind"], "simulate",
+                            (driver, keys))
+        assert main(["simulate", "--outdir", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}: x\n"
 
     def test_stationary_flux_out_of_bracket_is_3(self, tmp_path, capsys):
         # kappa1 = 100 puts s_star near 2e-5, inside the bracket of log s

@@ -10,7 +10,8 @@ from chdbc.discretization import Interval, PeriodicStrip, make_operators
 from chdbc.errors import (InadmissibleTestFunctionError,
                           InsufficientDataError)
 from chdbc.experiments import initial_field
-from chdbc.potentials import BoundaryNonlinearity, LogarithmicPotential
+from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
+                              PowerSingularPotential)
 from chdbc.solver import SolverConfig, Trajectory, simulate
 
 
@@ -304,6 +305,45 @@ def test_vi_residual_detects_a_wrong_trajectory(domain):
                             traj.records, 3e-3)
     wrong = dg.vi_residual(relabelled, (0.0, 0.03), tfs)
     assert any(r > 1e-3 * sc for r, sc in zip(wrong.residuals, wrong.scales))
+
+
+_VI_DOMAINS = st.one_of(
+    st.builds(Interval, st.integers(8, 65)),
+    st.builds(lambda nx, ny: PeriodicStrip(2.0, nx, ny),
+              st.integers(4, 16), st.integers(5, 17)))
+_VI_POTENTIALS = st.one_of(
+    st.builds(lambda k1: LogarithmicPotential(kappa1=k1), st.floats(0.5, 2.0)),
+    st.builds(lambda k, p: PowerSingularPotential(kappa=k, p=p),
+              st.floats(0.5, 2.0), st.floats(1.5, 4.0)))
+
+
+@given(dom=_VI_DOMAINS, pot=_VI_POTENTIALS, N=st.integers(4, 64),
+       lam_ratio=st.floats(0.0, 3.0), a=st.floats(-0.5, 0.5),
+       h2_ratio=st.floats(-1.0, 1.0), dt=st.sampled_from([1e-3, 5e-3, 1e-2]),
+       seed=st.integers(0, 2 ** 16), amp=st.floats(0.1, 0.6),
+       mean=st.floats(-0.3, 0.3), tf_seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_vi_residual_nonpositive_on_random_data(dom, pot, N, lam_ratio, a,
+                                                h2_ratio, dt, seed, amp, mean,
+                                                tf_seed):
+    """The discrete solution satisfies its variational inequality: over 20
+    steps on either domain, every generated test function (anchored at the
+    second snapshot) reads r <= 1e-6 * scale, the gate of the strip
+    benchmark.  lam runs up to three times f'(0), past the spinodal
+    threshold; h2 meets the boundary sign condition of the tanh g."""
+    ops = make_operators(dom)
+    g = BoundaryNonlinearity(a)
+    cfg = SolverConfig(potential=pot, N=N, lam=lam_ratio * float(pot.df(0.0)),
+                       dt=dt, g=g, h2=h2_ratio * (float(g.g(1.0)) - 0.05))
+    T = 20 * dt
+    traj = simulate(ops, cfg, initial_field(ops, seed, amp, mean), T,
+                    cadence=2 * dt)
+    tfs = dg.generate_test_functions(
+        ops, ops.mean(traj.states[0].field.bulk), count=32, seed=tf_seed,
+        anchor=traj.states[1].field)
+    rep = dg.vi_residual(traj, (0.0, T), tfs)
+    for r, scale in zip(rep.residuals, rep.scales):
+        assert r <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("domain", [Interval(33), PeriodicStrip(2.0, 8, 9)])

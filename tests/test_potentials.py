@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chdbc.errors import ChdbcError, DomainError
+from chdbc.errors import DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, RegularizedPotential,
                               SmoothDoubleWell, check_separation_condition,
@@ -218,19 +218,10 @@ class TestSeparationCondition:
         LogarithmicPotential(kappa1=1e11), LogarithmicPotential(kappa1=1e300),
         LogarithmicPotential(kappa0=0.999)])
     def test_logarithmic_fails_at_any_scale(self, pot):
-        # the sampled ratio scales with kappa1; its decay does not
+        # the verdict belongs to the family, at any kappa0 and kappa1
         rep = check_separation_condition(pot)
         assert not rep.satisfied
         assert "logarithmically" in rep.note
-
-    def test_logarithmic_sample_check_raises(self):
-        # an explicit check, kept under python -O, unlike an assert
-        class Steep(LogarithmicPotential):
-            def f(self, u):
-                return 1.0 / (1.0 - u * u) ** 2
-
-        with pytest.raises(ChdbcError):
-            check_separation_condition(Steep())
 
 
 @pytest.mark.parametrize("cls", [LogarithmicPotential, PowerSingularPotential,

@@ -109,7 +109,7 @@ class TestSimulateContract:
         # k*dt exactly, where summing dt would drift in the last digits
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
         traj = simulate(iops, cfg, smooth_data(iops), T=0.1, cadence=0.01)
-        assert list(traj.times) == [k * 10 * 1e-3 for k in range(11)]
+        assert [s.t for s in traj.states] == [k * 10 * 1e-3 for k in range(11)]
 
     def test_nonfinite_data_diverges(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-3)
