@@ -17,7 +17,6 @@ and pins the mean through a bordered system rather than a pinned node.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from itertools import repeat
@@ -322,25 +321,33 @@ def _snapshot_template(dom):
 
 
 def field_from_csv(ops, path):
-    """The Field of a snapshot file, columns found by name in the header;
-    missing columns, unreadable or non-finite values and row counts that do
-    not fit ops raise CorruptSnapshotError."""
+    """The Field of a snapshot file, columns found by name in the header.
+    Lines split at every comma, as field_to_csv writes them unquoted, so a
+    quoted cell fails; blank lines are skipped.  Missing columns, rows too
+    short for them, unreadable or non-finite values, kinds other than bulk
+    and trace, and row counts that do not fit ops raise
+    CorruptSnapshotError."""
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, [])
-        try:
-            get = itemgetter(header.index("u"), header.index("kind"))
-        except ValueError:
-            raise CorruptSnapshotError(
-                f"{path}: header {header} lacks a u or kind column") from None
-        try:
-            u_text, kinds = tuple(zip(*map(get, filter(None, rows)))) or ((), ())
-            u = np.array(list(map(float, u_text)))
-        except (IndexError, ValueError, csv.Error) as exc:  # short row, bad number
-            raise CorruptSnapshotError(f"{path}: {exc}") from None
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    try:
+        get = itemgetter(header.index("u"), header.index("kind"))
+    except ValueError:
+        raise CorruptSnapshotError(
+            f"{path}: header {header} lacks a u or kind column") from None
+    try:
+        # the two cells of each row, not the whole rows: less memory held
+        pairs = [get(line.split(",")) for line in lines[1:] if line]
+        u = np.array([float(u) for u, _ in pairs])
+        # an object array: it compares faster than a str array
+        kinds = np.array([kind for _, kind in pairs], dtype=object)
+    except (IndexError, ValueError) as exc:  # short row, bad number
+        raise CorruptSnapshotError(f"{path}: {exc}") from None
     if not np.isfinite(u).all():
         raise CorruptSnapshotError(f"{path}: non-finite u value")
-    is_trace = np.array(kinds) == "trace"
+    is_trace = kinds == "trace"
+    if not (is_trace | (kinds == "bulk")).all():
+        raise CorruptSnapshotError(f"{path}: a kind other than bulk or trace")
     bulk, trace = u[~is_trace], u[is_trace]
     if bulk.size != ops.n_bulk or trace.size != len(ops.boundary_weights):
         raise CorruptSnapshotError(

@@ -25,17 +25,21 @@ costs tens of solves, so one is kept across iterations and steps (chord
 Newton) and remade at the current iterate after an iteration that shrinks
 |r2| by less than _CONTRACTION.  P 1 = 0, so each iterate's constant mode of
 mu is exact.
-Newton starts from the quadratic time extrapolation of the mus of the
-stepper's last three steps, 3 mu_n - 3 mu_n-1 + mu_n-2; after two steps
-from the linear one, 2 mu_n - mu_n-1, after one from mu_n, and from mu = 0
-on a fresh start or a State whose mu the stepper did not make.
+Newton starts from a time extrapolation of mu whose order adapts to the
+data, as in variable-order Adams predictors (Shampine & Gordon, 1975): the
+stepper keeps the backward differences of the mus of its last _HISTORY
+steps, and the start is mu_n plus its newest differences in order, each
+taken only while its norm is at most 1/_SHRINK of the one before.  Smooth
+data get up to a quintic start; a member whose differences stop shrinking
+gets a lower order.  Newton starts from mu = 0 on a fresh start or a State
+whose mu the stepper did not make.
 
 One Stepper steps k runs (members) that share ops and every setting but N
 and h2 in lockstep, with one residual evaluation per Newton iteration for
 all of them.  Their vectors are stacked flat, k n long; A, P and B^T M_G
 are block diagonal, and f_N has one cutoff per node.  Each member factors
 its own n x n block of S and keeps its own LU, residual norm, contraction
-test and mu history, and stays frozen once it converges while the others
+test and mu differences, and stays frozen once it converges while the others
 iterate, so it follows the iterates of its solo run bit for bit.
 """
 
@@ -109,6 +113,8 @@ class StepReport:
 
 
 _CONTRACTION = 0.1  # refactor once |r_new| > _CONTRACTION |r|
+_HISTORY = 6  # steps whose mus the Newton start extrapolates, at most
+_SHRINK = 4.0  # a difference joins the start if |d_j| <= |d_j-1| / _SHRINK
 
 
 def _flat(arrays):
@@ -116,16 +122,6 @@ def _flat(arrays):
     if len(arrays) == 1:
         return arrays[0].ravel()
     return np.concatenate(arrays, axis=None)
-
-
-def _extrapolate(history):
-    """The polynomial through the mus of the last steps, oldest first, at
-    the next step: the sum of their newest backward differences."""
-    out = history[-1]
-    while len(history) > 1:
-        history = [b - a for a, b in zip(history, history[1:])]
-        out = out + history[-1]
-    return out
 
 
 def _band(A, b):
@@ -205,8 +201,12 @@ class Stepper:
         self.A, self.P = _tile(A, self.k), _tile(P, self.k)
         self.BtMg = _tile((B.T @ Mg).tocsr(), self.k)
         self.w = np.tile(w, self.k)
-        # per member: the LU of S, and the mus of its last three steps
-        self.lu, self.mus = [None] * self.k, [[] for _ in range(self.k)]
+        # per member: the LU of S, the mu of its last step as its State holds
+        # it, and the backward differences d_0 = mu_n, d_1, ... of its last
+        # mus, stacked by order, of which the first `owned` are its data
+        self.lu, self.last_mu = [None] * self.k, [None] * self.k
+        self.diffs = np.zeros((_HISTORY, self.k, n))
+        self.owned = [0] * self.k
         h1, _ = diagnostics.forcing_arrays(ops, cfg)
         h2s = [diagnostics.forcing_arrays(ops, c)[1] for c in cfgs]
         self.h1, self.h2 = np.tile(h1, self.k), np.concatenate(h2s)
@@ -215,6 +215,41 @@ class Stepper:
                             for h2 in h2s]
         self.w_sum = float(np.sum(w))
         self.zero = np.zeros(n)
+
+    def _predict(self):
+        """Each member's Newton start, k x n: mu_n plus the newest backward
+        differences it owns, in order, while each is at most 1/_SHRINK of
+        the one before in norm.  Row dots and one addition per order keep a
+        member's bits independent of the stack it sits in."""
+        D = self.diffs
+        orders = []
+        for owned, sq in zip(self.owned, diagnostics._dot(D, D).T.tolist()):
+            q = 0
+            while q + 1 < owned and _SHRINK ** 2 * sq[q + 1] <= sq[q]:
+                q += 1
+            orders.append(q)
+        mu = D[0].copy()
+        for j in range(1, max(orders) + 1):
+            rows = [q >= j for q in orders]
+            np.add(mu, D[j], out=mu,
+                   where=True if all(rows) else np.array(rows)[:, None])
+        return mu
+
+    def _record(self, MU):
+        """Take the members' new mus, k x n, into their differences:
+        d_0 = mu, then d_j = d_j-1 - the old d_j-1."""
+        D, E = self.diffs, np.empty_like(self.diffs)
+        E[0] = MU
+        for j in range(1, _HISTORY):
+            np.subtract(E[j - 1], D[j - 1], out=E[j])
+        self.diffs = E
+        self.owned = [min(c + 1, _HISTORY) for c in self.owned]
+
+    def _forget(self, m):
+        """Drop member m's differences and LU: its next start is mu = 0."""
+        self.diffs[:, m] = 0.0
+        self.owned[m] = 0
+        self.lu[m] = None
 
     def _residual(self, u, mu, rhs2):
         r = mu - self.reg.f(u)
@@ -239,16 +274,14 @@ class Stepper:
         # A member whose State carries the mu of its own last step starts
         # Newton at the time extrapolation of its last mus, and u at
         # u_old - P mu.  A foreign mu may put that u far off, so it is
-        # dropped with the member's history and LU: Newton starts at u_old
+        # dropped with the member's differences and LU: Newton starts at u_old
         # with mu = 0, as a fresh Stepper's does.
-        for m, (s, mus) in enumerate(zip(states, self.mus)):
-            if not mus or s.mu is not mus[-1]:
-                mus.clear()
-                self.lu[m] = None
-        mu = _flat([_extrapolate(mus) if mus else self.zero
-                    for mus in self.mus]).copy()
+        for m, s in enumerate(states):
+            if not self.owned[m] or s.mu is not self.last_mu[m]:
+                self._forget(m)
+        MU = self._predict()
+        mu = MU.reshape(-1)  # a view: updating mu in place updates MU
         u = u_old - self.P @ mu
-        MU = mu.reshape(k, n)  # a view: updating mu in place updates MU
         live, done = list(range(k)), []  # members iterating, members converged
         rnorm, iters, factorizations, it = [0.0] * k, 0, 0, 0
         while True:
@@ -301,12 +334,13 @@ class Stepper:
             u += self.P @ dmu
             it += 1
 
+        self._record(MU)
+        self.last_mu = [mu_m.reshape(ops.bulk_shape) for mu_m in MU]
         out = []
-        for s, bulk, mu_m, mus in zip(states, u.reshape(k, n), MU, self.mus):
+        for s, bulk, mu_m in zip(states, u.reshape(k, n), self.last_mu):
             bulk = bulk.reshape(ops.bulk_shape)
-            mus[:] = mus[-2:] + [mu_m.reshape(ops.bulk_shape)]
             out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
-                             mus[-1], s.field.trace.copy()))
+                             mu_m, s.field.trace.copy()))
         return out[0] if isinstance(state, State) else out, StepReport(
             iters, float(max(r / sc for r, sc in zip(rnorm, scale))),
             factorizations)

@@ -98,6 +98,8 @@ def _flight(potential, s, y=1.0):
     """The flight map of slope s > 0 up to level y, as (panel edges, x at each
     edge).  Panels double from a quarter of the width of the integrand's peak
     at v = 0 up to 0.5, then _TOP_EDGES take over."""
+    if s * s < sys.float_info.min:  # s^2 + 2 F(0) would lose its digits
+        raise StiffnessFailureError(f"s = {s} is too small: s^2 underflows")
     a0 = 0.25 * s / _peak_scale(potential)
     graded = 0.5 ** np.arange(math.ceil(-math.log2(a0)), 1, -1)
     edges = np.concatenate([[0.0], graded, _TOP_EDGES])
@@ -175,7 +177,8 @@ def time_of_flight(potential, s):
     """x_1(s) = int_0^1 dv / sqrt(s^2 + 2 F(v)): arrival position of y at 1.
 
     Monotone decreasing in s; +inf at s = 0 (the flight out of the
-    degenerate equilibrium never starts).
+    degenerate equilibrium never starts).  A slope s > 0 whose s^2
+    underflows raises StiffnessFailureError.
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")

@@ -351,20 +351,26 @@ class TestExitCodes:
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config, args", [
         ("", "--potential power --K 1.35e154"),  # K^2 overflows
         ("potential.kappa1 = 5e-324\n", "--K 1"),  # F(0.5) underflows to 0
+        # a sweep slope whose s^2 underflows: the flight's integrand at v = 0
+        ("experiment.sweep = 0:1e-300:2\n", "--potential logarithmic --K 1"),
     ])
     def test_stationary_flux_out_of_range_is_3(self, tmp_path, capsys, config,
                                                args):
-        # both used to escape from the flight map as a bare arithmetic error,
-        # a traceback and exit 1; main now returns instead of raising
+        # the first two used to escape from the flight map as a bare
+        # arithmetic error, a traceback and exit 1, the third as a
+        # divide-by-zero warning, exit 0 and x1 = inf; each now fails typed
         cfg = tmp_path / "k.cfg"
         cfg.write_text(config)
         rc = main(["stationary", "--config", str(cfg), *args.split(),
                    "--outdir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert rc == 3
-        assert capsys.readouterr().err.startswith("solver failure: ")
+        assert err.startswith("solver failure: ")
+        assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("error, code, prefix", [
         (DomainError, 3, "solver failure"), (ConfigError, 2, "config error")])

@@ -380,9 +380,15 @@ class TestSerialization:
         lambda ls: [ls[0], *(ln.replace("trace", "bulk") for ln in ls[1:])],
         lambda ls: ls[:1],
         lambda ls: [],
+        # two cells moved from one row to the next: the cell count is
+        # unchanged, and read as one flat list every u cell holds a number
+        lambda ls: [ls[0], ls[1].split(",")[0], ls[2] + ",0,bulk", *ls[3:]],
+        # the writer never quotes; csv.reader would unquote these
+        lambda ls: [ls[0], ls[1].replace(",0,", ',"0",'), *ls[2:]],
+        lambda ls: [ls[0], ls[1].replace(",bulk", ',"bulk"'), *ls[2:]],
     ], ids=["no-u", "no-kind", "text", "nan", "inf", "short-row",
             "extra-bulk", "missing-trace", "trace-as-bulk", "no-rows",
-            "empty"])
+            "empty", "short-and-long-row", "quoted-u", "quoted-kind"])
     def test_corrupt_snapshot_fails_loudly(self, tmp_path, edit):
         ops = make_operators(Interval(5))
         path = tmp_path / "f.csv"

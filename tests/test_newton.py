@@ -217,12 +217,12 @@ class TestSolvedEquations:
 
 
 class TestWarmStart:
-    @given(step_cases(), st.integers(3, 4))
+    @given(step_cases(), st.integers(3, 8))
     @settings(max_examples=40, deadline=None)
     def test_warm_started_step(self, case, n_steps):
-        # the last of 3-4 steps of one Stepper starts from the extrapolated
-        # mu of its earlier steps (and on the strip a kept LU), and still
-        # solves its step
+        # the last of 3-8 steps of one Stepper starts from the extrapolated
+        # mu of its earlier steps (up to all _HISTORY of them, and on the
+        # strip a kept LU), and still solves its step
         ops, cfg, state = case
         stepper = Stepper(ops, cfg)
         for _ in range(n_steps - 1):
@@ -270,6 +270,88 @@ class TestWarmStart:
         assert np.array_equal(new.mu, ref.mu)
         assert abs(ops.mean(new.field.bulk) - ops.mean(first.field.bulk)) \
             <= 1e-15
+
+
+def _start(history, k=None):
+    """The Newton start of a Stepper on a 9-node interval whose k members
+    took the steps with the mus history[t][m], oldest first; a member whose
+    mu is None at some t is forgotten there, as a foreign State makes it."""
+    ops = make_operators(Interval(9))
+    k = k or len(history[0])
+    stepper = Stepper(ops, [SolverConfig(LogarithmicPotential())] * k)
+    for mus in history:
+        for m, mu in enumerate(mus):
+            if mu is None:
+                stepper._forget(m)
+        stepper._record(np.array([np.zeros(9) if mu is None else mu
+                                  for mu in mus]))
+    return stepper._predict()
+
+
+class TestNewtonStart:
+    """The start is mu_n plus its newest backward differences, in order,
+    while each is at most 1/_SHRINK of the one before in norm."""
+
+    # dyadic, so every difference of the samples below is exact
+    _SHAPE = (-1.0) ** np.arange(9) * 2.0 ** (np.arange(9) % 3)
+
+    def _poly(self, degree, t):
+        # differences that shrink 10-60 times per order
+        return sum((t / 64.0) ** i for i in range(degree + 1)) * self._SHAPE
+
+    def test_exact_on_polynomials_of_degree_up_to_5(self):
+        # member d holds a polynomial of degree d in t over the last
+        # _HISTORY = 6 steps; each member extrapolates its own exactly
+        assert solver._HISTORY == 6
+        history = [[self._poly(d, t) for d in range(6)] for t in range(6)]
+        start = _start(history)
+        for d in range(6):
+            assert np.array_equal(start[d], self._poly(d, 6))
+
+    def test_growing_difference_stops_the_order(self):
+        # mu = 100 + t^2: |d_1| = 3 is below 104 / 4, but |d_2| = 2 is not
+        # below 3 / 4, so the start is the linear 2 mu_n - mu_n-1 = 107
+        history = [[(100.0 + t * t) * self._SHAPE] for t in range(3)]
+        assert np.array_equal(_start(history)[0], 107.0 * self._SHAPE)
+        # two steps give at most the linear start
+        history = [[(100.0 + t) * self._SHAPE] for t in range(2)]
+        assert np.array_equal(_start(history)[0], 102.0 * self._SHAPE)
+
+    def test_member_without_steps_starts_at_zero(self):
+        assert np.array_equal(_start([], k=2), np.zeros((2, 9)))
+        history = [[self._poly(3, t), self._poly(3, t)] for t in range(4)]
+        history.append([self._poly(3, 4), None])  # member 1 is forgotten
+        start = _start(history)
+        assert np.array_equal(start[1], np.zeros(9))
+        assert np.array_equal(start[0], self._poly(3, 5))
+
+    def test_members_are_independent_of_their_stack(self):
+        # a smooth history with round-off in every difference: member 0's
+        # start is the same bits alone and beside any other member
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((4, 9)) * [[1.0], [0.1], [0.01], [1e-3]]
+        smooth = [sum(ci * (0.3 * t) ** i for i, ci in enumerate(c))
+                  for t in range(8)]
+        alone = _start([[mu] for mu in smooth])
+        for other in (smooth[::-1], [1e6 * rng.standard_normal(9)
+                                     for _ in range(8)]):
+            stacked = _start([[a, b, a] for a, b in zip(smooth, other)])
+            assert np.array_equal(stacked[0], alone[0])
+            assert np.array_equal(stacked[2], alone[0])
+
+
+def test_strip_newton_work_bound():
+    # strip-spinodal's settings, 100 steps: a fixed quadratic start took
+    # 183-193 chord iterations (one SuperLU solve each) on such data
+    cfg = ex.resolve_config({
+        "domain.kind": "strip", "domain.nx": "40", "domain.ny": "41",
+        "solver.N": "16", "solver.lam": "1.5", "solver.dt": "1e-3"}, seed=0)
+    ops = ex.build_operators(cfg)
+    traj = solver.simulate(ops, ex.build_solver_config(cfg),
+                           ex._initial(cfg, ops, 0, 0.0), 0.1, 0.1)
+    (record,) = traj.records
+    assert record.newton_factorizations == 1
+    assert record.newton_iters <= 160
 
 
 def _criterion_4():

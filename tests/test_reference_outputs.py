@@ -66,6 +66,10 @@ CASES = {
     "lipschitz": ("lipschitz", {**_INTERVAL, "experiment.T": 0.1,
                                 "experiment.cadence": 0.02}),
     "separation": ("separation", {**_QUENCH, "experiment.T": 0.2}),
+    # at seed 0 the boundary margin dips at t = 0.1 (0.2062) below its value
+    # at T (0.2164 at N = 8), so the table shows minima over the snapshots
+    "separation-seed0": ("separation", {**_QUENCH, "experiment.T": 0.2,
+                                        "seed": 0}),
     "sign-condition": ("sign-condition", {**_QUENCH, "experiment.T": 0.2}),
     "decay-interval": ("decay", {**_INTERVAL, "experiment.T": 0.1,
                                  "experiment.cadence": 0.02,
@@ -88,9 +92,9 @@ def _run(case, outdir):
     command, settings = CASES[case]
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = outdir.parent / f"{case}.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-    assert main([command, "--config", str(cfg), "--outdir", str(outdir),
-                 "--seed", "1"]) == 0
+    cfg.write_text("".join(f"{k} = {v}\n"
+                           for k, v in {"seed": 1, **settings}.items()))
+    assert main([command, "--config", str(cfg), "--outdir", str(outdir)]) == 0
 
 
 def _number(cell):
