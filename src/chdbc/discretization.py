@@ -18,15 +18,17 @@ and pins the mean through a bordered system rather than a pinned node.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CorruptSnapshotError, NonZeroMeanError, SingularSystemError
+from .errors import (ConfigError, CorruptSnapshotError, NonZeroMeanError,
+                     SingularSystemError)
 
 
 @dataclass(frozen=True)
@@ -263,44 +265,36 @@ def make_operators(domain):
 
 
 def write_rows(path, header, rows):
-    """One CSV table: floats (np.float64 too) as .17g, which reads back to
-    the same double; every other value as str(), which is csv's default form
-    for values that need no quoting (numbers, bools, identifiers)."""
-    _write_text(path, _table(header, rows))
+    """One CSV table in one % format from the first row's types, so each
+    column holds one type: floats (np.float64 too) as .17g, which reads back
+    to the same double; every other value as str(), csv's default form for
+    values that need no quoting (numbers, bools, identifiers)."""
+    write_text(path, _table(header, rows))
 
 
-def write_columns(path, header, columns):
-    """write_rows' bytes for a table of float columns, in one % format."""
-    rows = np.column_stack(columns)
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    _write_text(path, ",".join(header) + "\r\n"
-                + row * len(rows) % tuple(rows.ravel().tolist()))
-
-
-def _write_text(path, text):
-    """newline="" keeps the table's \\r\\n line ends."""
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def write_text(path, text):
+    """The one open-and-write behind every output file.  It makes the
+    file's directory, and newline="" keeps the text's line ends.  A file
+    that cannot be written is a ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _table(header, rows):
-    """write_rows' text.  Each row is one % format, built once per distinct
-    tuple of column types."""
-    formats = {}
-    lines = [",".join(header) + "\r\n"]
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
-        lines.append(fmt % tuple(row))
-    return "".join(lines)
+    rows = list(rows)
+    fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
+                   for v in rows[0]) + "\r\n" if rows else ""
+    return ",".join(header) + "\r\n" + fmt * len(rows) % tuple(
+        chain.from_iterable(rows))
 
 
 def field_to_csv(ops, field: Field, path):
     """One row per node (x[,y], u); the trace follows as flagged rows."""
-    _write_text(path, _snapshot_template(ops.domain) % tuple(
+    write_text(path, _snapshot_template(ops.domain) % tuple(
         np.ravel(field.bulk).tolist() + np.ravel(field.trace).tolist()))
 
 
@@ -323,26 +317,30 @@ def _snapshot_template(dom):
 def field_from_csv(ops, path):
     """The Field of a snapshot file, columns found by name in the header.
     Lines split at every comma, as field_to_csv writes them unquoted, so a
-    quoted cell fails; blank lines are skipped.  Missing columns, rows too
-    short for them, unreadable or non-finite values, kinds other than bulk
-    and trace, and row counts that do not fit ops raise
-    CorruptSnapshotError."""
+    quoted cell fails; blank lines are skipped.  Missing columns, rows
+    shorter or longer than the header, unreadable or non-finite values,
+    kinds other than bulk and trace, and row counts that do not fit ops
+    raise CorruptSnapshotError."""
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     header = lines[0].split(",") if lines else []
-    try:
-        get = itemgetter(header.index("u"), header.index("kind"))
+    try:  # the last cell too, which a short row lacks
+        get = itemgetter(header.index("u"), header.index("kind"),
+                         len(header) - 1)
     except ValueError:
         raise CorruptSnapshotError(
             f"{path}: header {header} lacks a u or kind column") from None
     try:
-        # the two cells of each row, not the whole rows: less memory held
-        pairs = [get(line.split(",")) for line in lines[1:] if line]
-        u = np.array([float(u) for u, _ in pairs])
+        # three cells of each row, not the whole rows: less memory held
+        cells = [get(line.split(",")) for line in lines[1:] if line]
+        u = np.array([float(u) for u, _, _ in cells])
         # an object array: it compares faster than a str array
-        kinds = np.array([kind for _, kind in pairs], dtype=object)
+        kinds = np.array([kind for _, kind, _ in cells], dtype=object)
     except (IndexError, ValueError) as exc:  # short row, bad number
         raise CorruptSnapshotError(f"{path}: {exc}") from None
+    if text.count(",") != (len(header) - 1) * (len(cells) + 1):
+        raise CorruptSnapshotError(f"{path}: a row longer than the header")
     if not np.isfinite(u).all():
         raise CorruptSnapshotError(f"{path}: non-finite u value")
     is_trace = kinds == "trace"

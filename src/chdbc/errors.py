@@ -45,10 +45,12 @@ class StiffnessFailureError(ChdbcError):
 
 
 class ConfigError(ChdbcError, ValueError):
-    """Invalid or unknown experiment configuration, or a run parameter off
-    its grid (a ValueError too, as any rejected argument value)."""
+    """Invalid or unknown experiment configuration, a run parameter off its
+    grid, or an output file that cannot be written (a ValueError too, as any
+    rejected argument value)."""
 
 
 class CorruptSnapshotError(ChdbcError, ValueError):
-    """A snapshot file lacks a column, holds an unreadable or non-finite
-    value, or has row counts that do not fit the domain."""
+    """A snapshot file lacks a column, has a row shorter or longer than its
+    header, holds an unreadable or non-finite value, or has row counts that
+    do not fit the domain."""

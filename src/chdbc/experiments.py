@@ -3,11 +3,13 @@ CSV outputs and a manifest that reproduces the run.
 
 Every driver takes a resolved config dict (strings, as parsed) plus an output
 directory, writes its artifacts there, and returns a small summary dict that
-the command-line layer prints one line at a time.  A sweep steps all its runs
-in lockstep through one Stepper; with workers > 1 it splits them into that
-many contiguous groups, one lockstep group per pool process.  Workers rebuild
-their problem from the plain config dict, and the parent process alone writes
-files.  Each process builds the operators of a domain once.
+the command-line layer prints one line at a time.  Every file, the manifest
+included, goes through discretization.write_text, which makes the directory
+and reports a file it cannot write as a ConfigError.  A sweep steps all its
+runs in lockstep through one Stepper; with workers > 1 it splits them into
+that many contiguous groups, one lockstep group per pool process.  Workers
+rebuild their problem from the plain config dict, and the parent process
+alone writes files.  Each process builds the operators of a domain once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__, diagnostics, stationary
 from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
-                             make_operators, write_columns, write_rows)
+                             make_operators, write_rows, write_text)
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
                          PowerSingularPotential, SmoothDoubleWell,
@@ -106,12 +108,9 @@ def _num(cfg, key):
 
 def write_manifest(cfg, outdir):
     """The manifest is itself a valid config file reproducing the run."""
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write(f"# code version {__version__}\n")
-        for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
+    write_text(path, f"# code version {__version__}\n"
+               + "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
     return path
 
 
@@ -246,7 +245,6 @@ def run_simulate(cfg, outdir):
     traj = simulate(ops, build_solver_config(cfg),
                     _initial(cfg, ops, _num(cfg, "seed"), 0.0),
                     _num(cfg, "experiment.T"), _cadence(cfg))
-    os.makedirs(outdir, exist_ok=True)
     for k, st in enumerate(traj.states):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))
     diagnostics.records_to_csv(traj.records,
@@ -272,7 +270,6 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     runs = dict(zip(Ns, _sweep(cfg, jobs, workers, times)))
     rows = [(t, N, ops.phi_w_distance(runs[N][j].field, runs[2 * N][j].field))
             for j, t in enumerate(times, start=1) for N in Ns[:-1]]
-    os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "converge_n.csv"), ["t", "N", "phi_w_diff"],
                rows)
     final = [d for t, N, d in rows if t == max(times)]
@@ -310,7 +307,6 @@ def run_lipschitz(cfg, outdir, workers=1):
         rows += [(eps, t, d) for t, d in zip(ts, ds)]
         fitted_K[eps], fitted_C[eps] = diagnostics.exponential_fit(ts, ds)
         ratios[eps] = ds[-1] / ds[0]
-    os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "lipschitz.csv"),
                ["eps", "t", "phi_w_distance"], rows)
     return {"eps": eps_list, "final_over_initial": ratios,
@@ -332,7 +328,6 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Separation margins and trace gaps across the regularization sweep."""
     margins = _margins(cfg, [(N, None) for N in Ns], workers)
     rows = [(N, *m) for N, m in zip(Ns, margins)]
-    os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "separation.csv"),
                ["N", "bulk_margin", "boundary_margin", "trace_gap"], rows)
     cond = check_separation_condition(_make(cfg, "potential.kind"))
@@ -352,7 +347,6 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     margins = _margins(cfg, [(N, h2) for _, h2, N in jobs], workers)
     rows = [(label, h2, holds[label], N, bnd, gap)
             for (label, h2, N), (_, bnd, gap) in zip(jobs, margins)]
-    os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "sign_condition.csv"),
                ["branch", "h2", "condition_holds", "N", "boundary_margin",
                 "trace_gap"], rows)
@@ -378,9 +372,9 @@ def run_stationary(cfg, outdir):
             raise ConfigError("experiment.sweep needs finite slopes >= 0 and "
                               f"steps >= 1, got {sweep!r}")
     sol = stationary.solve_bvp(problem)
-    os.makedirs(outdir, exist_ok=True)
-    write_columns(os.path.join(outdir, "stationary_profile.csv"),
-                  ["x", "y", "yp"], [sol.profile.x, sol.profile.y, sol.profile.yp])
+    write_rows(os.path.join(outdir, "stationary_profile.csv"), ["x", "y", "yp"],
+               zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
+                   sol.profile.yp.tolist()))
     summary = {"classification": stationary.classify(pot, K), "K": K,
                "s": sol.profile.s, "defect": sol.defect}
     crit = stationary.critical_flux(pot)
@@ -407,7 +401,6 @@ def run_decay(cfg, outdir, workers=1):
                         for k in range(n_ens)], workers, _sweep_times(cfg))
     rep = diagnostics.decay_experiment(build_operators(cfg),
                                        build_solver_config(cfg), runs)
-    os.makedirs(outdir, exist_ok=True)
     write_rows(os.path.join(outdir, "decay.csv"),
                ["t", "phi_w_diameter", "h1_diameter", "energy_spread"],
                zip(rep.times.tolist(), rep.phi_w_diameters.tolist(),

@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from chdbc import diagnostics, stationary
+from chdbc import diagnostics, discretization, stationary
 from chdbc import experiments as ex
 from chdbc.cli import main
 from chdbc.discretization import Interval, PeriodicStrip
@@ -113,6 +114,17 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--outdir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["simulate", "stationary", "decay"])
+    def test_unwritable_outdir_is_2(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = blocker / "o" if under else blocker
+        assert main([command, "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {outdir}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("potential.kind", "foo"), ("solver.dt", "-1"), ("solver.dt", "nan"),
@@ -694,6 +706,33 @@ def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
         settable.add(key)
     assert settable == cfg.read | ({"seed"} if command == "stationary"
                                    else set())
+
+
+@pytest.mark.parametrize("command", list(ex.KINDS["experiment.kind"]))
+def test_every_file_goes_through_write_text(tmp_path, monkeypatch, command):
+    """A tiny run into a directory that does not exist yet writes each file
+    under it, its manifest included, once, through write_text."""
+    tiny = {"domain.n": "8", "solver.dt": "0.05", "experiment.T": "0.1",
+            "experiment.eps": "1e-2", "experiment.ensemble": "2",
+            "experiment.n_levels": "1", "experiment.sweep": "0.5:1:2"}
+    _, keys = ex.KINDS["experiment.kind"][command]
+    cfg = ex.resolve_config({"experiment.kind": command, **{
+        key: val for key, val in tiny.items()
+        if key in keys or (key == "domain.n" and "domain.kind" in keys)}})
+    written, original = [], discretization.write_text
+
+    def recording(path, text):
+        written.append(os.fspath(path))
+        original(path, text)
+
+    for module in (discretization, ex):  # where write_text is looked up
+        monkeypatch.setattr(module, "write_text", recording)
+    outdir = tmp_path / "a" / "b"
+    ex.run_experiment(cfg, str(outdir))
+    found = [os.path.join(top, name)
+             for top, _, names in os.walk(outdir) for name in names]
+    assert os.path.join(outdir, "manifest.txt") in found
+    assert sorted(written) == sorted(found)
 
 
 # Each kind of KINDS' domain, potential and boundary rows with the class it

@@ -275,6 +275,13 @@ class TestBoundaryOperators:
         assert tr[0] == 0.0 and tr[1] == iops.n_bulk - 1
 
 
+def _long_and_short_row(lines):
+    """Row 1 gains a cell and row 2 loses its last one: the cell count is
+    unchanged, and with the columns in kind,u,x order every row keeps its u
+    and kind."""
+    return [lines[0], lines[1] + ",9", lines[2].rsplit(",", 1)[0], *lines[3:]]
+
+
 class TestSerialization:
     def test_roundtrip_interval(self, iops, tmp_path):
         rng = np.random.default_rng(3)
@@ -386,9 +393,13 @@ class TestSerialization:
         # the writer never quotes; csv.reader would unquote these
         lambda ls: [ls[0], ls[1].replace(",0,", ',"0",'), *ls[2:]],
         lambda ls: [ls[0], ls[1].replace(",bulk", ',"bulk"'), *ls[2:]],
+        lambda ls: [ls[0], ls[1] + ",junk,9", *ls[2:]],
+        lambda ls: _long_and_short_row([",".join(ln.split(",")[::-1])
+                                        for ln in ls]),
     ], ids=["no-u", "no-kind", "text", "nan", "inf", "short-row",
             "extra-bulk", "missing-trace", "trace-as-bulk", "no-rows",
-            "empty", "short-and-long-row", "quoted-u", "quoted-kind"])
+            "empty", "short-and-long-row", "quoted-u", "quoted-kind",
+            "long-row", "reordered-long-and-short-row"])
     def test_corrupt_snapshot_fails_loudly(self, tmp_path, edit):
         ops = make_operators(Interval(5))
         path = tmp_path / "f.csv"
