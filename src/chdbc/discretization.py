@@ -21,7 +21,6 @@ import functools
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +28,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConfigError, CorruptSnapshotError, NonZeroMeanError,
                      SingularSystemError)
+
+# bulk nodes of a grid at most, so that a huge size fails before allocating
+MAX_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,9 @@ class Interval:
     kind = "interval"
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ValueError("interval needs at least 5 nodes")
+        if not 5 <= self.n <= MAX_NODES:
+            raise ValueError(f"interval needs 5 to {MAX_NODES} nodes, "
+                             f"got n={self.n!r}")
         if not -np.inf < self.a < self.b < np.inf:  # NaN fails too
             raise ValueError(f"interval needs finite a < b, got a={self.a!r}, "
                              f"b={self.b!r}")
@@ -66,6 +69,9 @@ class PeriodicStrip:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 5:
             raise ValueError("strip needs nx >= 4 and ny >= 5")
+        if self.nx * self.ny > MAX_NODES:
+            raise ValueError(f"strip needs at most {MAX_NODES} nodes, got "
+                             f"nx * ny = {self.nx} * {self.ny}")
         if not 0.0 < self.Lx < np.inf:  # NaN fails too
             raise ValueError(f"strip needs a finite Lx > 0, got {self.Lx!r}")
 
@@ -314,41 +320,40 @@ def _snapshot_template(dom):
              u, repeat("trace"))])
 
 
+@functools.lru_cache(maxsize=8)
+def _snapshot_cells(dom):
+    """The cells of dom's template split at commas, with \\n line ends, as
+    field_from_csv splits a file, and the slice of its u slots: from the
+    first, one a row."""
+    cells = _snapshot_template(dom).replace("\r\n", "\n").split(",")
+    first = cells.index("%.17g")
+    return cells, slice(first, None, cells.index("%.17g", first + 1) - first)
+
+
 def field_from_csv(ops, path):
-    """The Field of a snapshot file, columns found by name in the header.
-    Lines split at every comma, as field_to_csv writes them unquoted, so a
-    quoted cell fails; blank lines are skipped.  Missing columns, rows
-    shorter or longer than the header, unreadable or non-finite values,
-    kinds other than bulk and trace, and row counts that do not fit ops
-    raise CorruptSnapshotError."""
-    with open(path, newline="") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    header = lines[0].split(",") if lines else []
-    try:  # the last cell too, which a short row lacks
-        get = itemgetter(header.index("u"), header.index("kind"),
-                         len(header) - 1)
-    except ValueError:
-        raise CorruptSnapshotError(
-            f"{path}: header {header} lacks a u or kind column") from None
+    """The Field of a snapshot file that field_to_csv wrote for ops.domain.
+    Split at commas, every cell but the u values must equal its cell of the
+    writer's template, so one comparison checks the header, coordinates,
+    kinds and row layout; each u value must parse with float, be finite
+    and hold no line end.  Either line end reads (\\r\\n as \\n).  Anything
+    else raises CorruptSnapshotError."""
+    want, slots = _snapshot_cells(ops.domain)
+    # universal newlines read \r\n and \r as \n; an undecodable byte reads
+    # as U+FFFD, which fails the comparison or the float parse
+    with open(path, errors="replace") as fh:
+        cells = fh.read().split(",")
+    u = cells[slots]
+    if len(cells) == len(want):  # else the comparison fails anyway
+        cells[slots] = want[slots]
+    if cells != want:
+        raise CorruptSnapshotError(f"{path}: not a snapshot of {ops.domain}")
     try:
-        # three cells of each row, not the whole rows: less memory held
-        cells = [get(line.split(",")) for line in lines[1:] if line]
-        u = np.array([float(u) for u, _, _ in cells])
-        # an object array: it compares faster than a str array
-        kinds = np.array([kind for _, kind, _ in cells], dtype=object)
-    except (IndexError, ValueError) as exc:  # short row, bad number
+        values = np.array([float(v) for v in u])
+    except ValueError as exc:
         raise CorruptSnapshotError(f"{path}: {exc}") from None
-    if text.count(",") != (len(header) - 1) * (len(cells) + 1):
-        raise CorruptSnapshotError(f"{path}: a row longer than the header")
-    if not np.isfinite(u).all():
-        raise CorruptSnapshotError(f"{path}: non-finite u value")
-    is_trace = kinds == "trace"
-    if not (is_trace | (kinds == "bulk")).all():
-        raise CorruptSnapshotError(f"{path}: a kind other than bulk or trace")
-    bulk, trace = u[~is_trace], u[is_trace]
-    if bulk.size != ops.n_bulk or trace.size != len(ops.boundary_weights):
+    # float strips whitespace, so a row broken after its u value would load
+    if "\n" in "".join(u) or not np.isfinite(values).all():
         raise CorruptSnapshotError(
-            f"{path}: {bulk.size} bulk and {trace.size} trace rows, expected "
-            f"{ops.n_bulk} and {len(ops.boundary_weights)}")
-    return Field(bulk.reshape(ops.bulk_shape), trace.reshape(ops.trace_shape))
+            f"{path}: a u value is not finite or holds a line end")
+    return Field(values[:ops.n_bulk].reshape(ops.bulk_shape),
+                 values[ops.n_bulk:].reshape(ops.trace_shape))

@@ -51,6 +51,7 @@ class ConfigError(ChdbcError, ValueError):
 
 
 class CorruptSnapshotError(ChdbcError, ValueError):
-    """A snapshot file lacks a column, has a row shorter or longer than its
-    header, holds an unreadable or non-finite value, or has row counts that
-    do not fit the domain."""
+    """A snapshot file differs from the writer's template for the domain
+    outside its u values (header, coordinates, kinds, row layout or row
+    count), or holds a u value that does not parse as a float, is not
+    finite or holds a line end."""

@@ -134,9 +134,14 @@ def _row(cfg, setting):
 
 def _make(cfg, setting):
     """The domain, potential or boundary law of cfg's kind of setting, from
-    the keys that kind reads, each passed by the name after its dot."""
+    the keys that kind reads, each passed by the name after its dot.  Its
+    rejection of a value is a ConfigError that names those keys."""
     make, keys = _row(cfg, setting)
-    return _build(make, **{key.split(".")[1]: _num(cfg, key) for key in keys})
+    kwargs = {key.split(".")[1]: _num(cfg, key) for key in keys}
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
 
 
 def build_operators(cfg):
@@ -262,8 +267,8 @@ def run_simulate(cfg, outdir):
 def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     """Cauchy table || u_N - u_2N ||_phi_w at a few times over doubling N."""
     n_levels = _num(cfg, "experiment.n_levels")
-    if n_levels < 1:
-        raise ConfigError(f"experiment.n_levels must be >= 1, got {n_levels}")
+    if not 1 <= n_levels <= 1021:  # N = 4 * 2**1022 overflows a float
+        raise ConfigError(f"experiment.n_levels must be 1 to 1021, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
     ops = build_operators(cfg)
     jobs = [(N, None, _num(cfg, "seed"), 0.0) for N in Ns]

@@ -7,7 +7,7 @@ import pytest
 from chdbc import diagnostics, discretization, stationary
 from chdbc import experiments as ex
 from chdbc.cli import main
-from chdbc.discretization import Interval, PeriodicStrip
+from chdbc.discretization import MAX_NODES, Interval, PeriodicStrip
 from chdbc.errors import ConfigError, DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, SmoothDoubleWell)
@@ -138,7 +138,8 @@ class TestExitCodes:
         ("experiment.eps", "1e-2,abc"), ("experiment.eps", "1e-2,inf"),
         ("experiment.eps", ""), ("experiment.eps", "1e-3,1e-3"),
         ("experiment.ensemble", "0"), ("experiment.ensemble", "1"),
-        ("experiment.n_levels", "0"), ("domain.b", "-2.0"), ("domain.a", "1.0"),
+        ("experiment.n_levels", "0"), ("experiment.n_levels", "1022"),
+        ("domain.b", "-2.0"), ("domain.a", "1.0"),
         ("domain.a", "nan"), ("domain.b", "inf"), ("domain.a", "-inf"),
         ("domain.Lx", "-2.0"), ("domain.Lx", "0"), ("domain.Lx", "nan"),
         ("domain.Lx", "inf"), ("forcing.h2", "nan"), ("forcing.h2", "inf"),
@@ -166,9 +167,10 @@ class TestExitCodes:
             # converge-n and stationary reject an experiment.T they do not read
             T = "" if command in ("converge-n", "stationary") \
                 else "experiment.T = 0.01\n"
-            # neither the strip nor stationary reads domain.n
+            # neither the strip nor stationary reads domain.n, and a config
+            # that sets it twice fails for that alone
             size = "" if "strip" in context or command == "stationary" \
-                else "domain.n = 16\n"
+                or key == "domain.n" else "domain.n = 16\n"
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{size}{T}{context}{key} = {value}\n")
             rc = main([command, "--config", str(cfg),
@@ -198,6 +200,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:"), err
         assert key in err
+
+    @pytest.mark.parametrize("settings, named", [
+        ("domain.n = 100000000000\n", "domain.n"),
+        ("domain.n = 1000000000000000000000000000000\n", "domain.n"),
+        ("domain.kind = strip\ndomain.nx = 100000\ndomain.ny = 100000\n",
+         "strip")], ids=["n-1e11", "n-1e30", "strip-1e5-squared"])
+    def test_grid_too_large_is_2(self, tmp_path, capsys, settings, named):
+        # the domain rejects more than MAX_NODES nodes before any allocation
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment.T = 0.01\n{settings}")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err, err
+        assert str(MAX_NODES) in err and "Traceback" not in err
 
     def test_endless_decay_is_2(self, tmp_path, capsys):
         # ten snapshots of 1e302 steps each: the step bound stops it at once

@@ -357,15 +357,39 @@ class TestSerialization:
             assert np.array_equal(g.trace.view(np.int64),
                                   f.trace.view(np.int64))
 
-    def test_any_column_order_line_end_and_float_text(self, tmp_path):
+    def test_line_end_and_float_text(self, tmp_path):
         ops = make_operators(Interval(5))
-        rows = ["kind,u,x", "bulk,0.5,-1", "bulk, -.25,-0.5", "trace,1E-3,-1",
-                "bulk,+0,0", "", "bulk,1_0.0,0.5", "trace,-2,1", "bulk,3,1"]
+        rows = ["x,u,kind", "-1,0.5,bulk", "-0.5, -.25,bulk", "0,+0,bulk",
+                "0.5,1_0.0,bulk", "1,3,bulk", "-1,1E-3,trace", "1,-2,trace"]
         for end in ("\n", "\r\n"):
-            (tmp_path / "f.csv").write_bytes(end.join(rows).encode() + b"\n")
+            (tmp_path / "f.csv").write_bytes(end.join(rows).encode()
+                                             + end.encode())
             g = field_from_csv(ops, tmp_path / "f.csv")
             assert g.bulk.tolist() == [0.5, -0.25, 0.0, 10.0, 3.0]
             assert g.trace.tolist() == [1e-3, -2.0]
+
+    @pytest.mark.parametrize("old, new", [(b",0,bulk", b",0\xff,bulk"),
+                                          (b",bulk", b",bu\xfflk")],
+                             ids=["in-u", "in-kind"])
+    def test_undecodable_byte_fails_loudly(self, tmp_path, old, new):
+        ops = make_operators(Interval(5))
+        path = tmp_path / "f.csv"
+        field_to_csv(ops, ops.field_from_bulk(np.zeros(5)), path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(CorruptSnapshotError):
+            field_from_csv(ops, path)
+
+    @pytest.mark.parametrize("written, read", [
+        (PeriodicStrip(2.0, 8, 9), PeriodicStrip(4.0, 8, 9)),
+        (Interval(9, -1.0, 1.0), Interval(9, 0.0, 3.0))],
+        ids=["strip-Lx", "interval-ends"])
+    def test_other_domain_same_counts_fails(self, tmp_path, written, read):
+        # the node counts fit, but the coordinates are not the reader's
+        ops = make_operators(written)
+        field_to_csv(ops, ops.field_from_bulk(np.zeros(ops.bulk_shape)),
+                     tmp_path / "f.csv")
+        with pytest.raises(CorruptSnapshotError):
+            field_from_csv(make_operators(read), tmp_path / "f.csv")
 
     def test_shifted_value_still_loads(self, iops, tmp_path):
         path = tmp_path / "f.csv"
@@ -396,10 +420,12 @@ class TestSerialization:
         lambda ls: [ls[0], ls[1] + ",junk,9", *ls[2:]],
         lambda ls: _long_and_short_row([",".join(ln.split(",")[::-1])
                                         for ln in ls]),
+        # float strips the line end that now follows the u value
+        lambda ls: [ls[0], ls[1].replace(",bulk", "\n,bulk"), *ls[2:]],
     ], ids=["no-u", "no-kind", "text", "nan", "inf", "short-row",
             "extra-bulk", "missing-trace", "trace-as-bulk", "no-rows",
             "empty", "short-and-long-row", "quoted-u", "quoted-kind",
-            "long-row", "reordered-long-and-short-row"])
+            "long-row", "reordered-long-and-short-row", "broken-after-u"])
     def test_corrupt_snapshot_fails_loudly(self, tmp_path, edit):
         ops = make_operators(Interval(5))
         path = tmp_path / "f.csv"
