@@ -6,10 +6,15 @@ Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import __version__, experiments
-from .errors import ChdbcError, ConfigError
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    # before numpy loads: one BLAS thread, as these small systems run fastest
+    os.environ.setdefault(_var, "1")
+
+from . import __version__, experiments  # noqa: E402
+from .errors import ChdbcError, ConfigError  # noqa: E402
 
 
 def _at_least_one(text):

@@ -166,7 +166,12 @@ class _OperatorsBase:
         self.K = (sp.kron(Kx, sp.diags_array(wy))
                   + sp.kron(sp.diags_array(wx), _interval_stiffness(ny, hy))).tocsr()
         self.K_gamma = sp.block_diag([Kx, Kx], format="csr")
-        self._poisson_lu = _bordered_lu(self.K, self.weights)
+
+    @functools.cached_property
+    def _poisson_lu(self):
+        """K bordered by the weights (the zero mean), factored on first use."""
+        m = sp.csr_array(self.weights.reshape(1, -1))
+        return factorize(sp.block_array([[self.K, m.T], [m, None]], format="csc"))
 
     # --- quadrature -----------------------------------------------------
     def mean(self, v):
@@ -257,11 +262,6 @@ def factorize(A):
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-
-
-def _bordered_lu(K, weights):
-    m = sp.csr_array(weights.reshape(1, -1))
-    return factorize(sp.block_array([[K, m.T], [m, None]], format="csc"))
 
 
 def make_operators(domain):

@@ -15,6 +15,7 @@ alone writes files.  Each process builds the operators of a domain once.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import math
 import os
@@ -22,8 +23,9 @@ import os
 import numpy as np
 
 from . import __version__, diagnostics, stationary
-from .discretization import (Field, Interval, PeriodicStrip, field_to_csv,
-                             make_operators, write_rows, write_text)
+from .discretization import (MAX_NODES, Field, Interval, PeriodicStrip,
+                             field_to_csv, make_operators, write_rows,
+                             write_text)
 from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
                          PowerSingularPotential, SmoothDoubleWell,
@@ -114,14 +116,6 @@ def write_manifest(cfg, outdir):
     return path
 
 
-def _build(make, *args, **kwargs):
-    """make(*args, **kwargs), with its rejection of a value as a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _row(cfg, setting):
     """The (driver or class, keys it reads) row of cfg's kind of setting."""
     kinds = KINDS[setting]
@@ -132,43 +126,43 @@ def _row(cfg, setting):
     return kinds[cfg[setting]]
 
 
-def _make(cfg, setting):
-    """The domain, potential or boundary law of cfg's kind of setting, from
-    the keys that kind reads, each passed by the name after its dot.  Its
-    rejection of a value is a ConfigError that names those keys."""
-    make, keys = _row(cfg, setting)
-    kwargs = {key.split(".")[1]: _num(cfg, key) for key in keys}
+@contextlib.contextmanager
+def _naming(keys):
+    """A value rejected inside, as a ConfigError that names the keys."""
     try:
-        return make(**kwargs)
+        yield
     except ValueError as exc:
         raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
 
 
+def _make(cfg, make, keys, **given):
+    """make(...) from the keys, each passed by the name after its dot; a given
+    argument other than None replaces its key, which is then not read.  Its
+    rejection of a value is a ConfigError that names the keys read."""
+    given = {name: val for name, val in given.items() if val is not None}
+    read = [key for key in keys if key.split(".")[1] not in given]
+    kwargs = {key.split(".")[1]: _num(cfg, key) for key in read}
+    with _naming(read):
+        return make(**kwargs, **given)
+
+
 def build_operators(cfg):
-    return _operators(_make(cfg, "domain.kind"))
+    return _operators(_make(cfg, *_row(cfg, "domain.kind")))
 
 
 @functools.lru_cache(maxsize=8)
 def _operators(dom):
     """make_operators(dom), once per process for each domain: a sweep's runs
     share their parent's set, and a pool worker builds its own.  Operators
-    are never modified after they are built."""
+    change after they are built only to keep their Poisson LU."""
     return make_operators(dom)
 
 
-def build_solver_config(cfg, N=None, h2=None) -> SolverConfig:
-    return _build(
-        SolverConfig,
-        potential=_make(cfg, "potential.kind"),
-        N=int(N if N is not None else _num(cfg, "solver.N")),
-        lam=_num(cfg, "solver.lam"),
-        dt=_num(cfg, "solver.dt"),
-        g=_make(cfg, "boundary.g"),
-        h1=_num(cfg, "forcing.h1"),
-        h2=float(h2 if h2 is not None else _num(cfg, "forcing.h2")),
-        newton_tol=_num(cfg, "solver.newton_tol"),
-        newton_max_iter=_num(cfg, "solver.newton_max_iter"),
-    )
+def build_solver_config(cfg, **given) -> SolverConfig:
+    """SolverConfig from the _SOLVER keys not given, the potential and g."""
+    return _make(cfg, SolverConfig, _SOLVER,
+                 potential=_make(cfg, *_row(cfg, "potential.kind")),
+                 g=_make(cfg, *_row(cfg, "boundary.g")), **given)
 
 
 def _cadence(cfg, default=None):
@@ -241,15 +235,18 @@ def _sweep(cfg, jobs, workers, times):
 def _sweep_times(cfg, N=None):
     """experiment.T's snapshot times; the cadence defaults to min(10 dt, T)."""
     T, dt = _num(cfg, "experiment.T"), build_solver_config(cfg, N=N).dt
-    return cadence_times(T, _cadence(cfg, min(10.0 * dt, T)), dt)
+    cadence = _cadence(cfg, min(10.0 * dt, T))
+    with _naming((*_TO_T, "solver.dt")):
+        return cadence_times(T, cadence, dt)
 
 
 def run_simulate(cfg, outdir):
     """One trajectory, with its snapshots and diagnostics table."""
     ops = build_operators(cfg)
-    traj = simulate(ops, build_solver_config(cfg),
-                    _initial(cfg, ops, _num(cfg, "seed"), 0.0),
-                    _num(cfg, "experiment.T"), _cadence(cfg))
+    scfg, f0 = build_solver_config(cfg), _initial(cfg, ops, _num(cfg, "seed"), 0.0)
+    T, cadence = _num(cfg, "experiment.T"), _cadence(cfg)
+    with _naming((*_TO_T, "solver.dt")):  # simulate rejects only the times
+        traj = simulate(ops, scfg, f0, T, cadence)
     for k, st in enumerate(traj.states):
         field_to_csv(ops, st.field, os.path.join(outdir, f"snapshot_{k:04d}.csv"))
     diagnostics.records_to_csv(traj.records,
@@ -335,7 +332,7 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     rows = [(N, *m) for N, m in zip(Ns, margins)]
     write_rows(os.path.join(outdir, "separation.csv"),
                ["N", "bulk_margin", "boundary_margin", "trace_gap"], rows)
-    cond = check_separation_condition(_make(cfg, "potential.kind"))
+    cond = check_separation_condition(_make(cfg, *_row(cfg, "potential.kind")))
     return {"rows": rows, "condition_satisfied": cond.satisfied,
             "note": cond.note}
 
@@ -343,9 +340,12 @@ def run_separation(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     """Paired sweep: h2 satisfying the boundary sign condition vs violating
     it, identical solver settings otherwise."""
-    g = _make(cfg, "boundary.g")
+    g = _make(cfg, *_row(cfg, "boundary.g"))
     branches = {"satisfying": _num(cfg, "forcing.h2"),
                 "violating": _num(cfg, "experiment.h2_violating")}
+    if not math.isfinite(branches["violating"]):
+        raise ConfigError("experiment.h2_violating must be finite, got "
+                          f"{branches['violating']!r}")
     holds = {label: check_sign_condition(g, h2, 0.05)
              for label, h2 in branches.items()}
     jobs = [(label, h2, N) for label, h2 in branches.items() for N in Ns]
@@ -361,9 +361,9 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
 def run_stationary(cfg, outdir):
     """One boundary-value solve and an optional slope sweep, run in this
     process."""
-    pot = _make(cfg, "potential.kind")
-    K = _num(cfg, "experiment.K")
-    problem = _build(stationary.StationaryProblem, pot, K)
+    pot = _make(cfg, *_row(cfg, "potential.kind"))
+    problem = _make(cfg, stationary.StationaryProblem, ("experiment.K",),
+                    potential=pot)
     sweep = cfg["experiment.sweep"]
     if sweep:
         try:
@@ -373,14 +373,16 @@ def run_stationary(cfg, outdir):
             raise ConfigError(
                 f"experiment.sweep must be s_min:s_max:steps, got {sweep!r}"
             ) from exc
-        if not (0.0 <= lo < math.inf and 0.0 <= hi < math.inf and steps >= 1):
+        if not (0.0 <= lo < math.inf and 0.0 <= hi < math.inf
+                and 1 <= steps <= MAX_NODES):
             raise ConfigError("experiment.sweep needs finite slopes >= 0 and "
-                              f"steps >= 1, got {sweep!r}")
+                              f"1 to {MAX_NODES} steps, got {sweep!r}")
     sol = stationary.solve_bvp(problem)
     write_rows(os.path.join(outdir, "stationary_profile.csv"), ["x", "y", "yp"],
                zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
                    sol.profile.yp.tolist()))
-    summary = {"classification": stationary.classify(pot, K), "K": K,
+    summary = {"classification": stationary.classify(pot, problem.K),
+               "K": problem.K,
                "s": sol.profile.s, "defect": sol.defect}
     crit = stationary.critical_flux(pot)
     if crit is not None:
@@ -399,13 +401,14 @@ def run_stationary(cfg, outdir):
 def run_decay(cfg, outdir, workers=1):
     """Diameters over time of an ensemble of runs from the seeds seed,
     seed + 1, ..., all at the configured mean."""
-    n_ens = _num(cfg, "experiment.ensemble")
-    if n_ens < 2:
-        raise ConfigError(f"experiment.ensemble must be >= 2, got {n_ens}")
+    n_ens, ops = _num(cfg, "experiment.ensemble"), build_operators(cfg)
+    most = MAX_NODES // ops.n_bulk  # the members step stacked
+    if not 2 <= n_ens <= most:
+        raise ConfigError(f"experiment.ensemble must be 2 to {most} ({MAX_NODES}"
+                          f" stacked nodes of {ops.n_bulk} each), got {n_ens}")
     runs = _sweep(cfg, [(None, None, _num(cfg, "seed") + k, 0.0)
                         for k in range(n_ens)], workers, _sweep_times(cfg))
-    rep = diagnostics.decay_experiment(build_operators(cfg),
-                                       build_solver_config(cfg), runs)
+    rep = diagnostics.decay_experiment(ops, build_solver_config(cfg), runs)
     write_rows(os.path.join(outdir, "decay.csv"),
                ["t", "phi_w_diameter", "h1_diameter", "energy_spread"],
                zip(rep.times.tolist(), rep.phi_w_diameters.tolist(),
@@ -419,9 +422,9 @@ def run_decay(cfg, outdir, workers=1):
 # driver or class and the keys that kind reads.  An experiment kind reads the
 # settings whose kinds its run builds (a stationary run's seed only goes into
 # its manifest).
+_SOLVER = tuple(k for k in DEFAULTS if k.startswith(("solver.", "forcing.")))
 _STEPPING = ("domain.kind", "potential.kind", "boundary.g", "seed",
-             "experiment.amplitude", "experiment.mean",
-             *(k for k in DEFAULTS if k.startswith(("solver.", "forcing."))))
+             "experiment.amplitude", "experiment.mean", *_SOLVER)
 _N_SWEPT = tuple(key for key in _STEPPING if key != "solver.N")
 _TO_T = ("experiment.T", "experiment.cadence")
 KINDS = {

@@ -164,11 +164,11 @@ class TestExitCodes:
                    "boundary.a": "boundary.g = tanh\n",
                    "potential.kappa": "potential.kind = power\n"}.get(key, "")
         for command in commands:
-            # converge-n and stationary reject an experiment.T they do not read
+            # converge-n and stationary reject an experiment.T they do not
+            # read, and a config that sets a key twice fails for that alone
             T = "" if command in ("converge-n", "stationary") \
-                else "experiment.T = 0.01\n"
-            # neither the strip nor stationary reads domain.n, and a config
-            # that sets it twice fails for that alone
+                or key == "experiment.T" else "experiment.T = 0.01\n"
+            # neither the strip nor stationary reads domain.n
             size = "" if "strip" in context or command == "stationary" \
                 or key == "domain.n" else "domain.n = 16\n"
             cfg = tmp_path / "run.cfg"
@@ -179,8 +179,7 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("config error:"), (command, err)
             assert "does not read" not in err, (command, err)
-            if command == "converge-n":
-                assert "experiment.n_levels" in err
+            assert key in err, (command, err)
 
     @pytest.mark.parametrize("key, value", [
         ("boundary.a", "nan"), ("boundary.a", "abc"), ("boundary.a", "0.3"),
@@ -201,16 +200,27 @@ class TestExitCodes:
         assert err.startswith("config error:"), err
         assert key in err
 
-    @pytest.mark.parametrize("settings, named", [
-        ("domain.n = 100000000000\n", "domain.n"),
-        ("domain.n = 1000000000000000000000000000000\n", "domain.n"),
-        ("domain.kind = strip\ndomain.nx = 100000\ndomain.ny = 100000\n",
-         "strip")], ids=["n-1e11", "n-1e30", "strip-1e5-squared"])
-    def test_grid_too_large_is_2(self, tmp_path, capsys, settings, named):
-        # the domain rejects more than MAX_NODES nodes before any allocation
+    @pytest.mark.parametrize("command, settings, named", [
+        ("simulate", "domain.n = 100000000000\n", "domain.n"),
+        ("simulate", "domain.n = 1000000000000000000000000000000\n",
+         "domain.n"),
+        ("simulate",
+         "domain.kind = strip\ndomain.nx = 100000\ndomain.ny = 100000\n",
+         "strip"),
+        ("stationary", "experiment.sweep = 0:1:1000000000000\n",
+         "experiment.sweep"),
+        ("decay", "domain.n = 16\nexperiment.ensemble = 100000000000\n",
+         "experiment.ensemble")],
+        ids=["n-1e11", "n-1e30", "strip-1e5-squared", "sweep-1e12",
+             "ensemble-1e11"])
+    def test_grid_too_large_is_2(self, tmp_path, capsys, command, settings,
+                                 named):
+        # a grid, a slope sweep and an ensemble's stacked fields are bounded
+        # by MAX_NODES nodes, before any allocation
+        T = "" if command == "stationary" else "experiment.T = 0.01\n"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"experiment.T = 0.01\n{settings}")
-        assert main(["simulate", "--config", str(cfg),
+        cfg.write_text(f"{T}{settings}")
+        assert main([command, "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err, err
@@ -224,7 +234,8 @@ class TestExitCodes:
         assert main(["decay", "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: T=1e+300 ")
+        assert err.startswith("config error: experiment.T, experiment.cadence, "
+                              "solver.dt: T=1e+300 ")
         assert str(MAX_STEPS) in err
 
     def test_converge_n_time_off_the_dt_grid_is_2(self, tmp_path, capsys):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chdbc import discretization
 from chdbc.discretization import (Field, Interval, PeriodicStrip,
                                   _interval_stiffness, _neumann_eigenvalues,
                                   _trapezoid_weights, field_from_csv,
                                   field_to_csv, make_operators, write_rows)
 from chdbc.errors import ChdbcError, CorruptSnapshotError, NonZeroMeanError
+from chdbc.potentials import LogarithmicPotential
+from chdbc.solver import SolverConfig, State, Stepper
 
 
 @pytest.fixture
@@ -122,6 +125,21 @@ class TestInverseLaplacian:
             r[2] += 0.1
             with pytest.raises(NonZeroMeanError):
                 ops.inverse_laplacian(r)
+
+    def test_factored_on_first_use(self, monkeypatch):
+        # building operators and stepping solve no Poisson problem, so only
+        # inverse_laplacian factors the bordered matrix
+        def refuse(A):
+            raise AssertionError("bordered matrix factored")
+
+        monkeypatch.setattr(discretization, "factorize", refuse)
+        ops = make_operators(Interval(17))
+        u0 = 0.3 * np.cos(np.pi * (ops.domain.x + 1.0) / 2.0)
+        cfg = SolverConfig(potential=LogarithmicPotential(), dt=1e-3)
+        new, _ = Stepper(ops, cfg).step(State(0.0, ops.field_from_bulk(u0)))
+        assert np.all(np.isfinite(new.field.bulk))
+        with pytest.raises(AssertionError, match="bordered matrix factored"):
+            ops.inverse_laplacian(np.zeros(ops.n_bulk))
 
     def test_h_minus1_eigenvalue(self, iops):
         # [DERIVED] first Neumann eigenfunction: ||v||^2_{H^-1} = ||v||^2 / lam

@@ -1,6 +1,7 @@
 """Import cost: only the stationary solver loads scipy.integrate and
 scipy.optimize, and it loads them on first use; importing the package root,
-potentials or stationary loads no scipy module at all."""
+potentials or stationary loads no scipy module at all.  Importing chdbc.cli
+sets the BLAS thread counts a user left unset before numpy loads."""
 
 import json
 import os
@@ -52,3 +53,22 @@ def test_root_potentials_and_stationary_load_no_scipy():
     out = json.loads(proc.stdout)
     assert out["version"]
     assert out["scipy"] == []
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_runs_blas_on_one_thread_unless_set():
+    # chdbc.cli sets each thread count the user left unset to 1 before numpy
+    # loads, and keeps one the user set
+    child = ("import json, os, chdbc.cli\n"
+             f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREADS}}}))\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for given in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", child], env={**env, **given},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {k: given.get(k, "1")
+                                           for k in BLAS_THREADS}
