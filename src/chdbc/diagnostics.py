@@ -15,11 +15,10 @@ closed-form Neumann spectrum of the discretization, not an eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 
 import numpy as np
 
-from .discretization import write_rows
+from .discretization import Field, _dot, write_rows
 from .errors import (InadmissibleTestFunctionError, InsufficientDataError,
                      StaleStateError)
 
@@ -152,12 +151,6 @@ def _steps(ops, states):
 
 def _mean_free(ops, rows):
     return rows - (rows[..., None, :] @ ops.weights) / ops.area
-
-
-def _dot(a, b):
-    """Inner products along the last axis, one BLAS dot each, as in
-    ops.inner: equal rows give equal bits wherever they sit in a stack."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -313,18 +306,22 @@ class DecayReport:
 
 def decay_experiment(ops, cfg, runs) -> DecayReport:
     """Diameter decay of an ensemble sharing the same mass; runs holds each
-    member's snapshot States, taken at the same times."""
+    member's snapshot States, taken at the same times.  At each snapshot the
+    pairs of members are one stack, with one Poisson solve."""
     times = np.array([s.t for s in runs[0]])
     phi_d, h1_d, e_spread = np.zeros((3, len(times)))
+    i, j = np.triu_indices(len(runs), 1)  # the member pairs
     for k in range(len(times)):
         fields = [run[k].field for run in runs]
         energies = [energy(ops, cfg, f).total for f in fields]
         e_spread[k] = max(energies) - min(energies)
-        for fi, fj in combinations(fields, 2):
-            phi_d[k] = max(phi_d[k], ops.phi_w_distance(fi, fj))
-            d = (fi.bulk - fj.bulk).ravel()
-            h1 = np.sqrt(float(d @ (ops.K @ d)) + ops.inner(d, d))
-            h1_d[k] = max(h1_d[k], h1)
+        u = np.array([f.bulk for f in fields])
+        psi = np.array([f.trace for f in fields])
+        phi = ops.phi_w_distance(Field(u[i], psi[i]), Field(u[j], psi[j]))
+        d = (u[i] - u[j]).reshape(len(i), -1)
+        Kd = np.ascontiguousarray((ops.K @ d.T).T)  # unit-stride rows to dot
+        h1 = np.sqrt(_dot(Kd, d) + _dot(ops.weights * d, d))
+        phi_d[k], h1_d[k] = np.max(phi, initial=0.0), np.max(h1, initial=0.0)
     return DecayReport(times, phi_d, h1_d, e_spread,
                        -exponential_fit(times, phi_d)[0])
 

@@ -245,13 +245,28 @@ class _OperatorsBase:
         return float(np.sqrt(max(val, 0.0)))
 
     def phi_w_distance(self, f1: Field, f2: Field):
-        """sqrt(||u1-u2||^2_{H^-1(Omega)} + ||psi1-psi2||^2_{L^2(Gamma)})."""
-        d = f1.bulk - f2.bulk
-        if abs(self.mean(d)) > 1e-8 * (1.0 + float(np.max(np.abs(d)))):
+        """sqrt(||u1-u2||^2_{H^-1(Omega)} + ||psi1-psi2||^2_{L^2(Gamma)}), a
+        float for two fields, or an array for the pairs of fields that f1's
+        and f2's arrays stack along a leading axis, in one Poisson solve."""
+        d = np.reshape(f1.bulk - f2.bulk, (-1, self.n_bulk))
+        dpsi = np.reshape(f1.trace - f2.trace, (len(d), -1))
+        mean = (d[:, None] @ self.weights) / self.area  # one dot per pair
+        if np.any(np.abs(mean[:, 0]) > 1e-8 * (1.0 + np.max(np.abs(d), axis=1))):
             raise NonZeroMeanError("phi_w_distance requires equal bulk means")
-        d = d - self.mean(d)
-        dpsi = f1.trace - f2.trace
-        return float(np.sqrt(self.h_minus1_norm(d) ** 2 + self.boundary_inner(dpsi, dpsi)))
+        d = d - mean
+        h = np.sqrt(np.maximum(_dot(self.weights * self.inverse_laplacian(d), d), 0.0))
+        # float_power squares with libm's pow, as Python's float ** 2 does;
+        # h * h rounds differently in about 0.1% of cases, which would move
+        # the written distances by an ulp
+        dist = np.sqrt(np.float_power(h, 2) + _dot(self.boundary_weights * dpsi, dpsi))
+        return float(dist[0]) if np.shape(f1.bulk) == self.bulk_shape else dist
+
+
+def _dot(a, b):
+    """Inner products along the last axis, one BLAS dot each, as in
+    _OperatorsBase.inner: equal rows give equal bits wherever they sit in a
+    stack, if each row is contiguous."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def factorize(A):

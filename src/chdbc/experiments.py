@@ -402,10 +402,13 @@ def run_decay(cfg, outdir, workers=1):
     """Diameters over time of an ensemble of runs from the seeds seed,
     seed + 1, ..., all at the configured mean."""
     n_ens, ops = _num(cfg, "experiment.ensemble"), build_operators(cfg)
-    most = MAX_NODES // ops.n_bulk  # the members step stacked
+    # the most members whose k (k - 1) / 2 pair differences stack in
+    # MAX_NODES nodes
+    most = (1 + math.isqrt(1 + 8 * (MAX_NODES // ops.n_bulk))) // 2
     if not 2 <= n_ens <= most:
         raise ConfigError(f"experiment.ensemble must be 2 to {most} ({MAX_NODES}"
-                          f" stacked nodes of {ops.n_bulk} each), got {n_ens}")
+                          f" stacked nodes over its member pairs, {ops.n_bulk} "
+                          f"each), got {n_ens}")
     runs = _sweep(cfg, [(None, None, _num(cfg, "seed") + k, 0.0)
                         for k in range(n_ens)], workers, _sweep_times(cfg))
     rep = diagnostics.decay_experiment(ops, build_solver_config(cfg), runs)
@@ -420,8 +423,7 @@ def run_decay(cfg, outdir, workers=1):
 
 # The one table of kinds: for each setting that names a kind, each kind's
 # driver or class and the keys that kind reads.  An experiment kind reads the
-# settings whose kinds its run builds (a stationary run's seed only goes into
-# its manifest).
+# settings whose kinds its run builds.
 _SOLVER = tuple(k for k in DEFAULTS if k.startswith(("solver.", "forcing.")))
 _STEPPING = ("domain.kind", "potential.kind", "boundary.g", "seed",
              "experiment.amplitude", "experiment.mean", *_SOLVER)
@@ -436,7 +438,7 @@ KINDS = {
         "sign-condition": (run_sign_condition, _N_SWEPT + _TO_T + (
             "experiment.h2_violating",)),
         "stationary": (run_stationary, ("potential.kind", "experiment.K",
-                                        "experiment.sweep", "seed")),
+                                        "experiment.sweep")),
         "decay": (run_decay, _STEPPING + _TO_T + ("experiment.ensemble",)),
     },
     "domain.kind": {

@@ -164,12 +164,17 @@ class RegularizedPotential:
         the base potential's Taylor expansion at core, exact where d = 0.
         |core| <= 1 - 1/N, so the base potentials' unchecked cores apply."""
         u = np.asarray(u, dtype=float)
-        core = np.clip(u, -self.cutoff, self.cutoff)
+        core = u.clip(-self.cutoff, self.cutoff)
         return core, u - core
 
-    def f(self, u):
+    def f_df(self, u):
+        """f and df at the float array u, from one clip."""
         core, d = self._split(u)
-        val = self.base._f(core) + self.base._df(core) * d
+        df = self.base._df(core)
+        return self.base._f(core) + df * d, df
+
+    def f(self, u):
+        val = self.f_df(u)[0]
         return val if val.ndim else float(val)
 
     def df(self, u):

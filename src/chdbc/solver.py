@@ -36,9 +36,11 @@ whose mu the stepper did not make.
 
 One Stepper steps k runs (members) that share ops and every setting but N
 and h2 in lockstep, with one residual evaluation per Newton iteration for
-all of them.  Their vectors are stacked flat, k n long; A, P and B^T M_G
-are block diagonal, and f_N has one cutoff per node.  Each member factors
-its own n x n block of S and keeps its own LU, residual norm, contraction
+all of them.  A member is a row of each (k, n) array (u, mu, the residual)
+and of the (k, n_G) h2; each shared n x n operator applies once to the
+stack, and f_N has one cutoff, or one per member.  scipy sums each row of a
+product with a stack in the operator's order, as for one vector.  Each
+member factors its own S and keeps its own LU, residual norm, contraction
 test and mu differences, and stays frozen once it converges while the others
 iterate, so it follows the iterates of its solo run bit for bit.
 """
@@ -53,7 +55,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from . import diagnostics
-from .discretization import Field, factorize
+from .discretization import Field, _dot, factorize
 from .errors import (ConfigError, NewtonDivergedError, SingularSystemError,
                      StaleStateError)
 from .potentials import BoundaryNonlinearity, RegularizedPotential
@@ -117,11 +119,9 @@ _HISTORY = 6  # steps whose mus the Newton start extrapolates, at most
 _SHRINK = 4.0  # a difference joins the start if |d_j| <= |d_j-1| / _SHRINK
 
 
-def _flat(arrays):
-    """The arrays end to end, flat; one array comes back as a view."""
-    if len(arrays) == 1:
-        return arrays[0].ravel()
-    return np.concatenate(arrays, axis=None)
+def _apply(M, X):
+    """The sparse matrix M applied to each row of the stack X."""
+    return (M @ X.T).T
 
 
 def _band(A, b):
@@ -147,19 +147,6 @@ class _BandLU:
                              trans=int(trans == "T"))[0]
 
 
-def _tile(M, k):
-    """k copies of the CSR matrix M on the diagonal.  Tiling M's arrays keeps
-    each row's entries in M's order, so a member's rows of a product sum as
-    M's own do; sp.block_diag reorders them."""
-    if k == 1:
-        return M
-    shift = np.arange(k)[:, None]
-    return sp.csr_array(
-        (np.tile(M.data, k), (M.indices + M.shape[1] * shift).ravel(),
-         np.append((M.indptr[:-1] + M.nnz * shift).ravel(), k * M.nnz)),
-        shape=(k * M.shape[0], k * M.shape[1]))
-
-
 class Stepper:
     """Prebuilt matrices and the LU of S of each member, for members
     that share ops and every setting but N and h2.
@@ -178,19 +165,21 @@ class Stepper:
             raise ValueError("lockstep members must agree on all but N and h2")
         self.ops, self.cfg, self.k = ops, cfg, len(cfgs)
         n, w = ops.n_bulk, ops.weights
-        # one cutoff, or one per node: floats, since an N may exceed int64
+        # one cutoff, or a column of one per member: floats, since an N may
+        # exceed int64
         Ns = [c.N for c in cfgs]
         self.reg = RegularizedPotential(
             cfg.potential,
-            Ns[0] if len(set(Ns)) == 1 else np.repeat(np.array(Ns, float), n))
+            Ns[0] if len(set(Ns)) == 1 else np.array(Ns, float)[:, None])
         ng = len(ops.boundary_weights)
         B = sp.csr_array((np.ones(ng), (np.arange(ng), ops.boundary_indices)),
                          shape=(ng, n))
         Mg = sp.diags_array(ops.boundary_weights)
-        A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
+        self.A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
+        self.BtMg = (B.T @ Mg).tocsr()
         self.dtK = (cfg.dt * ops.K).tocsc()
-        P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
-        self.S0 = (sp.diags_array(w) + P.T @ A).tocsc()  # K = K^T
+        self.P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
+        self.S0 = (sp.diags_array(w) + self.P.T @ self.A).tocsc()  # K = K^T
         # S = S0 + dt K diag(f_N'(u)) scales column j of dt K by f_N'(u_j)
         self.dtK_cols = np.repeat(np.arange(n), np.diff(self.dtK.indptr))
         # S0 and dt K in band storage, when S's half-bandwidth b allows
@@ -198,23 +187,18 @@ class Stepper:
                 for X in (self.S0.tocoo(), self.dtK.tocoo()))
         self.band = (_band(self.S0, b), _band(self.dtK, b), b) \
             if b * b <= n else None
-        self.A, self.P = _tile(A, self.k), _tile(P, self.k)
-        self.BtMg = _tile((B.T @ Mg).tocsr(), self.k)
-        self.w = np.tile(w, self.k)
         # per member: the LU of S, the mu of its last step as its State holds
         # it, and the backward differences d_0 = mu_n, d_1, ... of its last
         # mus, stacked by order, of which the first `owned` are its data
         self.lu, self.last_mu = [None] * self.k, [None] * self.k
         self.diffs = np.zeros((_HISTORY, self.k, n))
         self.owned = [0] * self.k
-        h1, _ = diagnostics.forcing_arrays(ops, cfg)
-        h2s = [diagnostics.forcing_arrays(ops, c)[1] for c in cfgs]
-        self.h1, self.h2 = np.tile(h1, self.k), np.concatenate(h2s)
+        self.h1 = diagnostics.forcing_arrays(ops, cfg)[0]
+        self.h2 = np.array([diagnostics.forcing_arrays(ops, c)[1] for c in cfgs])
         with np.errstate(over="ignore"):  # an overflow is an inf scale
-            self.h_norms = [(np.linalg.norm(h1), np.linalg.norm(h2))
-                            for h2 in h2s]
+            self.h_norms = (np.linalg.norm(self.h1),
+                            np.sqrt(_dot(self.h2, self.h2)))
         self.w_sum = float(np.sum(w))
-        self.zero = np.zeros(n)
 
     def _predict(self):
         """Each member's Newton start, k x n: mu_n plus the newest backward
@@ -223,7 +207,7 @@ class Stepper:
         member's bits independent of the stack it sits in."""
         D = self.diffs
         orders = []
-        for owned, sq in zip(self.owned, diagnostics._dot(D, D).T.tolist()):
+        for owned, sq in zip(self.owned, _dot(D, D).T.tolist()):
             q = 0
             while q + 1 < owned and _SHRINK ** 2 * sq[q + 1] <= sq[q]:
                 q += 1
@@ -235,11 +219,11 @@ class Stepper:
                    where=True if all(rows) else np.array(rows)[:, None])
         return mu
 
-    def _record(self, MU):
+    def _record(self, mu):
         """Take the members' new mus, k x n, into their differences:
         d_0 = mu, then d_j = d_j-1 - the old d_j-1."""
         D, E = self.diffs, np.empty_like(self.diffs)
-        E[0] = MU
+        E[0] = mu
         for j in range(1, _HISTORY):
             np.subtract(E[j - 1], D[j - 1], out=E[j])
         self.diffs = E
@@ -252,24 +236,26 @@ class Stepper:
         self.lu[m] = None
 
     def _residual(self, u, mu, rhs2):
-        r = mu - self.reg.f(u)
-        r *= self.w
-        r -= self.A @ u
+        """The members' r2 and f_N'(u), k x n each, from one clip of u."""
+        f, df = self.reg.f_df(u)
+        r = mu - f
+        r *= self.ops.weights
+        r -= _apply(self.A, u)
         r -= rhs2
-        return r
+        return r, df
 
     # Overflow makes an inf or NaN norm, which fails Newton below; the
     # warnings numpy would print are dropped with it.
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, state):
-        ops, cfg, k, n = self.ops, self.cfg, self.k, self.ops.n_bulk
+        ops, cfg, k, w = self.ops, self.cfg, self.k, self.ops.weights
         states = [state] if isinstance(state, State) else state
-        u_old = _flat([s.field.bulk for s in states])
-        psi_old = _flat([s.field.trace for s in states])
-        rhs2 = self.w * (self.h1 - cfg.lam * u_old) + self.BtMg @ (
-            np.ravel(cfg.g.g0(psi_old)) - self.h2 - psi_old / cfg.dt)
-        scale = [1.0 + np.linalg.norm(wu) + nh1 + nh2 for wu, (nh1, nh2)
-                 in zip((self.w * u_old).reshape(k, n), self.h_norms)]
+        u_old = np.array([s.field.bulk.ravel() for s in states])
+        psi_old = np.array([s.field.trace.ravel() for s in states])
+        rhs2 = w * (self.h1 - cfg.lam * u_old) + _apply(
+            self.BtMg, cfg.g.g0(psi_old) - self.h2 - psi_old / cfg.dt)
+        wu, (nh1, nh2) = w * u_old, self.h_norms
+        scale = (1.0 + np.sqrt(_dot(wu, wu)) + nh1 + nh2).tolist()
 
         # A member whose State carries the mu of its own last step starts
         # Newton at the time extrapolation of its last mus, and u at
@@ -279,23 +265,22 @@ class Stepper:
         for m, s in enumerate(states):
             if not self.owned[m] or s.mu is not self.last_mu[m]:
                 self._forget(m)
-        MU = self._predict()
-        mu = MU.reshape(-1)  # a view: updating mu in place updates MU
-        u = u_old - self.P @ mu
+        mu = self._predict()
+        u = u_old - _apply(self.P, mu)
         live, done = list(range(k)), []  # members iterating, members converged
         rnorm, iters, factorizations, it = [0.0] * k, 0, 0, 0
+        dmu = np.zeros_like(mu)
         while True:
-            R = self._residual(u, mu, rhs2).reshape(k, n)
+            r, df = self._residual(u, mu, rhs2)
             if it:  # each update's constant mode, exactly
-                c = R.sum(axis=1, keepdims=True) / -self.w_sum
+                c = r.sum(axis=1, keepdims=True) / -self.w_sum
                 if done:
                     c[done] = 0.0  # a converged member stays as it stopped
-                MU += c  # moves r2 by c w, u not at all
-                R += c * ops.weights
-            dmu, df = [self.zero] * k, None  # a converged member's is 0
+                mu += c  # moves r2 by c w, u not at all
+                r += c * w
+            squares = _dot(r, r).tolist()
             for m in live[:]:
-                r = R[m]
-                rnorm_new = math.sqrt(r.dot(r))
+                rnorm_new = math.sqrt(squares[m])
                 # NaN data, an overflow in the residual or in its scale
                 finite = math.isfinite(rnorm_new) and math.isfinite(scale[m])
                 if self.band is not None or (
@@ -305,6 +290,7 @@ class Stepper:
                 if finite and rnorm_new <= cfg.newton_tol * scale[m]:
                     live.remove(m)
                     done.append(m)
+                    dmu[m] = 0.0  # a converged member's update
                     iters += it
                     continue
                 if it >= cfg.newton_max_iter or not finite:
@@ -314,8 +300,6 @@ class Stepper:
                         f"scale is {scale[m]} at residual {rnorm_new:.3e}",
                         residual=rnorm_new, iterations=it, time=states[m].t)
                 if self.lu[m] is None:  # refactor at the current iterate
-                    if df is None:
-                        df = self.reg.df(u).reshape(k, n)
                     if self.band is None:
                         S = self.S0 + sp.csc_array(
                             (self.dtK.data * df[m][self.dtK_cols],
@@ -326,18 +310,17 @@ class Stepper:
                         ab0, abK, b = self.band
                         self.lu[m] = _BandLU(ab0 + abK * df[m], b)
                     factorizations += 1
-                dmu[m] = self.lu[m].solve(r, trans="T")
+                dmu[m] = self.lu[m].solve(r[m], trans="T")
             if not live:
                 break
-            dmu = _flat(dmu)
             mu -= dmu
-            u += self.P @ dmu
+            u += _apply(self.P, dmu)
             it += 1
 
-        self._record(MU)
-        self.last_mu = [mu_m.reshape(ops.bulk_shape) for mu_m in MU]
+        self._record(mu)
+        self.last_mu = [mu_m.reshape(ops.bulk_shape) for mu_m in mu]
         out = []
-        for s, bulk, mu_m in zip(states, u.reshape(k, n), self.last_mu):
+        for s, bulk, mu_m in zip(states, u, self.last_mu):
             bulk = bulk.reshape(ops.bulk_shape)
             out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
                              mu_m, s.field.trace.copy()))

@@ -226,6 +226,20 @@ class TestExitCodes:
         assert err.startswith("config error:") and named in err, err
         assert str(MAX_NODES) in err and "Traceback" not in err
 
+    def test_decay_past_the_pair_stack_is_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # 560 members of 64 nodes have 156,520 pair differences to stack at
+        # a snapshot, past MAX_NODES nodes; 559 have 155,961.  No run steps.
+        monkeypatch.setattr(ex, "_sweep", None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n = 64\nexperiment.T = 0.01\n"
+                       "experiment.ensemble = 560\n")
+        assert main(["decay", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.ensemble must be 2 "
+                              f"to 559 ({MAX_NODES} stacked nodes"), err
+
     def test_endless_decay_is_2(self, tmp_path, capsys):
         # ten snapshots of 1e302 steps each: the step bound stops it at once
         cfg = tmp_path / "run.cfg"
@@ -316,8 +330,8 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_stationary_manifest_replays(self, tmp_path):
-        # the manifest lists every domain key at its default, and the seed
-        assert main(["stationary", "--K", "1.0", "--seed", "1",
+        # the manifest lists every domain key and the seed at its default
+        assert main(["stationary", "--K", "1.0",
                      "--outdir", str(tmp_path / "a")]) == 0
         assert main(["stationary", "--config",
                      str(tmp_path / "a" / "manifest.txt"),
@@ -377,7 +391,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         "--K=-1", "--K=nan", "--K=inf", "--K=1 --sweep=-1:2:3",
         "--K=1 --sweep=0.2:nan:3", "--K=1 --sweep=0.2:inf:3",
-        "--K=1 --sweep=0.2:2:0"])
+        "--K=1 --sweep=0.2:2:0", "--K=1 --seed=1"])
     def test_stationary_bad_value_is_2(self, tmp_path, capsys, args):
         rc = main(["stationary", "--potential", "logarithmic", *args.split(),
                    "--outdir", str(tmp_path / "o")])
@@ -708,8 +722,8 @@ class _Recording(dict):
 def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
     """The keys a driver looks up on a tiny run are exactly the keys that
     run_experiment lets a config set off its default (less experiment.kind,
-    which it reads to dispatch, and the seed a stationary manifest records).
-    A kind set to 7 is read if run_experiment rejects it as a kind."""
+    which it reads to dispatch).  A kind set to 7 is read if run_experiment
+    rejects it as a kind."""
     if command == "stationary":  # a domain and boundary law of its own
         kinds = {k: v for k, v in kinds.items() if k == "potential.kind"}
     cfg = _Recording(ex.resolve_config({
@@ -732,8 +746,7 @@ def test_read_table_matches_the_drivers(tmp_path, monkeypatch, command, kinds):
                 continue
             assert str(exc).startswith(f"{key} must be "), exc
         settable.add(key)
-    assert settable == cfg.read | ({"seed"} if command == "stationary"
-                                   else set())
+    assert settable == cfg.read
 
 
 @pytest.mark.parametrize("command", list(ex.KINDS["experiment.kind"]))

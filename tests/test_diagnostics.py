@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from chdbc import diagnostics as dg
 from chdbc.discretization import Interval, PeriodicStrip, make_operators
 from chdbc.errors import (InadmissibleTestFunctionError,
-                          InsufficientDataError)
+                          InsufficientDataError, NonZeroMeanError)
 from chdbc.experiments import initial_field
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential)
@@ -422,6 +423,33 @@ class TestDecay:
         r1 = dg.decay_experiment(iops, cfg, runs)
         r2 = dg.decay_experiment(iops, cfg, runs[::-1])
         assert np.allclose(r1.phi_w_diameters, r2.phi_w_diameters, atol=1e-13)
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["interval", "strip"])
+    def test_diameters_are_the_pairwise_maxima(self, strip):
+        # the pairs' stacked distances have the bits of the pair-by-pair
+        # phi_w_distance and H^1 norm
+        ops = make_operators(PeriodicStrip(2.0, 8, 9) if strip
+                             else Interval(33))
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=2.0,
+                           dt=1e-2)
+        runs = [simulate(ops, cfg, initial_field(ops, seed, 0.4, 0.1), T=0.1,
+                         cadence=0.02).states for seed in range(5)]
+        rep = dg.decay_experiment(ops, cfg, runs)
+        for k in range(len(rep.times)):
+            pairs = list(combinations([run[k].field for run in runs], 2))
+            d = [(a.bulk - b.bulk).ravel() for a, b in pairs]
+            assert rep.phi_w_diameters[k] == max(
+                ops.phi_w_distance(a, b) for a, b in pairs)
+            assert rep.h1_diameters[k] == max(
+                np.sqrt(float(v @ (ops.K @ v)) + ops.inner(v, v)) for v in d)
+
+    def test_unequal_means_raise(self, iops):
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)
+        fields = self._fields(iops, [0, 1, 2])
+        fields[2] = iops.field_from_bulk(fields[2].bulk + 0.01)
+        runs = [simulate(iops, cfg, f0, T=0.02).states for f0 in fields]
+        with pytest.raises(NonZeroMeanError):
+            dg.decay_experiment(iops, cfg, runs)
 
 
 class TestExponentialFit:

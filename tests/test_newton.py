@@ -610,3 +610,15 @@ class TestLockstep:
         assert main(["converge-n", "--config", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("solver failure:")
+
+
+@pytest.mark.parametrize("problem", [_criterion_4, _strip_quench])
+def test_members_share_one_copy_of_each_operator(problem):
+    # six members: A and P stay n x n and B^T M_G n x n_G, applied once to
+    # the stack of the members' rows
+    ops, cfg, _ = problem()
+    stepper = Stepper(ops, [replace(cfg, N=4 * 2 ** m) for m in range(6)])
+    n, ng = ops.n_bulk, len(ops.boundary_weights)
+    assert stepper.A.shape == stepper.P.shape == (n, n)
+    assert stepper.BtMg.shape == (n, ng)
+    assert stepper.h2.shape == (6, ng)
