@@ -24,13 +24,21 @@ def _at_least_one(text):
     return n
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser with every subcommand, or with `command`'s alone when it
+    names one.  Both read the same in every usage, help and error text: the
+    one-subcommand tree lists every subcommand in its metavar, which the full
+    tree leaves unset, as its errors name the argument by it."""
+    kinds = list(experiments.KINDS["experiment.kind"])
+    one = command in kinds
     parser = argparse.ArgumentParser(
         prog="chdbc",
         description="phase-field bulk/surface experiment runner")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in experiments.KINDS["experiment.kind"]:
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(kinds) + "}" if one else None)
+    for name in [command] if one else kinds:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--outdir", default="out", help="output directory")
@@ -68,7 +76,8 @@ def _load(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     options = {"workers": args.workers} if "workers" in args else {}
     try:
         cfg = _load(args)

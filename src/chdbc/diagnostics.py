@@ -304,24 +304,34 @@ class DecayReport:
     decay_rate: float  # -K of exponential_fit to the phi_w diameters
 
 
+# The most nodes of member-pair differences that decay_experiment stacks at
+# once (one pair at the least), so that its memory does not grow with k^2.
+PAIR_NODES = 1 << 18
+
+
 def decay_experiment(ops, cfg, runs) -> DecayReport:
     """Diameter decay of an ensemble sharing the same mass; runs holds each
     member's snapshot States, taken at the same times.  At each snapshot the
-    pairs of members are one stack, with one Poisson solve."""
+    pairs of members go in stacks of at most PAIR_NODES nodes, one Poisson
+    solve each; a pair's distances have the same bits in any stack."""
     times = np.array([s.t for s in runs[0]])
     phi_d, h1_d, e_spread = np.zeros((3, len(times)))
     i, j = np.triu_indices(len(runs), 1)  # the member pairs
+    per_stack = max(1, PAIR_NODES // ops.n_bulk)
     for k in range(len(times)):
         fields = [run[k].field for run in runs]
         energies = [energy(ops, cfg, f).total for f in fields]
         e_spread[k] = max(energies) - min(energies)
         u = np.array([f.bulk for f in fields])
         psi = np.array([f.trace for f in fields])
-        phi = ops.phi_w_distance(Field(u[i], psi[i]), Field(u[j], psi[j]))
-        d = (u[i] - u[j]).reshape(len(i), -1)
-        Kd = np.ascontiguousarray((ops.K @ d.T).T)  # unit-stride rows to dot
-        h1 = np.sqrt(_dot(Kd, d) + _dot(ops.weights * d, d))
-        phi_d[k], h1_d[k] = np.max(phi, initial=0.0), np.max(h1, initial=0.0)
+        for a in range(0, len(i), per_stack):
+            p, q = i[a:a + per_stack], j[a:a + per_stack]
+            phi = ops.phi_w_distance(Field(u[p], psi[p]), Field(u[q], psi[q]))
+            d = (u[p] - u[q]).reshape(len(p), -1)
+            Kd = np.ascontiguousarray((ops.K @ d.T).T)  # unit-stride rows to dot
+            h1 = np.sqrt(_dot(Kd, d) + _dot(ops.weights * d, d))
+            phi_d[k] = np.max(phi, initial=phi_d[k])
+            h1_d[k] = np.max(h1, initial=h1_d[k])
     return DecayReport(times, phi_d, h1_d, e_spread,
                        -exponential_fit(times, phi_d)[0])
 

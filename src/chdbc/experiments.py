@@ -19,10 +19,11 @@ import contextlib
 import functools
 import math
 import os
+from itertools import chain
 
 import numpy as np
 
-from . import __version__, diagnostics, stationary
+from . import __version__, diagnostics
 from .discretization import (MAX_NODES, Field, Interval, PeriodicStrip,
                              field_to_csv, make_operators, write_rows,
                              write_text)
@@ -358,9 +359,24 @@ def run_sign_condition(cfg, outdir, workers=1, Ns=(8, 16, 32, 64)):
     return {"rows": rows}
 
 
+def _write_profile(path, prof):
+    """write_rows(path, ["x", "y", "yp"], ...) of shoot's profile, formatted
+    from its centre row (x = -0) on: each row x < 0 is the row at -x with the
+    signs of x and y added as text, as x and y are odd (but y = +0 at s = 0)
+    and yp is even."""
+    n = prof.x.size // 2
+    cells = ("%.17g\n" * (3 * n + 3) % tuple(np.column_stack(
+        [prof.x[n:], prof.y[n:], prof.yp[n:]]).ravel().tolist())).split()
+    rows = list(zip(cells[0::3], cells[1::3], cells[2::3]))
+    mirror = "-%s,-%s,%s\r\n" if prof.s > 0 else "-%s,%s,%s\r\n"
+    write_text(path, "x,y,yp\r\n" + (mirror * n + "%s,%s,%s\r\n" * (n + 1))
+               % tuple(chain.from_iterable(rows[:0:-1] + rows)))
+
+
 def run_stationary(cfg, outdir):
     """One boundary-value solve and an optional slope sweep, run in this
     process."""
+    from . import stationary  # loaded only by the stationary subcommand
     pot = _make(cfg, *_row(cfg, "potential.kind"))
     problem = _make(cfg, stationary.StationaryProblem, ("experiment.K",),
                     potential=pot)
@@ -378,9 +394,7 @@ def run_stationary(cfg, outdir):
             raise ConfigError("experiment.sweep needs finite slopes >= 0 and "
                               f"1 to {MAX_NODES} steps, got {sweep!r}")
     sol = stationary.solve_bvp(problem)
-    write_rows(os.path.join(outdir, "stationary_profile.csv"), ["x", "y", "yp"],
-               zip(sol.profile.x.tolist(), sol.profile.y.tolist(),
-                   sol.profile.yp.tolist()))
+    _write_profile(os.path.join(outdir, "stationary_profile.csv"), sol.profile)
     summary = {"classification": stationary.classify(pot, problem.K),
                "K": problem.K,
                "s": sol.profile.s, "defect": sol.defect}
@@ -402,8 +416,8 @@ def run_decay(cfg, outdir, workers=1):
     """Diameters over time of an ensemble of runs from the seeds seed,
     seed + 1, ..., all at the configured mean."""
     n_ens, ops = _num(cfg, "experiment.ensemble"), build_operators(cfg)
-    # the most members whose k (k - 1) / 2 pair differences stack in
-    # MAX_NODES nodes
+    # the most members whose k (k - 1) / 2 pair differences have at most
+    # MAX_NODES nodes in all, which bounds decay_experiment's time
     most = (1 + math.isqrt(1 + 8 * (MAX_NODES // ops.n_bulk))) // 2
     if not 2 <= n_ens <= most:
         raise ConfigError(f"experiment.ensemble must be 2 to {most} ({MAX_NODES}"

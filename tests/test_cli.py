@@ -6,7 +6,7 @@ import pytest
 
 from chdbc import diagnostics, discretization, stationary
 from chdbc import experiments as ex
-from chdbc.cli import main
+from chdbc.cli import build_parser, main
 from chdbc.discretization import MAX_NODES, Interval, PeriodicStrip
 from chdbc.errors import ConfigError, DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
@@ -476,6 +476,35 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 0
         assert "VariationalOnly" in capsys.readouterr().out
+
+
+class TestOneSubcommandParser:
+    """main builds only the subparser that argv[0] names, and the full tree
+    when it names none; a user reads the full parser's texts either way."""
+
+    @staticmethod
+    def _exit(capsys, parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return (exc.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--version"], [], ["bogus"], ["simulate", "--workers", "2"],
+        ["stationary", "--K", "fast"], ["converge-n", "--workers", "0"],
+        *([kind, "-h"] for kind in ex.KINDS["experiment.kind"])],
+        ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_texts_and_exit_codes_are_the_full_parsers(self, capsys, argv):
+        full = self._exit(capsys, lambda: build_parser().parse_args(argv))
+        assert self._exit(capsys, lambda: main(argv)) == full
+        assert full[0] == (0 if {"-h", "--version"} & set(argv) else 2)
+
+    @pytest.mark.parametrize("kind", ex.KINDS["experiment.kind"])
+    def test_one_subcommand_parses_as_the_full_tree(self, kind):
+        argv = [kind, "--outdir", "o", "--seed", "3"]
+        (sub,) = build_parser(kind)._subparsers._group_actions
+        assert list(sub.choices) == [kind]
+        assert build_parser(kind).parse_args(argv) == \
+            build_parser().parse_args(argv)
 
 
 def _clear_process_caches():

@@ -13,7 +13,7 @@ from chdbc.errors import (InadmissibleTestFunctionError,
 from chdbc.experiments import initial_field
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential)
-from chdbc.solver import SolverConfig, Trajectory, simulate
+from chdbc.solver import SolverConfig, State, Trajectory, simulate
 
 
 @pytest.fixture
@@ -442,6 +442,42 @@ class TestDecay:
                 ops.phi_w_distance(a, b) for a, b in pairs)
             assert rep.h1_diameters[k] == max(
                 np.sqrt(float(v @ (ops.K @ v)) + ops.inner(v, v)) for v in d)
+
+    def test_pair_stacks_keep_to_the_node_budget(self, monkeypatch):
+        # 100 members on a 64-node interval: their 4,950 pairs have 316,800
+        # nodes, so each snapshot's pairs go in two stacks of at most
+        # PAIR_NODES nodes
+        ops = make_operators(Interval(64))
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)
+        fields = [initial_field(ops, seed, 0.4, 0.1) for seed in range(100)]
+        runs = [[State(0.0, f), State(0.1, f)] for f in fields]
+        nodes, solve = [], ops.inverse_laplacian
+        monkeypatch.setattr(ops, "inverse_laplacian",
+                            lambda r: nodes.append(np.size(r)) or solve(r))
+        rep = dg.decay_experiment(ops, cfg, runs)
+        assert len(nodes) == 2 * 2 and max(nodes) <= dg.PAIR_NODES
+        assert sum(nodes) == 2 * 4950 * 64
+        assert rep.phi_w_diameters[0] == rep.phi_w_diameters[1] > 0
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["interval", "strip"])
+    def test_stacks_of_any_size_give_the_same_bits(self, monkeypatch, strip):
+        # 15 pairs in one stack, or in stacks of 4, 4, 4 and 3 pairs
+        ops = make_operators(PeriodicStrip(2.0, 8, 9) if strip
+                             else Interval(33))
+        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=2.0,
+                           dt=1e-2)
+        runs = [simulate(ops, cfg, initial_field(ops, seed, 0.4, 0.1), T=0.1,
+                         cadence=0.05).states for seed in range(6)]
+        one = dg.decay_experiment(ops, cfg, runs)
+        monkeypatch.setattr(dg, "PAIR_NODES", 4 * ops.n_bulk + 1)
+        nodes, solve = [], ops.inverse_laplacian
+        monkeypatch.setattr(ops, "inverse_laplacian",
+                            lambda r: nodes.append(np.size(r)) or solve(r))
+        four = dg.decay_experiment(ops, cfg, runs)
+        assert nodes == ([4 * ops.n_bulk] * 3 + [3 * ops.n_bulk]) * 3
+        for name in ("times", "phi_w_diameters", "h1_diameters",
+                     "energy_spreads", "decay_rate"):
+            assert np.array_equal(getattr(one, name), getattr(four, name))
 
     def test_unequal_means_raise(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)

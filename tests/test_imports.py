@@ -1,7 +1,8 @@
 """Import cost: only the stationary solver loads scipy.integrate and
-scipy.optimize, and it loads them on first use; importing the package root,
-potentials or stationary loads no scipy module at all.  Importing chdbc.cli
-sets the BLAS thread counts a user left unset before numpy loads."""
+scipy.optimize, and it loads them on first use; the stationary subcommand
+alone loads the solver; importing the package root, potentials or stationary
+loads no scipy module at all.  Importing chdbc.cli sets the BLAS thread
+counts a user left unset before numpy loads."""
 
 import json
 import os
@@ -13,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
 import json, sys
-lazy = ["scipy.integrate", "scipy.optimize"]
+lazy = ["chdbc.stationary", "scipy.integrate", "scipy.optimize"]
 import chdbc.cli
 before = [m for m in lazy if m in sys.modules]
 rc = chdbc.cli.main(["stationary", "--potential", "logarithmic", "--K", "1.0",
@@ -36,7 +37,8 @@ def test_stationary_alone_loads_integrate_and_optimize(tmp_path):
     assert out["before"] == []  # import chdbc.cli leaves them unloaded
     assert out["rc"] == 0
     assert "classification: Classical" in printed
-    assert out["after"] == ["scipy.integrate", "scipy.optimize"]
+    assert out["after"] == ["chdbc.stationary", "scipy.integrate",
+                            "scipy.optimize"]
 
 
 def test_root_potentials_and_stationary_load_no_scipy():

@@ -5,13 +5,19 @@ on y = +-1, the smooth u* is the steady state at its mass (mu = 0, and the
 energy is strictly convex), so the stepper's rest state meets an exact
 answer.  Its error must fall at second order in h: that checks the strip's
 x coupling and its surface Laplacian K_gamma, which no other exact answer
-reaches.  The interval is the strip's x = 0 line, with no x direction.
+reaches.  The interval is the strip's x = 1/4 line, with no x direction
+(on x = 0, u*'' vanishes at y = +-1, where a first-order boundary
+difference would then keep second order).  At rest, ops.normal_derivative
+meets the exact d_n u*, and diagnostics.trace_mismatch its exact value 0,
+each at its own order.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from chdbc import solver
+from chdbc import diagnostics, solver
 from chdbc.discretization import Interval, PeriodicStrip, make_operators
 from chdbc.potentials import BoundaryNonlinearity, LogarithmicPotential
 
@@ -31,33 +37,52 @@ def _exact(x, y, strip):
     return u, u_xx, u_xx + u_yy, u_y
 
 
-def _rest_error(n, strip, a):
-    """max |u - u*| at rest on the grid of spacing 2/n, from the constant at
-    the discrete mean of u*: 50 steps of dt = 0.5."""
+@functools.cache
+def _rest_errors(n, strip, a):
+    """max |u - u*|, max |normal_derivative(u) - d_n u*| and trace_mismatch
+    at rest on the grid of spacing 2/n, from the constant at the discrete
+    mean of u*: 50 steps of dt = 0.5."""
     dom = PeriodicStrip(2.0, n, n + 1) if strip else Interval(n + 1)
     ops = make_operators(dom)
     if strip:
         X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
         xb = dom.x
     else:
-        X, Y, xb = np.zeros(n + 1), dom.x, np.zeros(1)
+        X, Y, xb = np.full(n + 1, 0.25), dom.x, np.full(1, 0.25)
     u, _, lap, _ = _exact(X, Y, strip)
     pot, g = LogarithmicPotential(), BoundaryNonlinearity(a)
-    h2 = []
+    h2, dn = [], []
     for side in (-1.0, 1.0):  # the trace rows y = -1, then y = 1
         ub, ub_xx, _, ub_y = _exact(xb, side, strip)
+        dn.append(side * ub_y)
         h2.append(side * ub_y - ub_xx + g.g(ub))
     cfg = solver.SolverConfig(pot, N=8, dt=0.5, g=g, h1=lap - pot.f(u),
                               h2=np.reshape(h2, ops.trace_shape),
                               newton_tol=1e-12)
     start = ops.field_from_bulk(np.full(ops.bulk_shape, ops.mean(u)))
-    traj = solver.simulate(ops, cfg, start, T=25.0, cadence=25.0)
-    return float(np.max(np.abs(traj.final.field.bulk - u)))
+    rest = solver.simulate(ops, cfg, start, T=25.0, cadence=25.0).final
+    dn = np.reshape(dn, ops.trace_shape)
+    return (float(np.max(np.abs(rest.field.bulk - u))),
+            float(np.max(np.abs(ops.normal_derivative(rest.field.bulk) - dn))),
+            diagnostics.trace_mismatch(ops, cfg, rest))
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5], ids=["linear-g", "tanh-g"])
 @pytest.mark.parametrize("strip", [True, False], ids=["strip", "interval"])
 def test_rest_state_converges_at_second_order(strip, a):
-    errors = [_rest_error(n, strip, a) for n in (8, 16, 32)]
+    errors = [_rest_errors(n, strip, a)[0] for n in (8, 16, 32)]
+    assert errors[0] > errors[1] > errors[2]
+    assert np.log2(errors[1] / errors[2]) >= 1.9, errors
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5], ids=["linear-g", "tanh-g"])
+@pytest.mark.parametrize("strip", [True, False], ids=["strip", "interval"])
+@pytest.mark.parametrize("which", [1, 2], ids=["normal_derivative",
+                                               "trace_mismatch"])
+def test_boundary_checks_converge_at_second_order(which, strip, a):
+    # observed orders between n = 16 and 32: normal_derivative 2.00 (strip)
+    # and 1.99 (interval), trace_mismatch 1.99 on both, for both g laws;
+    # both stay at 2.00 up to n = 64
+    errors = [_rest_errors(n, strip, a)[which] for n in (8, 16, 32)]
     assert errors[0] > errors[1] > errors[2]
     assert np.log2(errors[1] / errors[2]) >= 1.9, errors

@@ -439,13 +439,19 @@ class TestProcessCaches:
 
     @pytest.mark.parametrize("kind, pot, K", [
         ("logarithmic", LOG, 1.0), ("logarithmic", LOG, 3.0),
-        ("power", PowerSingularPotential(), 2.5), ("logarithmic", LOG, 0.0)])
+        ("power", PowerSingularPotential(), 2.5), ("logarithmic", LOG, 0.0),
+        ("smooth", SmoothDoubleWell(), 0.3),
+        ("logarithmic", LogarithmicPotential(kappa1=100.0), 1.0)])
     def test_profile_is_written_with_write_rows_bytes(self, tmp_path, kind,
                                                       pot, K):
-        # classical, saturated, F(1) = inf and the s = 0 branch of shoot
-        cfg = experiments.resolve_config({"experiment.kind": "stationary",
-                                          "potential.kind": kind,
-                                          "experiment.K": str(K)})
+        # classical, saturated, F(1) = inf, the s = 0 branch of shoot, the
+        # smooth potential and a stiff logarithmic one; the run writes the
+        # rows x < 0 from the rows x > 0
+        keys = experiments.KINDS["potential.kind"][kind][1]
+        cfg = experiments.resolve_config({
+            "experiment.kind": "stationary", "potential.kind": kind,
+            "experiment.K": str(K),
+            **{key: repr(getattr(pot, key.split(".")[1])) for key in keys}})
         experiments.run_stationary(cfg, tmp_path)
         prof = st.solve_bvp(st.StationaryProblem(pot, K)).profile
         write_rows(tmp_path / "rows.csv", ["x", "y", "yp"],
