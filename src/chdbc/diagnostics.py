@@ -304,30 +304,23 @@ class DecayReport:
     decay_rate: float  # -K of exponential_fit to the phi_w diameters
 
 
-# The most nodes of member-pair differences that decay_experiment stacks at
-# once (one pair at the least), so that its memory does not grow with k^2.
-PAIR_NODES = 1 << 18
-
-
 def decay_experiment(ops, cfg, runs) -> DecayReport:
     """Diameter decay of an ensemble sharing the same mass; runs holds each
-    member's snapshot States, taken at the same times.  At each snapshot the
-    pairs of members go in stacks of at most PAIR_NODES nodes, one Poisson
-    solve each; a pair's distances have the same bits in any stack."""
+    member's snapshot States, taken at the same times.  At each snapshot
+    member a's pairs with the members after it are one stack, one Poisson
+    solve; a pair's distances have the same bits in any stack."""
     times = np.array([s.t for s in runs[0]])
     phi_d, h1_d, e_spread = np.zeros((3, len(times)))
-    i, j = np.triu_indices(len(runs), 1)  # the member pairs
-    per_stack = max(1, PAIR_NODES // ops.n_bulk)
     for k in range(len(times)):
         fields = [run[k].field for run in runs]
         energies = [energy(ops, cfg, f).total for f in fields]
         e_spread[k] = max(energies) - min(energies)
         u = np.array([f.bulk for f in fields])
         psi = np.array([f.trace for f in fields])
-        for a in range(0, len(i), per_stack):
-            p, q = i[a:a + per_stack], j[a:a + per_stack]
-            phi = ops.phi_w_distance(Field(u[p], psi[p]), Field(u[q], psi[q]))
-            d = (u[p] - u[q]).reshape(len(p), -1)
+        for a in range(len(runs) - 1):  # member a against those after it
+            phi = ops.phi_w_distance(Field(u[a:a + 1], psi[a:a + 1]),
+                                     Field(u[a + 1:], psi[a + 1:]))
+            d = (u[a] - u[a + 1:]).reshape(-1, ops.n_bulk)
             Kd = np.ascontiguousarray((ops.K @ d.T).T)  # unit-stride rows to dot
             h1 = np.sqrt(_dot(Kd, d) + _dot(ops.weights * d, d))
             phi_d[k] = np.max(phi, initial=phi_d[k])

@@ -115,13 +115,9 @@ def _interval_stiffness(n, h):
 
 
 def _periodic_stiffness(n, h):
-    K = sp.diags_array(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        offsets=[-1, 0, 1],
-    ).tolil()
-    K[0, n - 1] = -1.0
-    K[n - 1, 0] = -1.0
-    return (K / h).tocsr()
+    off, wrap = np.full(n - 1, -1.0 / h), [-1.0 / h]
+    return sp.diags_array([wrap, off, np.full(n, 2.0 / h), off, wrap],
+                          offsets=[1 - n, -1, 0, 1, n - 1], format="csr")
 
 
 def _neumann_eigenvalues(n, h):
@@ -237,12 +233,6 @@ class _OperatorsBase:
         w = np.ascontiguousarray(self._poisson_lu.solve(b)[:-1].T)
         w -= (w[:, None] @ self.weights) / self.area  # one dot per field
         return w.reshape(r.shape)
-
-    def h_minus1_norm(self, r):
-        """|| r ||_{H^-1}: (A r, r)^(1/2) on zero-mean r."""
-        w = self.inverse_laplacian(r)
-        val = self.inner(w, r)
-        return float(np.sqrt(max(val, 0.0)))
 
     def phi_w_distance(self, f1: Field, f2: Field):
         """sqrt(||u1-u2||^2_{H^-1(Omega)} + ||psi1-psi2||^2_{L^2(Gamma)}), a

@@ -31,7 +31,8 @@ from .errors import ConfigError
 from .potentials import (BoundaryNonlinearity, LogarithmicPotential,
                          PowerSingularPotential, SmoothDoubleWell,
                          check_sign_condition, check_separation_condition)
-from .solver import SolverConfig, cadence_times, simulate, simulate_members
+from .solver import (SolverConfig, _grid_steps, cadence_times, simulate,
+                     simulate_members)
 
 # Every known key with its default (as a string, the parsed form).
 DEFAULTS = {
@@ -268,6 +269,10 @@ def run_converge_n(cfg, outdir, workers=1, times=(0.1, 0.5, 1.0)):
     if not 1 <= n_levels <= 1021:  # N = 4 * 2**1022 overflows a float
         raise ConfigError(f"experiment.n_levels must be 1 to 1021, got {n_levels}")
     Ns = [4 * 2 ** k for k in range(n_levels + 1)]  # one extra for the 2N leg
+    dt = build_solver_config(cfg, N=Ns[0]).dt
+    with _naming(("solver.dt",)):  # the times are fixed, so dt must fit them
+        for t in times:
+            _grid_steps("converge-n's snapshot time t", t, dt)
     ops = build_operators(cfg)
     jobs = [(N, None, _num(cfg, "seed"), 0.0) for N in Ns]
     runs = dict(zip(Ns, _sweep(cfg, jobs, workers, times)))

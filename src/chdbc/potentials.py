@@ -209,9 +209,14 @@ class BoundaryNonlinearity:
         return z + self.g0(z)
 
     def G(self, z):
+        """ln cosh z is |z| - ln 2 + ln(1 + e^(-2|z|)) from |z| = 20 on: exact
+        to rounding there, and finite where cosh overflows (|z| > 710)."""
         z = np.asarray(z, dtype=float)
-        G = 0.5 * z * z
-        return G + self.a * np.log(np.cosh(z)) if self.a else G
+        G, t = 0.5 * z * z, np.abs(z)
+        with np.errstate(over="ignore"):  # in a cosh that np.where drops
+            return G + self.a * np.where(
+                t < 20.0, np.log(np.cosh(z)),
+                t - math.log(2.0) + np.log1p(np.exp(-2.0 * t))) if self.a else G
 
 
 def check_sign_condition(g: BoundaryNonlinearity, h2, eps):

@@ -177,16 +177,20 @@ class Stepper:
         Mg = sp.diags_array(ops.boundary_weights)
         self.A = (ops.K + B.T @ (Mg / cfg.dt + ops.K_gamma + Mg) @ B).tocsr()
         self.BtMg = (B.T @ Mg).tocsr()
-        self.dtK = (cfg.dt * ops.K).tocsc()
-        self.P = (sp.diags_array(1.0 / w) @ self.dtK).tocsr()
-        self.S0 = (sp.diags_array(w) + self.P.T @ self.A).tocsc()  # K = K^T
-        # S = S0 + dt K diag(f_N'(u)) scales column j of dt K by f_N'(u_j)
-        self.dtK_cols = np.repeat(np.arange(n), np.diff(self.dtK.indptr))
-        # S0 and dt K in band storage, when S's half-bandwidth b allows
+        self.dtK = dtK = (cfg.dt * ops.K).tocsc()
+        self.P = (sp.diags_array(1.0 / w) @ dtK).tocsr()
+        S0 = (sp.diags_array(w) + self.P.T @ self.A).tocsc()  # K = K^T
+        # S's half-bandwidth b picks the LU of S = S0 + dt K diag(f_N'(u)):
+        # a band LU made at every iterate, or a SuperLU LU kept while it
+        # contracts (chord)
         b = max(int(np.max(np.abs(X.row - X.col)))
-                for X in (self.S0.tocoo(), self.dtK.tocoo()))
-        self.band = (_band(self.S0, b), _band(self.dtK, b), b) \
-            if b * b <= n else None
+                for X in (S0.tocoo(), dtK.tocoo()))
+        self.chord = b * b > n
+        if self.chord:
+            self._factor = lambda df: factorize(S0 + dtK @ sp.diags_array(df))
+        else:
+            ab0, abK = _band(S0, b), _band(dtK, b)
+            self._factor = lambda df: _BandLU(ab0 + abK * df, b)
         # per member: the LU of S, the mu of its last step as its State holds
         # it, and the backward differences d_0 = mu_n, d_1, ... of its last
         # mus, stacked by order, of which the first `owned` are its data
@@ -283,7 +287,7 @@ class Stepper:
                 rnorm_new = math.sqrt(squares[m])
                 # NaN data, an overflow in the residual or in its scale
                 finite = math.isfinite(rnorm_new) and math.isfinite(scale[m])
-                if self.band is not None or (
+                if not self.chord or (
                         it and not rnorm_new <= _CONTRACTION * rnorm[m]):
                     self.lu[m] = None
                 rnorm[m] = rnorm_new
@@ -300,15 +304,7 @@ class Stepper:
                         f"scale is {scale[m]} at residual {rnorm_new:.3e}",
                         residual=rnorm_new, iterations=it, time=states[m].t)
                 if self.lu[m] is None:  # refactor at the current iterate
-                    if self.band is None:
-                        S = self.S0 + sp.csc_array(
-                            (self.dtK.data * df[m][self.dtK_cols],
-                             self.dtK.indices, self.dtK.indptr),
-                            shape=self.dtK.shape)
-                        self.lu[m] = factorize(S)
-                    else:
-                        ab0, abK, b = self.band
-                        self.lu[m] = _BandLU(ab0 + abK * df[m], b)
+                    self.lu[m] = self._factor(df[m])
                     factorizations += 1
                 dmu[m] = self.lu[m].solve(r[m], trans="T")
             if not live:
@@ -319,11 +315,9 @@ class Stepper:
 
         self._record(mu)
         self.last_mu = [mu_m.reshape(ops.bulk_shape) for mu_m in mu]
-        out = []
-        for s, bulk, mu_m in zip(states, u, self.last_mu):
-            bulk = bulk.reshape(ops.bulk_shape)
-            out.append(State(s.t + cfg.dt, Field(bulk, ops.trace_of(bulk)),
-                             mu_m, s.field.trace.copy()))
+        out = [State(s.t + cfg.dt, ops.field_from_bulk(bulk), mu_m,
+                     s.field.trace.copy())
+               for s, bulk, mu_m in zip(states, u, self.last_mu)]
         return out[0] if isinstance(state, State) else out, StepReport(
             iters, float(max(r / sc for r, sc in zip(rnorm, scale))),
             factorizations)

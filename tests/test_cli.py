@@ -1,5 +1,11 @@
+import json
 import math
 import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,8 @@ from chdbc.errors import ConfigError, DomainError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, SmoothDoubleWell)
 from chdbc.solver import MAX_STEPS, simulate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestConfigParsing:
@@ -253,14 +261,35 @@ class TestExitCodes:
         assert str(MAX_STEPS) in err
 
     def test_converge_n_time_off_the_dt_grid_is_2(self, tmp_path, capsys):
-        # converge-n's first time, 0.1, is not a multiple of dt = 0.04
+        # converge-n's first time, 0.1, is not a multiple of dt = 0.04 or
+        # 0.03, and takes too many steps of 1e-300; the user sets no time,
+        # so the error names solver.dt and the time
+        for dt, why in [("0.04", "is not a positive multiple of dt=0.04"),
+                        ("0.03", "is not a positive multiple of dt=0.03"),
+                        ("1e-300", "takes 1e+299 steps of dt=1e-300")]:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"domain.n = 16\nsolver.dt = {dt}\n")
+            assert main(["converge-n", "--config", str(cfg),
+                         "--outdir", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: solver.dt: converge-n's "
+                                  f"snapshot time t=0.1 {why}"), err
+            assert "experiment.T" not in err
+
+    def test_tanh_energy_of_a_huge_trace_is_finite(self, tmp_path, capsys):
+        # forcing.h2 = 1e11 drives the trace to about 1e9 in the first step,
+        # far past where cosh overflows; G's ln cosh must not
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n = 16\nsolver.dt = 0.04\n")
-        assert main(["converge-n", "--config", str(cfg),
-                     "--outdir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: t=0.1 ")
-        assert "experiment.T" not in err
+        cfg.write_text("domain.n = 9\nsolver.dt = 1e-2\nexperiment.T = 2e-2\n"
+                       "boundary.g = tanh\nforcing.h2 = 1e11\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "o")]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "dissipation_violations: 0" in out
+        assert _nonfinite("simulate", out) == [], out
+        table = (tmp_path / "o" / "diagnostics.csv").read_text()
+        assert "inf" not in table and "nan" not in table
 
     @pytest.mark.parametrize("command", ["simulate", "lipschitz", "separation"])
     @pytest.mark.parametrize("where", ["config", "flag"])
@@ -476,6 +505,121 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 0
         assert "VariationalOnly" in capsys.readouterr().out
+
+
+def _nonfinite(command, out):
+    """The summary lines of a run that print nan or inf, but for the
+    documented ones: a rate fitted to too few samples, and converge-n's
+    reduction when its finest difference is 0."""
+    allowed = {"decay_rate", "fitted_K", "fitted_C"} | (
+        {"reduction"} if command == "converge-n" else set())
+    return [line for line in out.splitlines()
+            if line.split(":")[0] not in allowed
+            and re.search(r"\b(nan|inf)\b", line)]
+
+
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e11", "",
+               "abc"]
+
+# Runs each (command, settings) case of the JSON list on stdin through
+# cli.main in this one process, under a 3 GB address-space limit and with
+# RuntimeWarning an error; prints each case's [exit code, stdout, stderr],
+# the exit code the repr of an exception that escaped main.
+FUZZ_CHILD = """
+import contextlib, io, json, os, resource, sys, warnings
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+warnings.simplefilter("error", RuntimeWarning)
+from chdbc.cli import main
+cfg, out = os.path.join(sys.argv[1], "run.cfg"), os.path.join(sys.argv[1], "o")
+results = []
+for command, settings in json.load(sys.stdin):
+    with open(cfg, "w") as fh:
+        fh.write("".join(f"{k} = {v}\\n" for k, v in settings.items()))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = main([command, "--config", cfg, "--outdir", out])
+        except BaseException as exc:
+            rc = repr(exc)
+    results.append([rc, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _fuzz_cases(seed=1, pairs=60, triples=60):
+    """(command, settings, keys set) of tiny runs with one to three keys at
+    adversarial values: each key that a subcommand reads, once on each run
+    shape it has (the 9-node interval or the 4x5 strip, with the default g
+    or the tanh g; stationary has one shape and takes two values), then a
+    sample of pairs and of triples.  A run has dt = 1e-2 and T = 2 dt where
+    read; converge-n, which steps to its fixed t = 1, has dt = 0.1 and one
+    level.  Seed 1's sample reaches both faults that the fuzz found: a
+    converge-n dt off its fixed times that named no key, and the tanh g's
+    energy overflowing at forcing.h2 = 1e11."""
+    rng = random.Random(seed)
+    bases = []  # (command, base settings, the keys its run reads)
+    for command, (_, keys) in ex.KINDS["experiment.kind"].items():
+        stepping = "domain.kind" in keys
+        for domain in ([{"domain.n": "9"}, {"domain.kind": "strip",
+                        "domain.nx": "4", "domain.ny": "5"}]
+                       if stepping else [{}]):
+            for g in [{}, {"boundary.g": "tanh"}] if stepping else [{}]:
+                base = {**domain, **g}
+                if stepping:
+                    base["solver.dt"] = "1e-2"
+                if "experiment.T" in keys:
+                    base["experiment.T"] = "2e-2"
+                if command == "converge-n":
+                    base.update({"solver.dt": "0.1",
+                                 "experiment.n_levels": "1"})
+                cfg = ex.resolve_config({**base, "experiment.kind": command})
+                reads = {"experiment.kind"}
+                for setting in ex.KINDS:  # experiment.kind first
+                    if setting in reads:
+                        reads.update(ex._row(cfg, setting)[1])
+                bases.append((command, base,
+                              sorted(reads - {"experiment.kind"})))
+
+    def case(command, base, keys):
+        return command, {**base, **{key: rng.choice(FUZZ_VALUES)
+                                    for key in keys}}, keys
+
+    cases = [case(command, base, [key]) for command, base, keys in bases
+             for key in keys  # stationary's one, empty, base takes two
+             for _ in range(1 if base else 2)]
+    for size, count in ((2, pairs), (3, triples)):
+        for _ in range(count):
+            command, base, keys = rng.choice(bases)
+            cases.append(case(command, base, rng.sample(keys, size)))
+    return cases
+
+
+class TestConfigFuzz:
+    """Adversarial values of one to three keys: every run exits 0 with
+    finite numbers, 2 naming a key it set, or 3, and prints no warning."""
+
+    def test_every_run_exits_cleanly(self, tmp_path):
+        cases = _fuzz_cases()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c", FUZZ_CHILD, str(tmp_path)],
+            input=json.dumps([case[:2] for case in cases]), env=env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == len(cases)
+        bad = []
+        for (command, settings, keys), (rc, out, err) in zip(cases, results):
+            ok = {0: err == "" and not _nonfinite(command, out),
+                  2: err.startswith("config error:")
+                  and any(key in err for key in keys),
+                  3: err.startswith("solver failure:")}.get(rc, False)
+            if not ok or "Warning" in err:
+                bad.append((command, settings, rc, out, err))
+        assert not bad, f"{len(bad)} of {len(cases)} runs: {bad[:5]}"
+        assert {rc for rc, _, _ in results} == {0, 2, 3}
 
 
 class TestOneSubcommandParser:

@@ -85,7 +85,8 @@ class TestDissipation:
             dt = s1.t - s0.t
             du = (s1.field.bulk - s0.field.bulk) / dt
             dpsi = (s1.field.trace - s0.field.trace) / dt
-            rate = iops.h_minus1_norm(du - iops.mean(du)) ** 2 \
+            du = du - iops.mean(du)
+            rate = iops.inner(iops.inverse_laplacian(du), du) \
                 + iops.boundary_inner(dpsi, dpsi)
             E -= (0.5 if k in (1, 4, 7) else 1.0) * dt * rate
             r = traj.records[k]
@@ -444,9 +445,9 @@ class TestDecay:
                 np.sqrt(float(v @ (ops.K @ v)) + ops.inner(v, v)) for v in d)
 
     def test_pair_stacks_keep_to_the_node_budget(self, monkeypatch):
-        # 100 members on a 64-node interval: their 4,950 pairs have 316,800
-        # nodes, so each snapshot's pairs go in two stacks of at most
-        # PAIR_NODES nodes
+        # 100 members on a 64-node interval: at each snapshot member a's pairs
+        # with the 99 - a members after it are one Poisson solve, so no stack
+        # exceeds 99 * 64 nodes
         ops = make_operators(Interval(64))
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)
         fields = [initial_field(ops, seed, 0.4, 0.1) for seed in range(100)]
@@ -455,29 +456,8 @@ class TestDecay:
         monkeypatch.setattr(ops, "inverse_laplacian",
                             lambda r: nodes.append(np.size(r)) or solve(r))
         rep = dg.decay_experiment(ops, cfg, runs)
-        assert len(nodes) == 2 * 2 and max(nodes) <= dg.PAIR_NODES
-        assert sum(nodes) == 2 * 4950 * 64
+        assert nodes == [(99 - a) * 64 for a in range(99)] * 2
         assert rep.phi_w_diameters[0] == rep.phi_w_diameters[1] > 0
-
-    @pytest.mark.parametrize("strip", [False, True], ids=["interval", "strip"])
-    def test_stacks_of_any_size_give_the_same_bits(self, monkeypatch, strip):
-        # 15 pairs in one stack, or in stacks of 4, 4, 4 and 3 pairs
-        ops = make_operators(PeriodicStrip(2.0, 8, 9) if strip
-                             else Interval(33))
-        cfg = SolverConfig(potential=LogarithmicPotential(), N=8, lam=2.0,
-                           dt=1e-2)
-        runs = [simulate(ops, cfg, initial_field(ops, seed, 0.4, 0.1), T=0.1,
-                         cadence=0.05).states for seed in range(6)]
-        one = dg.decay_experiment(ops, cfg, runs)
-        monkeypatch.setattr(dg, "PAIR_NODES", 4 * ops.n_bulk + 1)
-        nodes, solve = [], ops.inverse_laplacian
-        monkeypatch.setattr(ops, "inverse_laplacian",
-                            lambda r: nodes.append(np.size(r)) or solve(r))
-        four = dg.decay_experiment(ops, cfg, runs)
-        assert nodes == ([4 * ops.n_bulk] * 3 + [3 * ops.n_bulk]) * 3
-        for name in ("times", "phi_w_diameters", "h1_diameters",
-                     "energy_spreads", "decay_rate"):
-            assert np.array_equal(getattr(one, name), getattr(four, name))
 
     def test_unequal_means_raise(self, iops):
         cfg = SolverConfig(potential=LogarithmicPotential(), N=8, dt=1e-2)

@@ -17,7 +17,8 @@ from chdbc import experiments as ex
 from chdbc import solver
 from chdbc.cli import main
 from chdbc.diagnostics import energy, forcing_arrays
-from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
+from chdbc.discretization import (Field, Interval, PeriodicStrip, factorize,
+                                  make_operators)
 from chdbc.errors import NewtonDivergedError, SingularSystemError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
                               PowerSingularPotential, RegularizedPotential,
@@ -398,7 +399,7 @@ class TestRefactorRule:
         # the strip's S has half-bandwidth about n: one SuperLU LU is kept
         ops, cfg, state = _strip_quench()
         stepper = Stepper(ops, cfg)
-        assert stepper.band is None
+        assert stepper.chord
         chord, factorizations = state, 0
         for _ in range(100):
             chord, report = stepper.step(chord)
@@ -420,14 +421,19 @@ class TestRefactorRule:
         # the interval's S is pentadiagonal: a band LU at every iterate
         ops, cfg, state = _criterion_4()
         stepper = Stepper(ops, cfg)
-        assert stepper.band[2] == 2
+        assert not stepper.chord
         newton = state
         for _ in range(100):
             newton, report = stepper.step(newton)
             assert report.factorizations == report.newton_iters
 
+        # SuperLU's chord path, the reference: the LU of
+        # S = diag(w) + P^T A + dt K diag(f_N'(u)), kept while it contracts
         stepper = Stepper(ops, cfg)
-        stepper.band = None  # SuperLU's chord path, the reference
+        S0 = sp.diags_array(ops.weights) + stepper.P.T @ stepper.A
+        stepper.chord = True
+        stepper._factor = lambda df: factorize(
+            (S0 + stepper.dtK @ sp.diags_array(df)).tocsc())
         chord = state
         for _ in range(100):
             chord, _ = stepper.step(chord)
@@ -435,10 +441,11 @@ class TestRefactorRule:
         assert np.max(np.abs(chord.mu - newton.mu)) <= 1e-9
 
     def test_singular_band_lu_raises(self):
+        # S's band (b = 2) all zeros: dgbtrf finds a zero pivot
         ops, cfg, state = _criterion_4()
         stepper = Stepper(ops, cfg)
-        for ab in stepper.band[:2]:
-            ab[:] = 0.0
+        stepper._factor = lambda df: solver._BandLU(
+            np.zeros((7, ops.n_bulk), order="F"), 2)
         with pytest.raises(SingularSystemError):
             stepper.step(state)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ class TestBoundary:
         for a in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 BoundaryNonlinearity(a)
+
+    @pytest.mark.parametrize("a", [0.5, -0.3])
+    def test_G_of_a_huge_trace_is_finite(self, a):
+        # cosh overflows past |z| ~ 710; ln cosh z = |z| - ln 2 to rounding
+        # there, and a run with forcing.h2 = 1e11 reaches such traces
+        g = BoundaryNonlinearity(a)
+        z = np.array([-1e9, -1e3, 1e3, 1e9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = g.G(z)
+        exact = 0.5 * z * z + a * (np.abs(z) - math.log(2.0))
+        assert np.all(np.isfinite(G))
+        assert np.allclose(G, exact, rtol=1e-15, atol=0.0)
+
+    def test_G_is_continuous_where_ln_cosh_changes_form(self):
+        # the two forms of ln cosh meet at |z| = 20 to rounding
+        g = BoundaryNonlinearity(0.5)
+        below, above = np.nextafter(20.0, 0.0), 20.0
+        assert g.G(above) - g.G(below) == pytest.approx(
+            float(g.g(20.0)) * (above - below), abs=1e-13)
 
     def test_linear_evaluates_no_tanh(self, monkeypatch):
         # a = 0: exact zeros, so linear runs do not depend on tanh or cosh

@@ -11,7 +11,8 @@ from chdbc.experiments import initial_field
 from chdbc.discretization import Field, Interval, PeriodicStrip, make_operators
 from chdbc.errors import ConfigError, NewtonDivergedError, StaleStateError
 from chdbc.potentials import (BoundaryNonlinearity, LogarithmicPotential,
-                              PowerSingularPotential, check_sign_condition)
+                              PowerSingularPotential, SmoothDoubleWell,
+                              check_sign_condition)
 from chdbc.solver import (SolverConfig, State, Stepper,
                           chemical_potential_mean, simulate)
 
@@ -180,36 +181,46 @@ class TestMuMean:
 
 
 _domains = st.one_of(
-    st.builds(Interval, st.integers(8, 65)),
-    st.builds(lambda nx, ny: PeriodicStrip(2.0, nx, ny),
-              st.integers(4, 16), st.integers(5, 17)))
-_singular = st.one_of(
-    st.builds(lambda k1: LogarithmicPotential(kappa1=k1), st.floats(0.5, 2.0)),
+    st.builds(lambda n, a, length: Interval(n, a, a + length),
+              st.integers(8, 65), st.floats(-2.0, 1.0), st.floats(0.5, 4.0)),
+    st.builds(PeriodicStrip, st.floats(0.5, 4.0), st.integers(4, 16),
+              st.integers(5, 17)))
+_potentials = st.one_of(
+    st.builds(lambda k1, frac: LogarithmicPotential(frac * k1, k1),
+              st.floats(0.5, 2.0), st.floats(0.0, 0.9)),
     st.builds(lambda k, p: PowerSingularPotential(kappa=k, p=p),
-              st.floats(0.5, 2.0), st.floats(1.5, 4.0)))
+              st.floats(0.5, 2.0), st.floats(1.5, 4.0)),
+    st.just(SmoothDoubleWell()))
 _tilts = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))  # linear or tanh g
 
 
-@given(dom=_domains, pot=_singular, N=st.integers(4, 64),
-       lam_ratio=st.floats(0.0, 3.0), a=_tilts, h2_ratio=st.floats(-1.0, 1.0),
-       seed=st.integers(0, 2 ** 16), amp=st.floats(0.1, 0.6),
-       mean=st.floats(-0.3, 0.3))
+@given(dom=_domains, pot=_potentials, N=st.integers(4, 64),
+       lam_ratio=st.floats(0.0, 3.0), a=_tilts, dt=st.floats(1e-4, 1e-2),
+       h1=st.floats(-1.0, 1.0), h2_ratio=st.floats(-1.0, 1.0),
+       arrays=st.booleans(), seed=st.integers(0, 2 ** 16),
+       amp=st.floats(0.1, 0.6), mean=st.floats(-0.3, 0.3))
 @settings(max_examples=60, deadline=None)
-def test_step_invariants_on_random_data(dom, pot, N, lam_ratio, a, h2_ratio,
-                                        seed, amp, mean):
-    """Over a few steps on either domain: bulk mass kept to rounding, no
+def test_step_invariants_on_random_data(dom, pot, N, lam_ratio, a, dt, h1,
+                                        h2_ratio, arrays, seed, amp, mean):
+    """Over four steps on either domain: bulk mass kept to rounding, no
     energy-law violation, and the trace equal to the bulk's y0 and
     y1 rows, read off the bulk here rather than through ops.trace_of.  lam
-    runs from 0 to three times f'(0), below and above the spinodal
-    threshold; h2 meets the boundary sign condition."""
+    runs from 0 to three times max(f'(0), 1), below and above the spinodal
+    threshold.  h1 and h2 are scalars or random arrays of at most their
+    scalar's size; h2 meets the boundary sign condition at every point."""
     ops = make_operators(dom)
     g = BoundaryNonlinearity(a)
     h2 = h2_ratio * (float(g.g(1.0)) - 0.05)
+    if arrays:
+        rng = np.random.default_rng(seed)
+        h1 = h1 * rng.uniform(-1.0, 1.0, ops.bulk_shape)
+        h2 = h2 * rng.uniform(-1.0, 1.0, ops.trace_shape)
     assert check_sign_condition(g, h2, 0.05)
-    cfg = SolverConfig(potential=pot, N=N, lam=lam_ratio * float(pot.df(0.0)),
-                       dt=1e-3, g=g, h2=h2)
+    cfg = SolverConfig(potential=pot, N=N,
+                       lam=lam_ratio * max(float(pot.df(0.0)), 1.0), dt=dt,
+                       g=g, h1=h1, h2=h2)
     f0 = initial_field(ops, seed, amp, mean)
-    traj = simulate(ops, cfg, f0, T=4e-3)
+    traj = simulate(ops, cfg, f0, T=4 * dt)
     m0 = ops.mean(f0.bulk)
     scale = 1.0 + float(np.max(np.abs(f0.bulk)))
     assert max(abs(r.mass - m0) for r in traj.records) <= 1e-12 * scale
